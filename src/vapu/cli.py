@@ -26,8 +26,8 @@ from .evaluation import (
     score_transcript,
 )
 from .models import CodeDocument, RequirementKind, RequirementSpec
-from .pipeline import reexecute_transcript, run_baseline, run_update
-from .workspace import Backend, Method, RunConfig, load_codebase, load_transcript
+from .pipeline import gateway_factory, reexecute_transcript, run_baseline, run_update
+from .workspace import Backend, Method, RunConfig, load_codebase, load_transcript, make_run_id
 
 logger = logging.getLogger(__name__)
 
@@ -102,9 +102,26 @@ def _write_updated(output_dir: Path, run_id: str, document: CodeDocument) -> Pat
     return target
 
 
-def _fan_out(jobs, worker, parallel: int) -> list:
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
+def _run_jobs(args, req: RequirementSpec, config: RunConfig, run) -> list:
+    """Run ``run`` per (file, repetition), once the run ids are known to be unique."""
+    config.validate()
+    documents = load_codebase(Path(args.project), args.include or ["**/*"])
+    jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
+    owners: dict[str, str] = {}
+    for doc, rep in jobs:
+        run_id = make_run_id(doc.path, config.method, config.model, config.temperature, rep)
+        if owners.setdefault(run_id, doc.path) != doc.path:
+            raise err.ConfigInvalid(f"{owners[run_id]} and {doc.path} would both be run {run_id}")
+    new_gateway = gateway_factory(config)
+
+    def worker(job):
+        doc, rep = job
+        result = run(req, doc, config, repetition=rep, gateway=new_gateway())
+        path = _write_updated(config.output_dir, result.transcript_ref, result.final_code)
+        return result, path
+
+    if config.parallel > 1:
+        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
             return list(pool.map(worker, jobs))
     return [worker(job) for job in jobs]
 
@@ -112,17 +129,7 @@ def _fan_out(jobs, worker, parallel: int) -> list:
 def cmd_update(args) -> int:
     req = _load_requirements(args)
     config = _run_config(args, Method.VAPU)
-    config.validate()
-    documents = load_codebase(Path(args.project), args.include or ["**/*"])
-    jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
-
-    def worker(job):
-        doc, rep = job
-        result = run_update(req, doc, config, repetition=rep)
-        path = _write_updated(config.output_dir, result.transcript_ref, result.final_code)
-        return result, path
-
-    for result, path in _fan_out(jobs, worker, config.parallel):
+    for result, path in _run_jobs(args, req, config, run_update):
         state = "unverified" if result.unverified else "verified"
         print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
               f"{state}, updated file at {path}")
@@ -135,17 +142,7 @@ def cmd_baseline(args) -> int:
     if method is Method.VAPU:
         raise err.ConfigInvalid("baseline method must be zsl or osl")
     config = _run_config(args, method)
-    config.validate()
-    documents = load_codebase(Path(args.project), args.include or ["**/*"])
-    jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
-
-    def worker(job):
-        doc, rep = job
-        result = run_baseline(req, doc, config, repetition=rep)
-        path = _write_updated(config.output_dir, result.transcript_ref, result.final_code)
-        return result, path
-
-    for result, path in _fan_out(jobs, worker, config.parallel):
+    for result, path in _run_jobs(args, req, config, run_baseline):
         print(f"{result.transcript_ref}: baseline update written to {path}")
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -279,7 +278,8 @@ class ReplayGateway(Gateway):
     """Deterministic backend replaying fixture files.
 
     Each run owns its gateway, so the per-role cursors are private to
-    that run; the underlying fixture set may be shared read-only.
+    that run and no gateway is shared between threads; the underlying
+    fixture set is shared read-only, so it needs no lock either.
     """
 
     backoff_base = 0.0
@@ -289,12 +289,10 @@ class ReplayGateway(Gateway):
         super().__init__(model_id=model_id, context_length=context_length)
         self.fixtures = fixtures
         self._cursors: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def _send(self, role: AgentRole, prompt: str, params: GenerationParams) -> str:
-        with self._lock:
-            index = self._cursors.get(role.value, 0)
-            self._cursors[role.value] = index + 1
+        index = self._cursors.get(role.value, 0)
+        self._cursors[role.value] = index + 1
         return self.fixtures.get(role, index)
 
 
@@ -359,6 +357,9 @@ class LiveGateway(Gateway):
         if response.status_code != 200:
             raise BackendRefused(f"HTTP {response.status_code}: {response.text[:200]}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendRefused(f"malformed endpoint response: {exc}") from exc
+        if not isinstance(content, str):  # refusal or tool-call shaped reply
+            raise BackendRefused(f"endpoint reply has no text content ({type(content).__name__})")
+        return content

@@ -13,6 +13,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     AbortedRun,
@@ -106,14 +107,23 @@ class RecordingGateway:
         return any(TRUNCATED_FLAG in e.flags for e in self.exchanges)
 
 
-def build_gateway(config: RunConfig) -> Gateway:
-    """Construct the backend a run configuration asks for."""
+def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
+    """Set up the configured backend once; each call makes one run's own gateway.
+
+    Replay gateways share the read-only fixtures, each starting at index 0.
+    """
     if config.backend is Backend.REPLAY:
         fixtures = load_replay_fixtures(config.fixtures_dir)
-        return ReplayGateway(fixtures, model_id=config.model)
+        return lambda: ReplayGateway(fixtures, model_id=config.model)
     registry = (ModelRegistry.from_file(config.registry_path)
                 if config.registry_path else ModelRegistry.default())
-    return LiveGateway(resolve_model(registry, config.model))
+    profile = resolve_model(registry, config.model)
+    return lambda: LiveGateway(profile)
+
+
+def build_gateway(config: RunConfig) -> Gateway:
+    """Construct the backend a run configuration asks for."""
+    return gateway_factory(config)()
 
 
 def resolve_templates(config: RunConfig) -> TemplateSet:
@@ -306,7 +316,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     gateway = gateway or build_gateway(config)
     recorder = RecordingGateway(gateway)
     params = _generation_params(config)
-    run_id = make_run_id(Path(code.path).stem, config.method, config.model,
+    run_id = make_run_id(code.path, config.method, config.model,
                          config.temperature, repetition)
     transcript = _base_transcript(run_id, config, req, code, repetition)
     clock_start = time.perf_counter()
@@ -393,7 +403,7 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         example = load_example(config.example_path)
     mode = (BaselineMode(kind=BaselineKind.OSL, example=example)
             if config.method is Method.OSL else BaselineMode(kind=BaselineKind.ZSL))
-    run_id = make_run_id(Path(code.path).stem, config.method, config.model,
+    run_id = make_run_id(code.path, config.method, config.model,
                          config.temperature, repetition)
     transcript = _base_transcript(run_id, config, req, code, repetition, example=example)
     clock_start = time.perf_counter()

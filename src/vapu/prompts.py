@@ -37,7 +37,9 @@ ACCEPT_KEYWORD = "ACCEPT"
 REJECT_KEYWORD = "REJECT"
 
 _PLACEHOLDER_RE = re.compile(r"\{\{(\w+)\}\}")
-_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+_FENCE = "```"
+# The boundaries str.splitlines() breaks lines at.
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 _LIST_ITEM_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s+)(.*\S)\s*$")
 
 
@@ -119,15 +121,36 @@ def extract_code(response: str) -> tuple[str, bool]:
     """
     if not response.strip():
         raise EmptyResponse("cannot extract code from a blank response")
-    blocks = _FENCE_RE.findall(response)
+    blocks = []
+    start = response.find(_FENCE)
+    while start >= 0:
+        # A body runs from the first newline after a fence to the next fence.
+        # Once an opening fence lacks either, every later one does too.
+        newline = response.find("\n", start + len(_FENCE))
+        end = response.find(_FENCE, newline + 1) if newline >= 0 else -1
+        if end < 0:
+            break
+        blocks.append(response[newline + 1:end])
+        start = response.find(_FENCE, end + len(_FENCE))
     if blocks:
         return "\n\n".join(block.strip("\r\n") for block in blocks), True
     return response.strip(), False
 
 
 def has_unbalanced_fences(response: str) -> bool:
-    """True when a fence was opened but never closed (truncated output)."""
-    markers = sum(1 for line in response.splitlines() if line.lstrip().startswith("```"))
+    """True when an odd number of ``str.splitlines`` lines start, after whitespace,
+    with a fence: one was opened but never closed (truncated output)."""
+    markers = 0
+    start = response.find(_FENCE)
+    while start >= 0:
+        before = start - 1
+        while before >= 0 and response[before].isspace() \
+                and response[before] not in _LINE_BREAKS:
+            before -= 1
+        if before < 0 or response[before] in _LINE_BREAKS:
+            markers += 1
+        # A fence overlapping this one follows a backtick, so it starts no line.
+        start = response.find(_FENCE, start + len(_FENCE))
     return markers % 2 == 1
 
 

@@ -15,7 +15,7 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, NoFilesMatched, StorageFull
@@ -104,10 +104,15 @@ class RunConfig:
         }
 
 
-def make_run_id(file_stem: str, method: Method, model: str,
+def make_run_id(file_path: str, method: Method, model: str,
                 temperature: float, repetition: int) -> str:
-    """Self-describing artifact name: stem, method, model, temperature, repetition."""
-    return f"{file_stem}-{method.value}-{model}-t{temperature:g}-r{repetition}"
+    """Self-describing artifact name: file, method, model, temperature, repetition.
+
+    The file part is the project-relative path without its suffix, with
+    "__" for "/" because run ids also name files and directories.
+    """
+    file_part = PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
+    return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
 
 
 @dataclass
@@ -150,11 +155,13 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
         "outcome": transcript.outcome,
         "duration": transcript.duration,
     })
-    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    body += json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True) + "\n"
+    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()
+    trailer = json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True) + "\n"
     try:
-        path.write_text(body, encoding="utf-8")
+        with path.open("wb") as handle:
+            handle.write(body)
+            handle.write(trailer.encode("utf-8"))
     except OSError as exc:
         if exc.errno == errno.ENOSPC:
             raise StorageFull(f"cannot persist transcript to {path}") from exc

@@ -6,27 +6,40 @@ from pathlib import Path
 import pytest
 
 from conftest import write_fixtures
+import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.workspace import load_transcript
 
 DEMO = demo_root()
 
 
-def run_demo_update(tmp_path: Path) -> Path:
-    out = tmp_path / "vapu-runs"
-    status = main([
+def demo_update_args(project: Path, out: Path, runs: int = 1) -> list[str]:
+    return [
         "update",
         "--backend", "replay",
         "--fixtures", str(DEMO / "fixtures"),
         "--requirements", str(DEMO / "requirements.txt"),
-        "--project", str(DEMO / "legacy"),
+        "--project", str(project),
         "--model", "gpt-4o",
         "--temperature", "0",
-        "--runs", "1",
+        "--runs", str(runs),
         "--output-dir", str(out),
-    ])
-    assert status == 0
+    ]
+
+
+def run_demo_update(tmp_path: Path) -> Path:
+    out = tmp_path / "vapu-runs"
+    assert main(demo_update_args(DEMO / "legacy", out)) == 0
     return out
+
+
+def demo_project(root: Path, *paths: str) -> Path:
+    """A project holding the demo view under each of the given paths."""
+    view = (DEMO / "legacy" / "reference_list.php").read_text(encoding="utf-8")
+    for rel in paths:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(view, encoding="utf-8")
+    return root
 
 
 def test_update_writes_transcript_and_updated_file(tmp_path, capsys) -> None:
@@ -215,3 +228,45 @@ def test_parallel_repetitions(tmp_path) -> None:
         transcript = load_transcript(path)
         finals.add(transcript.outcome["final_code"]["content"])
     assert len(finals) == 1  # repetitions are isolated and identical under replay
+
+
+@pytest.mark.parametrize("parallel", ["1", "4"])
+def test_one_command_reads_fixtures_once_and_each_run_starts_at_zero(
+        tmp_path, monkeypatch, parallel) -> None:
+    loads = []
+    real_load = vapu.pipeline.load_replay_fixtures
+
+    def counting_load(directory):
+        loads.append(directory)
+        return real_load(directory)
+
+    monkeypatch.setattr(vapu.pipeline, "load_replay_fixtures", counting_load)
+    project = demo_project(tmp_path / "project", "a.php", "b.php", "views/c.php")
+    out = tmp_path / "runs"
+    assert main([*demo_update_args(project, out, runs=2), "--parallel", parallel]) == 0
+    assert len(loads) == 1
+    demo = load_transcript(next(run_demo_update(tmp_path).glob("*.jsonl")))
+    transcripts = sorted(out.glob("*.jsonl"))
+    assert len(transcripts) == 6
+    for path in transcripts:
+        responses = [e.response for e in load_transcript(path).exchanges]
+        assert responses == [e.response for e in demo.exchanges]
+
+
+def test_same_stem_in_two_directories_keeps_both_transcripts(tmp_path) -> None:
+    project = demo_project(tmp_path / "project", "a/reference_list.php",
+                           "b/reference_list.php")
+    out = tmp_path / "runs"
+    assert main(demo_update_args(project, out)) == 0
+    assert sorted(p.name for p in out.glob("*.jsonl")) == [
+        "a__reference_list-vapu-gpt-4o-t0-r1.jsonl",
+        "b__reference_list-vapu-gpt-4o-t0-r1.jsonl",
+    ]
+
+
+def test_colliding_run_ids_rejected_before_any_run(tmp_path, capsys) -> None:
+    project = demo_project(tmp_path / "project", "views/item.php", "views/item.ctp")
+    out = tmp_path / "runs"
+    assert main(demo_update_args(project, out)) == 2
+    assert "views__item-vapu-gpt-4o-t0-r1" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import write_fixtures
 from vapu.errors import (
+    AbortedRun,
     BackendRefused,
     ContextOverflow,
     FixtureMiss,
@@ -16,6 +17,7 @@ from vapu.gateway import (
     ChatExchange,
     Gateway,
     GenerationParams,
+    LiveGateway,
     ModelRegistry,
     ReplayGateway,
     SizeClass,
@@ -23,7 +25,9 @@ from vapu.gateway import (
     load_replay_fixtures,
     resolve_model,
 )
-from vapu.models import AgentRole
+from vapu.models import AgentRole, CodeDocument, RequirementSpec
+from vapu.pipeline import run_update
+from vapu.workspace import RunConfig, load_transcript
 
 PARAMS = GenerationParams(temperature=0.0)
 
@@ -232,3 +236,68 @@ def test_exchange_dict_round_trip() -> None:
         started_at=123.5, model="m", temperature=1.0, retries=2, flags=["no_fence"],
     )
     assert ChatExchange.from_dict(exchange.to_dict()) == exchange
+
+
+# --- live gateway against a scripted endpoint ---
+
+class FakeResponse:
+    def __init__(self, payload, status_code: int = 200):
+        self.payload = payload
+        self.status_code = status_code
+        self.text = str(payload)
+
+    def json(self):
+        return self.payload
+
+
+class FakeSession:
+    """Stands in for requests.Session; answers every post from a script."""
+
+    def __init__(self, payloads: list):
+        self.payloads = list(payloads)
+        self.posts: list[dict] = []
+
+    def post(self, url, **kwargs):
+        self.posts.append({"url": url, **kwargs})
+        return FakeResponse(self.payloads.pop(0))
+
+
+def _reply(content) -> dict:
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def live_gateway(monkeypatch, payloads: list) -> tuple[LiveGateway, FakeSession]:
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "test-key")
+    session = FakeSession(payloads)
+    profile = ModelRegistry.default().resolve("gpt-4o")
+    return LiveGateway(profile, session=session), session
+
+
+def test_live_gateway_returns_message_content(monkeypatch) -> None:
+    gateway, session = live_gateway(monkeypatch, [_reply("1. do it")])
+    assert gateway.complete(AgentRole.MANAGER, "p", PARAMS).response == "1. do it"
+    assert session.posts[0]["url"] == "https://api.openai.com/v1/chat/completions"
+    assert session.posts[0]["headers"] == {"Authorization": "Bearer test-key"}
+
+
+@pytest.mark.parametrize("payload", [
+    _reply(None),
+    _reply([{"type": "text", "text": "x"}]),
+    {"choices": None},
+])
+def test_live_gateway_refuses_reply_without_text(monkeypatch, payload) -> None:
+    gateway, _ = live_gateway(monkeypatch, [payload])
+    with pytest.raises(BackendRefused):
+        gateway.complete(AgentRole.MANAGER, "p", PARAMS)
+
+
+def test_null_content_aborts_run_with_partial_transcript(monkeypatch, tmp_path) -> None:
+    gateway, _ = live_gateway(monkeypatch, [_reply(None)])
+    doc = CodeDocument(path="view.php", language_tag="php", content="<?php ?>")
+    req = RequirementSpec.from_text(id="r", text="Update the view.")
+    config = RunConfig(model="gpt-4o", output_dir=tmp_path, repetitions=1)
+    with pytest.raises(AbortedRun) as excinfo:
+        run_update(req, doc, config, gateway=gateway)
+    assert isinstance(excinfo.value.__cause__, BackendRefused)
+    transcript = load_transcript(tmp_path / f"{excinfo.value.run_id}.jsonl")
+    assert transcript.status == "aborted"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vapu.errors import (
     ConfigInvalid,
@@ -115,6 +117,68 @@ def test_unbalanced_fence_detection() -> None:
     assert has_unbalanced_fences("```php\ntruncated output")
     assert not has_unbalanced_fences("```php\nok\n```")
     assert not has_unbalanced_fences("no fences at all")
+
+
+# The implementations the linear scans replaced, kept as oracles: the
+# scans must agree with them on every input.
+ORACLE_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+
+def oracle_extract_code(response: str) -> tuple[str, bool]:
+    if not response.strip():
+        raise EmptyResponse("cannot extract code from a blank response")
+    blocks = ORACLE_FENCE_RE.findall(response)
+    if blocks:
+        return "\n\n".join(block.strip("\r\n") for block in blocks), True
+    return response.strip(), False
+
+
+def oracle_has_unbalanced_fences(response: str) -> bool:
+    markers = sum(1 for line in response.splitlines() if line.lstrip().startswith("```"))
+    return markers % 2 == 1
+
+
+def outcome(fn, text: str):
+    try:
+        return fn(text)
+    except EmptyResponse:
+        return EmptyResponse
+
+
+# Fences of 3-6 backticks, every line boundary str.splitlines knows, inline
+# whitespace that is not a boundary (\x1f, \xa0, \u3000) and a little code.
+FENCE_PIECES = [
+    "`", "```", "````", "`````", "``````", "```php", "\n", "\r\n", "\r", "\x0b", "\x0c",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\u3000", "\xa0",
+    " ", "\t", "x", "<?php ?>",
+]
+fence_texts = st.lists(
+    st.sampled_from(FENCE_PIECES), max_size=30,
+).map("".join)
+FENCE_EXAMPLES = [
+    "```php\r\necho 1;\r\n```\r\n",
+    "``````\nx\n````\n```\ny",
+    "```no newline after the fence```",
+    "prose\n```php\nunclosed",
+    " \u3000\xa0```\n\x1f```\x85\t```\u2028```",
+    "a\x0b```\x0c\x1c```\x1d\x1e```",
+]
+
+
+def assert_matches_oracles(text: str) -> None:
+    assert outcome(extract_code, text) == outcome(oracle_extract_code, text)
+    assert has_unbalanced_fences(text) == oracle_has_unbalanced_fences(text)
+
+
+@pytest.mark.parametrize("text", FENCE_EXAMPLES)
+def test_fence_scans_match_oracles_on_edge_cases(text: str) -> None:
+    assert_matches_oracles(text)
+
+
+@settings(max_examples=400)
+@given(fence_texts)
+def test_fence_scans_match_oracles(text: str) -> None:
+    assert_matches_oracles(text)
 
 
 # --- baseline prompts ---

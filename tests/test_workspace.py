@@ -27,6 +27,11 @@ def test_run_id_scheme() -> None:
     assert make_run_id("view_a", Method.VAPU, "gpt-4o", 0.0, 3) == "view_a-vapu-gpt-4o-t0-r3"
     assert make_run_id("view_a", Method.ZSL, "gpt-4o", 1.0, 1) == "view_a-zsl-gpt-4o-t1-r1"
     assert make_run_id("v", Method.OSL, "m", 0.5, 2) == "v-osl-m-t0.5-r2"
+    # The file part is the project-relative path without its suffix.
+    assert make_run_id("view_a.php", Method.VAPU, "m", 0.0, 1) == "view_a-vapu-m-t0-r1"
+    assert make_run_id("a/view_a.php", Method.VAPU, "m", 0.0, 1) == "a__view_a-vapu-m-t0-r1"
+    assert make_run_id("app/View/jquery.min.js", Method.ZSL, "m", 1.0, 2) == \
+        "app__View__jquery.min-zsl-m-t1-r2"
 
 
 def test_ten_repetitions_have_distinct_run_ids() -> None:
