@@ -1,90 +1,12 @@
-"""vapu: multi-agent legacy code updates with a replayable evaluation harness."""
+"""vapu: multi-agent legacy code updates with a replayable evaluation harness.
+
+The package root exports only the error base class and the version.
+Import everything else from its submodule: ``vapu.pipeline`` (runs),
+``vapu.gateway`` (backends), ``vapu.models``, ``vapu.prompts``,
+``vapu.workspace`` (config and transcripts), ``vapu.evaluation``,
+``vapu.errors`` and ``vapu.cli``.
+"""
 
 from .errors import VapuError
-from .evaluation import (
-    Annotations,
-    CheckMarkRecord,
-    CheckMarks,
-    ComparisonReport,
-    DifficultyScore,
-    ErrorCategory,
-    FileFeatures,
-    Finding,
-    FindingSource,
-    RequirementResult,
-    RunErrorLedger,
-    RunStats,
-    TemperatureScore,
-    aggregate_runs,
-    build_comparison_report,
-    check_fatal,
-    count_loc,
-    in_selection_range,
-    load_annotations,
-    normalize_durations,
-    record_finding,
-    score_checkmarks,
-    score_difficulty,
-    score_requirements,
-    select_temperature,
-)
-from .gateway import (
-    ChatExchange,
-    GenerationParams,
-    Gateway,
-    LiveGateway,
-    ModelProfile,
-    ModelRegistry,
-    ReplayFixtureSet,
-    ReplayGateway,
-    SizeClass,
-    load_replay_fixtures,
-    resolve_model,
-)
-from .models import (
-    AgentRole,
-    ChangeRequest,
-    CodeDocument,
-    FeedbackBudget,
-    RequirementKind,
-    RequirementSpec,
-    Task,
-    TaskOutcome,
-    TaskPlan,
-    UpdateResult,
-    Verdict,
-)
-from .pipeline import (
-    BaselineResult,
-    execute_task,
-    finalize_code,
-    make_task_prompt,
-    plan_tasks,
-    reexecute_transcript,
-    run_baseline,
-    run_update,
-    verify_task,
-)
-from .prompts import (
-    BaselineKind,
-    BaselineMode,
-    PromptTemplate,
-    PromptText,
-    build_baseline_prompt,
-    extract_code,
-    parse_agent_output,
-    render_template,
-    serialize_task_plan,
-)
-from .workspace import (
-    Backend,
-    Method,
-    RunConfig,
-    RunTranscript,
-    load_codebase,
-    load_transcript,
-    make_run_id,
-    persist_transcript,
-)
 
 __version__ = "0.1.0"

@@ -78,23 +78,6 @@ def _load_requirements(args) -> RequirementSpec:
     )
 
 
-def _run_config(args, method: Method) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        output_dir=Path(args.output_dir),
-        temperature=args.temperature,
-        max_feedback_iterations=args.max_iterations,
-        repetitions=args.runs,
-        backend=Backend(args.backend),
-        fixtures_dir=Path(args.fixtures) if args.fixtures else None,
-        method=method,
-        example_path=Path(args.example) if getattr(args, "example", None) else None,
-        registry_path=Path(args.registry) if args.registry else None,
-        templates_dir=Path(args.templates) if args.templates else None,
-        parallel=args.parallel,
-    )
-
-
 def _write_updated(output_dir: Path, run_id: str, document: CodeDocument) -> Path:
     target = Path(output_dir) / run_id / document.path
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -128,7 +111,7 @@ def _run_jobs(args, req: RequirementSpec, config: RunConfig, run) -> list:
 
 def cmd_update(args) -> int:
     req = _load_requirements(args)
-    config = _run_config(args, Method.VAPU)
+    config = RunConfig.from_snapshot({**vars(args), "method": Method.VAPU})
     for result, path in _run_jobs(args, req, config, run_update):
         state = "unverified" if result.unverified else "verified"
         print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
@@ -141,7 +124,7 @@ def cmd_baseline(args) -> int:
     method = Method(args.method)
     if method is Method.VAPU:
         raise err.ConfigInvalid("baseline method must be zsl or osl")
-    config = _run_config(args, method)
+    config = RunConfig.from_snapshot({**vars(args), "method": method})
     for result, path in _run_jobs(args, req, config, run_baseline):
         print(f"{result.transcript_ref}: baseline update written to {path}")
     return 0
@@ -211,6 +194,7 @@ def cmd_replay(args) -> int:
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags whose dest equals a RunConfig field go into the run's config."""
     parser.add_argument("--requirements", required=True,
                         help="file with the update request")
     parser.add_argument("--kind", choices=["requirements", "description"],
@@ -222,16 +206,20 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", required=True, help="model profile id")
     parser.add_argument("--temperature", type=float, default=0.0)
     parser.add_argument("--backend", choices=[b.value for b in Backend], default="live")
-    parser.add_argument("--fixtures", help="replay fixture directory")
-    parser.add_argument("--runs", type=int, default=10,
+    parser.add_argument("--fixtures", dest="fixtures_dir", metavar="FIXTURES",
+                        help="replay fixture directory")
+    parser.add_argument("--runs", dest="repetitions", metavar="RUNS", type=int, default=10,
                         help="repetitions per file (use 1 for single-attempt runs)")
-    parser.add_argument("--max-iterations", type=int, default=2,
+    parser.add_argument("--max-iterations", dest="max_feedback_iterations",
+                        metavar="MAX_ITERATIONS", type=int, default=2,
                         help="verifier/finalizer loop budget per task")
     parser.add_argument("--output-dir", required=True)
     parser.add_argument("--parallel", type=int, default=1,
                         help="concurrent repetitions")
-    parser.add_argument("--registry", help="model registry file (default: bundled)")
-    parser.add_argument("--templates", help="prompt template directory (default: bundled)")
+    parser.add_argument("--registry", dest="registry_path", metavar="REGISTRY",
+                        help="model registry file (default: bundled)")
+    parser.add_argument("--templates", dest="templates_dir", metavar="TEMPLATES",
+                        help="prompt template directory (default: bundled)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     baseline = commands.add_parser("baseline", help="run a one-prompt baseline over a codebase")
     _add_run_arguments(baseline)
     baseline.add_argument("--method", choices=["zsl", "osl"], default="zsl")
-    baseline.add_argument("--example", help="JSON example asset for one-shot prompts")
+    baseline.add_argument("--example", dest="example_path", metavar="EXAMPLE",
+                          help="JSON example asset for one-shot prompts")
     baseline.set_defaults(func=cmd_baseline)
 
     evaluate = commands.add_parser("evaluate", help="merge transcripts with annotations")

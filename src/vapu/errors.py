@@ -44,8 +44,8 @@ class EmptyChangeList(VapuError):
 class AbortedRun(VapuError):
     """An agent error aborted the run; a partial transcript was persisted.
 
-    task_index is 0 while still planning, otherwise the 1-based index of
-    the task that was in flight.
+    task_index is 0 while still planning, and for a baseline's single
+    call; otherwise the 1-based index of the task that was in flight.
     """
 
     def __init__(self, message: str, task_index: int, run_id: str):

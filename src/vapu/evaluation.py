@@ -80,12 +80,6 @@ class RunErrorLedger:
         return counts
 
 
-def record_finding(ledger: RunErrorLedger, finding: Finding) -> RunErrorLedger:
-    """Add a finding unless its cause key is already present."""
-    ledger.record(finding)
-    return ledger
-
-
 # A checker takes file content and returns diagnostic messages (empty = clean).
 SyntaxCheckerHook = Callable[[str], list[str]]
 
@@ -306,8 +300,20 @@ class BucketDelta:
         return self.vapu - self.baseline
 
 
+class _MarkTotals:
+    """Check marks earned (``total``) out of three per scored record."""
+
+    @property
+    def possible(self) -> int:
+        return 3 * self.records
+
+    @property
+    def pass_rate(self) -> float:
+        return 100.0 * self.total / self.possible if self.possible else 0.0
+
+
 @dataclass(frozen=True)
-class MethodTotals:
+class MethodTotals(_MarkTotals):
     first: int
     second: int
     third: int
@@ -317,28 +323,12 @@ class MethodTotals:
     def total(self) -> int:
         return self.first + self.second + self.third
 
-    @property
-    def possible(self) -> int:
-        return 3 * self.records
-
-    @property
-    def pass_rate(self) -> float:
-        return 100.0 * self.total / self.possible if self.possible else 0.0
-
 
 @dataclass(frozen=True)
-class ModelTotals:
+class ModelTotals(_MarkTotals):
     model: str
     total: int
     records: int
-
-    @property
-    def possible(self) -> int:
-        return 3 * self.records
-
-    @property
-    def pass_rate(self) -> float:
-        return 100.0 * self.total / self.possible if self.possible else 0.0
 
 
 @dataclass
@@ -653,20 +643,8 @@ def score_transcript(transcript, annotations: Annotations,
         "requirement_score": (score_requirements(requirement_entries)
                               if requirement_entries else None),
         "requirement_total": len(requirement_entries) or None,
-        "checkmarks": (
-            {
-                "updates_present_and_plausible": marks.updates_present_and_plausible,
-                "basic_functions_ok": marks.basic_functions_ok,
-                "all_requirements_correct": marks.all_requirements_correct,
-                "score": score_checkmarks(marks),
-            }
-            if marks else None
-        ),
-        "features": (
-            {"loc": features.loc, "cc_letter": features.cc_letter,
-             "task_count": features.task_count}
-            if features else None
-        ),
+        "checkmarks": {**vars(marks), "score": score_checkmarks(marks)} if marks else None,
+        "features": dict(vars(features)) if features else None,
         "loc_final": final_code.loc if final_code else None,
         "unverified": transcript.outcome.get("unverified"),
         "truncated": transcript.outcome.get("truncated"),

@@ -184,21 +184,6 @@ class TaskOutcome:
     accepted: bool
     finalizer_iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "task_index": self.task_index,
-            "accepted": self.accepted,
-            "finalizer_iterations": self.finalizer_iterations,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskOutcome":
-        return cls(
-            task_index=data["task_index"],
-            accepted=data["accepted"],
-            finalizer_iterations=data["finalizer_iterations"],
-        )
-
 
 @dataclass
 class UpdateResult:
@@ -216,10 +201,7 @@ class UpdateResult:
             raise ValueError("unverified must reflect whether any task was left unaccepted")
 
     def to_dict(self) -> dict:
-        return {
-            "final_code": self.final_code.to_dict(),
-            "per_task_outcomes": [o.to_dict() for o in self.per_task_outcomes],
-            "unverified": self.unverified,
-            "transcript_ref": self.transcript_ref,
-            "truncated": self.truncated,
-        }
+        record = vars(self).copy()
+        record["final_code"] = self.final_code.to_dict()
+        record["per_task_outcomes"] = [vars(o).copy() for o in self.per_task_outcomes]
+        return record

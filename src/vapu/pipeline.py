@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .errors import (
     AbortedRun,
@@ -35,7 +35,6 @@ from .gateway import (
     ReplayFixtureSet,
     ReplayGateway,
     load_replay_fixtures,
-    resolve_model,
 )
 from .models import (
     AgentRole,
@@ -82,6 +81,8 @@ GENERIC_CHANGE = "address verifier feedback"
 TRUNCATED_FLAG = "truncated"
 NO_FENCE_FLAG = "no_fence"
 
+R = TypeVar("R")
+
 
 class RecordingGateway:
     """Wraps a gateway, keeping every exchange in order.
@@ -117,7 +118,7 @@ def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
         return lambda: ReplayGateway(fixtures, model_id=config.model)
     registry = (ModelRegistry.from_file(config.registry_path)
                 if config.registry_path else ModelRegistry.default())
-    profile = resolve_model(registry, config.model)
+    profile = registry.resolve(config.model)
     return lambda: LiveGateway(profile)
 
 
@@ -286,13 +287,36 @@ def _verify_with_reask(req, task, before, after, gateway, params, templates) -> 
         return Verdict(accepted=False, changes=(ChangeRequest(GENERIC_CHANGE),))
 
 
-def _generation_params(config: RunConfig) -> GenerationParams:
-    return GenerationParams(temperature=config.temperature)
+@dataclass
+class _Run:
+    """One run in flight, as its method's steps see it."""
+
+    run_id: str
+    gateway: RecordingGateway
+    params: GenerationParams
+    templates: TemplateSet
+    # Reported as failed_task_index on abort: 0 while planning or in a baseline's one call.
+    task_index: int = 0
 
 
-def _base_transcript(run_id: str, config: RunConfig, req: RequirementSpec,
-                     code: CodeDocument, repetition: int,
-                     example: tuple[str, str] | None = None) -> RunTranscript:
+def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
+                repetition: int, gateway: Gateway | None,
+                steps: Callable[[_Run], tuple[R, dict]],
+                example: tuple[str, str] | None = None) -> R:
+    """Record one run of ``steps`` over one file and persist its transcript.
+
+    ``steps`` makes the method's calls and returns (result, outcome record).
+    Whatever happens, the transcript is persisted exactly once: an agent
+    error marks it aborted and raises AbortedRun; any other exception
+    (including KeyboardInterrupt) marks it aborted and propagates unchanged.
+    """
+    run = _Run(
+        run_id=make_run_id(code.path, config.method, config.model,
+                           config.temperature, repetition),
+        gateway=RecordingGateway(gateway or build_gateway(config)),
+        params=GenerationParams(temperature=config.temperature),
+        templates=resolve_templates(config),
+    )
     inputs = {
         "requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
         "code": code.to_dict(),
@@ -300,7 +324,27 @@ def _base_transcript(run_id: str, config: RunConfig, req: RequirementSpec,
     }
     if example is not None:
         inputs["example"] = list(example)
-    return RunTranscript(run_id=run_id, config=config.snapshot(), inputs=inputs)
+    transcript = RunTranscript(run_id=run.run_id, config=config.snapshot(), inputs=inputs,
+                               status="aborted")
+    clock_start = time.perf_counter()
+    try:
+        result, transcript.outcome = steps(run)
+        transcript.status = "completed"
+        return result
+    except VapuError as exc:
+        transcript.outcome = {"error": str(exc), "failed_task_index": run.task_index}
+        raise AbortedRun(
+            f"run {run.run_id} aborted at task {run.task_index}: {exc}",
+            task_index=run.task_index,
+            run_id=run.run_id,
+        ) from exc
+    except BaseException as exc:
+        transcript.outcome = {"error": repr(exc), "failed_task_index": run.task_index}
+        raise
+    finally:
+        transcript.exchanges = run.gateway.exchanges
+        transcript.duration = time.perf_counter() - clock_start
+        persist_transcript(transcript, config.output_dir)
 
 
 def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
@@ -312,23 +356,16 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     partial transcript and aborts with the failing task index.
     """
     config.validate()
-    templates = resolve_templates(config)
-    gateway = gateway or build_gateway(config)
-    recorder = RecordingGateway(gateway)
-    params = _generation_params(config)
-    run_id = make_run_id(code.path, config.method, config.model,
-                         config.temperature, repetition)
-    transcript = _base_transcript(run_id, config, req, code, repetition)
-    clock_start = time.perf_counter()
-    failed_task_index = 0  # 0 = still planning
-    try:
+
+    def steps(run: _Run) -> tuple[UpdateResult, dict]:
+        recorder, params, templates = run.gateway, run.params, run.templates
         plan = plan_tasks(req, code, recorder, params, templates)
         assert plan.reflected
-        logger.info("run %s: plan of %d task(s)", run_id, len(plan.tasks))
+        logger.info("run %s: plan of %d task(s)", run.run_id, len(plan.tasks))
         current = code
         outcomes: list[TaskOutcome] = []
         for task in plan.tasks:
-            failed_task_index = task.index
+            run.task_index = task.index
             instruction = make_task_prompt(req, task, current, recorder, params, templates)
             before = current
             updated = execute_task(instruction, current, recorder, params, templates)
@@ -340,7 +377,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                 verdict = _verify_with_reask(req, task, before, updated, recorder, params, templates)
             if not verdict.accepted:
                 logger.warning("run %s: task %d left unverified after %d finalizer iteration(s)",
-                               run_id, task.index, budget.used)
+                               run.run_id, task.index, budget.used)
             outcomes.append(TaskOutcome(
                 task_index=task.index,
                 accepted=verdict.accepted,
@@ -351,25 +388,12 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
             final_code=current,
             per_task_outcomes=tuple(outcomes),
             unverified=any(not o.accepted for o in outcomes),
-            transcript_ref=run_id,
+            transcript_ref=run.run_id,
             truncated=recorder.truncation_seen(),
         )
-    except VapuError as exc:
-        transcript.exchanges = recorder.exchanges
-        transcript.status = "aborted"
-        transcript.outcome = {"error": str(exc), "failed_task_index": failed_task_index}
-        transcript.duration = time.perf_counter() - clock_start
-        persist_transcript(transcript, config.output_dir)
-        raise AbortedRun(
-            f"run {run_id} aborted at task {failed_task_index}: {exc}",
-            task_index=failed_task_index,
-            run_id=run_id,
-        ) from exc
-    transcript.exchanges = recorder.exchanges
-    transcript.outcome = result.to_dict()
-    transcript.duration = time.perf_counter() - clock_start
-    persist_transcript(transcript, config.output_dir)
-    return result
+        return result, result.to_dict()
+
+    return _record_run(req, code, config, repetition, gateway, steps)
 
 
 @dataclass
@@ -382,49 +406,37 @@ class BaselineResult:
     truncated: bool
 
 
-def load_example(path: Path) -> tuple[str, str]:
-    """Read the one-shot example asset: JSON with input and output excerpts."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return (data["input"], data["output"])
-
-
 def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                  repetition: int = 1, gateway: Gateway | None = None,
                  example: tuple[str, str] | None = None) -> BaselineResult:
-    """Execute one zero- or one-shot exchange over one file and persist it."""
+    """Execute one zero- or one-shot exchange over one file and persist it.
+
+    Without an ``example``, a one-shot run reads the JSON example asset
+    (input and output excerpts) named by the config.
+    """
     config.validate()
     if config.method is Method.VAPU:
         raise ValueError("run_baseline requires a zsl or osl method")
-    templates = resolve_templates(config)
-    gateway = gateway or build_gateway(config)
-    recorder = RecordingGateway(gateway)
-    params = _generation_params(config)
     if config.method is Method.OSL and example is None:
-        example = load_example(config.example_path)
+        data = json.loads(Path(config.example_path).read_text(encoding="utf-8"))
+        example = (data["input"], data["output"])
     mode = (BaselineMode(kind=BaselineKind.OSL, example=example)
             if config.method is Method.OSL else BaselineMode(kind=BaselineKind.ZSL))
-    run_id = make_run_id(code.path, config.method, config.model,
-                         config.temperature, repetition)
-    transcript = _base_transcript(run_id, config, req, code, repetition, example=example)
-    clock_start = time.perf_counter()
-    prompt = build_baseline_prompt(mode, req.as_text(), code, templates)
-    exchange = _code_exchange(recorder, AgentRole.BASELINE, prompt.text, params)
-    updated = _extract_into(code, exchange)
-    result = BaselineResult(
-        final_code=updated,
-        transcript_ref=run_id,
-        fenced=NO_FENCE_FLAG not in exchange.flags,
-        truncated=recorder.truncation_seen(),
-    )
-    transcript.exchanges = recorder.exchanges
-    transcript.outcome = {
-        "final_code": updated.to_dict(),
-        "fenced": result.fenced,
-        "truncated": result.truncated,
-    }
-    transcript.duration = time.perf_counter() - clock_start
-    persist_transcript(transcript, config.output_dir)
-    return result
+
+    def steps(run: _Run) -> tuple[BaselineResult, dict]:
+        prompt = build_baseline_prompt(mode, req.as_text(), code, run.templates)
+        exchange = _code_exchange(run.gateway, AgentRole.BASELINE, prompt.text, run.params)
+        updated = _extract_into(code, exchange)
+        result = BaselineResult(
+            final_code=updated,
+            transcript_ref=run.run_id,
+            fenced=NO_FENCE_FLAG not in exchange.flags,
+            truncated=run.gateway.truncation_seen(),
+        )
+        return result, {"final_code": updated.to_dict(), "fenced": result.fenced,
+                        "truncated": result.truncated}
+
+    return _record_run(req, code, config, repetition, gateway, steps, example=example)
 
 
 def fixtures_from_transcript(transcript: RunTranscript) -> ReplayFixtureSet:
@@ -451,21 +463,11 @@ def reexecute_transcript(transcript: RunTranscript, output_dir: Path) -> tuple[s
         kind=RequirementKind(inputs["requirement"]["kind"]),
     )
     code = CodeDocument.from_dict(inputs["code"])
-    snapshot = transcript.config
-    config = RunConfig(
-        model=snapshot["model"],
-        output_dir=Path(output_dir),
-        temperature=snapshot["temperature"],
-        max_feedback_iterations=snapshot["max_feedback_iterations"],
-        repetitions=snapshot["repetitions"],
-        backend=Backend.REPLAY,
-        # The injected gateway supplies the responses; the directory is
-        # only kept for provenance in the re-executed transcript.
-        fixtures_dir=Path(snapshot["fixtures_dir"]) if snapshot.get("fixtures_dir") else Path("."),
-        method=Method(snapshot["method"]),
-        example_path=Path(snapshot["example_path"]) if snapshot.get("example_path") else None,
-        templates_dir=Path(snapshot["templates_dir"]) if snapshot.get("templates_dir") else None,
-    )
+    config = RunConfig.from_snapshot(transcript.config)
+    # The injected gateway supplies the responses; the fixtures directory is
+    # only kept for provenance in the re-executed transcript.
+    config = replace(config, output_dir=Path(output_dir), backend=Backend.REPLAY,
+                     fixtures_dir=config.fixtures_dir or Path("."))
     gateway = ReplayGateway(fixtures_from_transcript(transcript), model_id=config.model)
     repetition = inputs.get("repetition", 1)
     if config.method is Method.VAPU:

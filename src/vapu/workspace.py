@@ -9,14 +9,15 @@ append-per-line layout keeps partially written files diagnosable.
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Sequence
+from typing import Mapping, Sequence, get_args, get_type_hints
 
 from .errors import ConfigInvalid, CorruptTranscript, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
@@ -88,20 +89,39 @@ class RunConfig:
             raise ConfigInvalid("one-shot baseline requires an example asset")
 
     def snapshot(self) -> dict:
-        return {
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_feedback_iterations": self.max_feedback_iterations,
-            "repetitions": self.repetitions,
-            "backend": self.backend.value,
-            "fixtures_dir": str(self.fixtures_dir) if self.fixtures_dir else None,
-            "output_dir": str(self.output_dir),
-            "method": self.method.value,
-            "example_path": str(self.example_path) if self.example_path else None,
-            "registry_path": str(self.registry_path) if self.registry_path else None,
-            "templates_dir": str(self.templates_dir) if self.templates_dir else None,
-            "parallel": self.parallel,
-        }
+        """JSON-friendly copy of every field: paths as str, enums as their values."""
+        return {name: _plain(value) for name, value in vars(self).items()}
+
+    @classmethod
+    def from_snapshot(cls, data: Mapping) -> "RunConfig":
+        """Inverse of :meth:`snapshot`; the CLI builds its config from its parsed flags too.
+
+        Keys that are not fields are ignored and missing ones keep their
+        defaults; an empty or None optional path reads as None.
+        """
+        hints = _type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value, kind = data[f.name], hints[f.name]
+            if type(None) in get_args(kind):
+                kind = next(k for k in get_args(kind) if k is not type(None))
+                value = value or None
+            if value is not None and not isinstance(value, kind):
+                value = kind(value)
+            values[f.name] = value
+        return cls(**values)
+
+
+# get_type_hints evaluates the postponed annotations on every call (~150 us).
+_type_hints = functools.cache(get_type_hints)
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    return str(value) if isinstance(value, Path) else value
 
 
 def make_run_id(file_path: str, method: Method, model: str,

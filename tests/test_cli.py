@@ -270,3 +270,55 @@ def test_colliding_run_ids_rejected_before_any_run(tmp_path, capsys) -> None:
     assert main(demo_update_args(project, out)) == 2
     assert "views__item-vapu-gpt-4o-t0-r1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_baseline_exits_9_and_keeps_transcript(tmp_path) -> None:
+    out = tmp_path / "zsl-runs"
+    status = main([
+        "baseline", "--backend", "replay",
+        "--fixtures", str(write_fixtures(tmp_path / "empty-fx", {})),
+        "--requirements", str(DEMO / "requirements.txt"),
+        "--project", str(DEMO / "legacy"),
+        "--model", "gpt-4o", "--runs", "1", "--method", "zsl",
+        "--output-dir", str(out),
+    ])
+    assert status == 9
+    transcript = load_transcript(out / "reference_list-zsl-gpt-4o-t0-r1.jsonl")
+    assert transcript.status == "aborted"
+
+
+def test_every_run_flag_reaches_the_config_header(tmp_path) -> None:
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    registry = DEMO.parent / "registry.json"
+    templates = DEMO.parent / "templates"
+    out = tmp_path / "osl-runs"
+    assert main([
+        "baseline", "--backend", "replay",
+        "--fixtures", str(DEMO / "fixtures-baseline"),
+        "--requirements", str(DEMO / "requirements.txt"),
+        "--project", str(DEMO / "legacy"),
+        "--model", "gpt-4o", "--temperature", "1",
+        "--runs", "2", "--max-iterations", "3", "--parallel", "2",
+        "--registry", str(registry), "--templates", str(templates),
+        "--method", "osl", "--example", str(example),
+        "--output-dir", str(out),
+    ]) == 0
+    expected = {
+        "model": "gpt-4o",
+        "output_dir": str(out),
+        "temperature": 1.0,
+        "max_feedback_iterations": 3,
+        "repetitions": 2,
+        "backend": "replay",
+        "fixtures_dir": str(DEMO / "fixtures-baseline"),
+        "method": "osl",
+        "example_path": str(example),
+        "registry_path": str(registry),
+        "templates_dir": str(templates),
+        "parallel": 2,
+    }
+    paths = sorted(out.glob("*.jsonl"))
+    assert len(paths) == 2
+    for path in paths:
+        assert load_transcript(path).config == expected

@@ -25,7 +25,6 @@ from vapu.evaluation import (
     in_selection_range,
     normalize_cause_key,
     normalize_durations,
-    record_finding,
     score_checkmarks,
     score_difficulty,
     score_requirements,
@@ -43,22 +42,22 @@ def finding(cause: str, category: ErrorCategory = ErrorCategory.FATAL) -> Findin
 
 def test_same_cause_counted_once() -> None:
     ledger = RunErrorLedger(run_id="r")
-    record_finding(ledger, finding("missing helper"))
-    record_finding(ledger, finding("missing helper"))
+    ledger.record(finding("missing helper"))
+    ledger.record(finding("missing helper"))
     assert len(ledger) == 1
 
 
 def test_distinct_causes_both_counted() -> None:
     ledger = RunErrorLedger(run_id="r")
-    record_finding(ledger, finding("cause a"))
-    record_finding(ledger, finding("cause b"))
+    ledger.record(finding("cause a"))
+    ledger.record(finding("cause b"))
     assert len(ledger) == 2
 
 
 def test_dedup_spans_categories_first_wins() -> None:
     ledger = RunErrorLedger(run_id="r")
-    record_finding(ledger, finding("same mistake", ErrorCategory.FATAL))
-    record_finding(ledger, finding("same mistake", ErrorCategory.RUNTIME))
+    ledger.record(finding("same mistake", ErrorCategory.FATAL))
+    ledger.record(finding("same mistake", ErrorCategory.RUNTIME))
     assert len(ledger) == 1
     assert next(iter(ledger.findings.values())).category is ErrorCategory.FATAL
 
@@ -67,8 +66,8 @@ def test_dedup_spans_categories_first_wins() -> None:
 def test_ledger_size_never_exceeds_distinct_causes(causes: list[str]) -> None:
     ledger = RunErrorLedger(run_id="r")
     for cause in causes:
-        record_finding(ledger, finding(cause))
-        record_finding(ledger, finding(cause))  # idempotent per cause
+        ledger.record(finding(cause))
+        ledger.record(finding(cause))  # idempotent per cause
     assert len(ledger) == len(set(causes))
 
 

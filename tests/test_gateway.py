@@ -23,7 +23,6 @@ from vapu.gateway import (
     SizeClass,
     TransientBackendError,
     load_replay_fixtures,
-    resolve_model,
 )
 from vapu.models import AgentRole, CodeDocument, RequirementSpec
 from vapu.pipeline import run_update
@@ -60,19 +59,19 @@ def test_default_registry_has_the_five_evaluated_models() -> None:
 
 
 def test_gpt_4o_profile() -> None:
-    profile = resolve_model(ModelRegistry.default(), "gpt-4o")
+    profile = ModelRegistry.default().resolve("gpt-4o")
     assert profile.company == "OpenAI"
     assert profile.size_class is SizeClass.LARGE
 
 
 def test_nova_pro_is_medium_sized() -> None:
-    profile = resolve_model(ModelRegistry.default(), "nova-pro-1.0")
+    profile = ModelRegistry.default().resolve("nova-pro-1.0")
     assert profile.size_class is SizeClass.MEDIUM
 
 
 def test_unknown_model_rejected() -> None:
     with pytest.raises(UnknownModel):
-        resolve_model(ModelRegistry.default(), "gpt-5-unknown")
+        ModelRegistry.default().resolve("gpt-5-unknown")
 
 
 def test_registry_loads_from_file(tmp_path) -> None:
@@ -236,6 +235,14 @@ def test_exchange_dict_round_trip() -> None:
         started_at=123.5, model="m", temperature=1.0, retries=2, flags=["no_fence"],
     )
     assert ChatExchange.from_dict(exchange.to_dict()) == exchange
+
+
+def test_exchange_from_transcript_record_without_optional_keys() -> None:
+    record = {"record": "exchange", "role": "executor", "prompt": "p", "response": "r",
+              "duration": 0.5, "started_at": 1.0, "model": "m", "temperature": 0.0}
+    exchange = ChatExchange.from_dict(record)
+    assert exchange.role is AgentRole.EXECUTOR
+    assert (exchange.retries, exchange.flags) == (0, [])
 
 
 # --- live gateway against a scripted endpoint ---

@@ -303,6 +303,38 @@ def test_planning_failure_aborts_with_index_zero(tmp_path, sample_req, sample_do
     assert excinfo.value.task_index == 0
 
 
+class CrashingGateway(ReplayGateway):
+    """Replays fixtures, but its second call fails with a non-vapu exception."""
+
+    def __init__(self, fixtures, error: BaseException):
+        super().__init__(fixtures)
+        self.error = error
+        self.calls = 0
+
+    def _send(self, role, prompt, params):
+        self.calls += 1
+        if self.calls == 2:
+            raise self.error
+        return super()._send(role, prompt, params)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("client crashed"), KeyboardInterrupt()])
+def test_unexpected_exception_persists_transcript_and_propagates(
+        tmp_path, sample_req, sample_doc, error) -> None:
+    fixtures = write_fixtures(tmp_path / "fx", multi_task_fixtures(
+        tasks=1, verifier_responses=["ACCEPT"], finalizer_count=0))
+    config = replay_config(tmp_path / "out", fixtures)
+    gateway = CrashingGateway(load_replay_fixtures(fixtures), error)
+    with pytest.raises(type(error)) as excinfo:
+        run_update(sample_req, sample_doc, config, gateway=gateway)
+    assert excinfo.value is error  # re-raised as is, not wrapped in AbortedRun
+    [path] = Path(config.output_dir).glob("*.jsonl")
+    transcript = load_transcript(path)
+    assert transcript.status == "aborted"
+    assert transcript.outcome["failed_task_index"] == 0
+    assert [e.role for e in transcript.exchanges] == [AgentRole.MANAGER]
+
+
 def test_truncated_executor_output_marks_run(tmp_path, sample_req, sample_doc) -> None:
     entries = multi_task_fixtures(tasks=1, verifier_responses=["ACCEPT"], finalizer_count=0)
     entries["executor-0"] = "```php\ncut off"
@@ -370,6 +402,21 @@ def test_osl_baseline_embeds_one_example(tmp_path, sample_req, sample_doc) -> No
     prompt = transcript.exchanges[0].prompt
     assert prompt.count("Example input:") == 1
     assert "old()" in prompt and "new()" in prompt
+
+
+@pytest.mark.parametrize("entries", [{"baseline-0": "   "}, {}], ids=["blank", "missing"])
+def test_failed_baseline_aborts_and_keeps_transcript(tmp_path, sample_req, sample_doc,
+                                                     entries) -> None:
+    fixtures = write_fixtures(tmp_path / "fx", entries)
+    config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
+    with pytest.raises(AbortedRun) as excinfo:
+        run_baseline(sample_req, sample_doc, config)
+    assert excinfo.value.task_index == 0
+    transcript = load_transcript(
+        Path(config.output_dir) / f"{excinfo.value.run_id}.jsonl")
+    assert transcript.status == "aborted"
+    assert transcript.outcome["failed_task_index"] == 0
+    assert len(transcript.exchanges) == len(entries)
 
 
 def test_baseline_refuses_pipeline_method(tmp_path, sample_req, sample_doc) -> None:

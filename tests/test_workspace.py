@@ -80,6 +80,36 @@ def test_snapshot_is_json_friendly(tmp_path) -> None:
     assert snapshot["fixtures_dir"].endswith("fx")
 
 
+optional_path = st.none() | st.builds(Path, st.from_regex(r"[a-z][a-z0-9_/]{0,15}", fullmatch=True))
+
+
+@given(
+    model=st.text(min_size=1, max_size=20),
+    output_dir=st.builds(Path, st.from_regex(r"[a-z][a-z0-9_/]{0,15}", fullmatch=True)),
+    temperature=st.floats(min_value=0, max_value=1),
+    max_feedback_iterations=st.integers(min_value=1, max_value=5),
+    repetitions=st.integers(min_value=1, max_value=20),
+    backend=st.sampled_from(Backend),
+    fixtures_dir=optional_path,
+    method=st.sampled_from(Method),
+    example_path=optional_path,
+    registry_path=optional_path,
+    templates_dir=optional_path,
+    parallel=st.integers(min_value=1, max_value=64),
+)
+def test_snapshot_round_trip(**values) -> None:
+    config = RunConfig(**values)
+    assert RunConfig.from_snapshot(config.snapshot()) == config
+
+
+def test_from_snapshot_ignores_unknown_keys_and_reads_empty_paths_as_none(tmp_path) -> None:
+    config = RunConfig.from_snapshot({
+        "model": "m", "output_dir": str(tmp_path), "backend": "replay",
+        "fixtures_dir": "", "templates_dir": None, "command": "update",
+    })
+    assert config == RunConfig(model="m", output_dir=tmp_path, backend=Backend.REPLAY)
+
+
 # --- codebase ingestion ---
 
 def test_load_single_file(tmp_path) -> None:
