@@ -6,8 +6,10 @@ Run from the repository root:
 
 They sit outside ``testpaths``, so the plain test run skips them.  The
 inputs are shaped like the large-file replay runs: a 900-LOC PHP view,
-an executor reply that fences it, and a transcript of ten exchanges
-whose prompts embed the file.
+an executor reply that fences it, and transcripts of ten exchanges
+whose prompts embed the file: as literal strings (stored inline), or
+rendered through the default templates (stored as template pieces plus
+references to the transcript's text table).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import pytest
 
 from vapu.gateway import ChatExchange
 from vapu.models import AgentRole
-from vapu.prompts import extract_code, has_unbalanced_fences
-from vapu.workspace import RunTranscript, persist_transcript
+from vapu.prompts import default_templates, extract_code, has_unbalanced_fences, render_template
+from vapu.workspace import RunTranscript, load_transcript, persist_transcript
 
 LOC = 900
 CODE = "".join(
@@ -27,18 +29,43 @@ CODE = "".join(
 REPLY = f"Here is the updated view:\n```php\n{CODE}```\nAll tasks applied.\n"
 
 
+ROLES = [AgentRole.MANAGER, AgentRole.MANAGER, AgentRole.PROMPT_MAKER,
+         AgentRole.EXECUTOR, AgentRole.VERIFIER, AgentRole.FINALIZER,
+         AgentRole.VERIFIER, AgentRole.PROMPT_MAKER, AgentRole.EXECUTOR,
+         AgentRole.VERIFIER]
+# The template each role's prompt comes from (the second manager call reflects).
+TEMPLATES = ["manager", "reflection", "prompt_maker", "executor", "verifier", "finalizer",
+             "verifier", "prompt_maker", "executor", "verifier"]
+BINDINGS = {"requirements": "- Use entity getters\n- Use the Html helper",
+            "task": "Replace array access with entity getters", "code": CODE,
+            "code_before": CODE, "code_after": CODE.replace("field_", "field-"),
+            "changes": "- keep the row markup"}
+
+
 @pytest.fixture
 def transcript() -> RunTranscript:
-    roles = [AgentRole.MANAGER, AgentRole.MANAGER, AgentRole.PROMPT_MAKER,
-             AgentRole.EXECUTOR, AgentRole.VERIFIER, AgentRole.FINALIZER,
-             AgentRole.VERIFIER, AgentRole.PROMPT_MAKER, AgentRole.EXECUTOR,
-             AgentRole.VERIFIER]
     exchanges = [
         ChatExchange(role=role, prompt=f"Update this file:\n{CODE}\nInto:\n{CODE}",
                      response=REPLY, duration=0.01, started_at=1000.0 + i,
                      model="replay", temperature=0.0)
-        for i, role in enumerate(roles)
+        for i, role in enumerate(ROLES)
     ]
+    return _transcript(exchanges)
+
+
+@pytest.fixture
+def rendered_transcript() -> RunTranscript:
+    exchanges = []
+    for i, (role, name) in enumerate(zip(ROLES, TEMPLATES)):
+        tpl = default_templates()[name]
+        prompt = render_template(tpl, {k: BINDINGS[k] for k in tpl.placeholders()})
+        exchanges.append(ChatExchange(role=role, prompt=prompt.text, parts=prompt.parts,
+                                      response=REPLY, duration=0.01, started_at=1000.0 + i,
+                                      model="replay", temperature=0.0))
+    return _transcript(exchanges)
+
+
+def _transcript(exchanges: list[ChatExchange]) -> RunTranscript:
     return RunTranscript(
         run_id="app__View__items_index-vapu-replay-t0-r1",
         config={"model": "replay", "method": "vapu"},
@@ -60,3 +87,16 @@ def test_has_unbalanced_fences(benchmark) -> None:
 def test_persist_transcript(benchmark, transcript, tmp_path) -> None:
     path = benchmark(persist_transcript, transcript, tmp_path)
     assert path.stat().st_size > 10 * 2 * len(CODE)
+
+
+def test_persist_rendered_transcript(benchmark, rendered_transcript, tmp_path) -> None:
+    path = benchmark(persist_transcript, rendered_transcript, tmp_path)
+    # Ten replies fence the file; the header, the outcome and the one changed
+    # binding (code_after) add a copy each, however many prompts embed them.
+    assert path.stat().st_size < (10 + 4) * len(CODE)
+
+
+def test_load_rendered_transcript(benchmark, rendered_transcript, tmp_path) -> None:
+    path = persist_transcript(rendered_transcript, tmp_path)
+    loaded = benchmark(load_transcript, path)
+    assert loaded == rendered_transcript

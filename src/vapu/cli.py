@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
@@ -26,7 +27,13 @@ from .evaluation import (
     score_transcript,
 )
 from .models import CodeDocument, RequirementKind, RequirementSpec
-from .pipeline import gateway_factory, reexecute_transcript, run_baseline, run_update
+from .pipeline import (
+    gateway_factory,
+    load_example,
+    reexecute_transcript,
+    run_baseline,
+    run_update,
+)
 from .workspace import Backend, Method, RunConfig, load_codebase, load_transcript, make_run_id
 
 logger = logging.getLogger(__name__)
@@ -125,7 +132,12 @@ def cmd_baseline(args) -> int:
     if method is Method.VAPU:
         raise err.ConfigInvalid("baseline method must be zsl or osl")
     config = RunConfig.from_snapshot({**vars(args), "method": method})
-    for result, path in _run_jobs(args, req, config, run_baseline):
+    example = None
+    if method is Method.OSL and config.example_path is not None:
+        # Read once for every run; a missing --example fails config validation.
+        example = load_example(config.example_path)
+    run = functools.partial(run_baseline, example=example)
+    for result, path in _run_jobs(args, req, config, run):
         print(f"{result.transcript_ref}: baseline update written to {path}")
     return 0
 

@@ -122,6 +122,9 @@ class ChatExchange:
 
     ``retries`` counts extra endpoint attempts beyond the first;
     ``flags`` collects pipeline annotations such as no_fence/truncated.
+    ``parts`` are the template pieces and bindings ``prompt`` was
+    rendered from, when the pipeline knows them; transcripts store the
+    prompt through them, and :meth:`to_dict` leaves them out.
     """
 
     role: AgentRole
@@ -133,10 +136,12 @@ class ChatExchange:
     temperature: float
     retries: int = 0
     flags: list[str] = field(default_factory=list)
+    parts: list[str] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         # dict.copy() of the instance dict is ~1.5x faster than {**vars(self)}.
         record = vars(self).copy()
+        del record["parts"]
         record["role"] = self.role.value
         record["flags"] = list(self.flags)
         return record
@@ -146,6 +151,7 @@ class ChatExchange:
         """Read a transcript record; unknown keys (such as "record") are ignored."""
         # The field names fields() would give, without building its tuple for every record.
         known = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
+        known.pop("parts", None)  # never stored, so never taken from a record
         known["role"] = AgentRole(data["role"])
         known["flags"] = list(data.get("flags", []))
         return cls(**known)

@@ -17,6 +17,7 @@ from typing import Callable, TypeVar
 
 from .errors import (
     AbortedRun,
+    ConfigInvalid,
     EmptyChangeList,
     EmptyInstruction,
     EmptyRequirements,
@@ -133,18 +134,31 @@ def resolve_templates(config: RunConfig) -> TemplateSet:
     return default_templates()
 
 
-def _code_exchange(gateway, role: AgentRole, prompt: str,
+def _complete(gateway, role: AgentRole, prompt: PromptText,
+              params: GenerationParams) -> ChatExchange:
+    """Send a rendered prompt; the exchange keeps its parts for the transcript.
+
+    The parts are kept only when the exchange records the very string
+    sent, so a gateway that rewrites prompts is recorded as it saw them.
+    """
+    exchange = gateway.complete(role, prompt.text, params)
+    if exchange.prompt is prompt.text:
+        exchange.parts = prompt.parts
+    return exchange
+
+
+def _code_exchange(gateway, role: AgentRole, prompt: PromptText,
                    params: GenerationParams) -> ChatExchange:
     """Completion for code-producing roles, retried once on truncation.
 
     An unbalanced fence means the output was cut off mid-block; the
     exchange keeps a truncated flag either way so the run records it.
     """
-    exchange = gateway.complete(role, prompt, params)
+    exchange = _complete(gateway, role, prompt, params)
     if has_unbalanced_fences(exchange.response):
         exchange.flags.append(TRUNCATED_FLAG)
         logger.warning("%s output looked truncated; retrying once", role.value)
-        exchange = gateway.complete(role, prompt, params)
+        exchange = _complete(gateway, role, prompt, params)
         if has_unbalanced_fences(exchange.response):
             exchange.flags.append(TRUNCATED_FLAG)
     return exchange
@@ -179,7 +193,7 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
         templates["manager"],
         {"requirements": req.as_text(), "code": code.content},
     )
-    draft_exchange = gateway.complete(AgentRole.MANAGER, draft_prompt.text, params)
+    draft_exchange = _complete(gateway, AgentRole.MANAGER, draft_prompt, params)
     draft: TaskPlan | None = None
     try:
         draft = parse_task_list(draft_exchange.response)
@@ -190,7 +204,7 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
         templates["reflection"],
         {"requirements": req.as_text(), "task": draft_text},
     )
-    reflection_exchange = gateway.complete(AgentRole.MANAGER, reflection_prompt.text, params)
+    reflection_exchange = _complete(gateway, AgentRole.MANAGER, reflection_prompt, params)
     try:
         final = parse_task_list(reflection_exchange.response)
     except UnparseableTaskList:
@@ -211,7 +225,7 @@ def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
         templates["prompt_maker"],
         {"requirements": req.as_text(), "task": task.description, "code": code.content},
     )
-    exchange = gateway.complete(AgentRole.PROMPT_MAKER, prompt.text, params)
+    exchange = _complete(gateway, AgentRole.PROMPT_MAKER, prompt, params)
     instruction = exchange.response.strip()
     if not instruction:
         raise EmptyInstruction(f"prompt-maker returned nothing for task {task.index}")
@@ -227,7 +241,7 @@ def execute_task(instruction: PromptText, code: CodeDocument, gateway,
         templates["executor"],
         {"task": instruction.text, "code": code.content},
     )
-    exchange = _code_exchange(gateway, AgentRole.EXECUTOR, prompt.text, params)
+    exchange = _code_exchange(gateway, AgentRole.EXECUTOR, prompt, params)
     return _extract_into(code, exchange)
 
 
@@ -247,7 +261,7 @@ def verify_task(req: RequirementSpec, task: Task, before: CodeDocument,
             "code_after": after.content,
         },
     )
-    exchange = gateway.complete(AgentRole.VERIFIER, prompt.text, params)
+    exchange = _complete(gateway, AgentRole.VERIFIER, prompt, params)
     return parse_verdict(exchange.response)
 
 
@@ -265,7 +279,7 @@ def finalize_code(code: CodeDocument, changes: tuple[ChangeRequest, ...] | list[
             "changes": "\n".join(f"- {change.description}" for change in changes),
         },
     )
-    exchange = _code_exchange(gateway, AgentRole.FINALIZER, prompt.text, params)
+    exchange = _code_exchange(gateway, AgentRole.FINALIZER, prompt, params)
     return _extract_into(code, exchange)
 
 
@@ -406,26 +420,38 @@ class BaselineResult:
     truncated: bool
 
 
+def load_example(path: Path) -> tuple[str, str]:
+    """Read a one-shot example asset: a JSON object with "input" and "output" excerpts."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ConfigInvalid(f"cannot read example asset {path}: {exc}") from None
+    if not (isinstance(data, dict) and isinstance(data.get("input"), str)
+            and isinstance(data.get("output"), str)):
+        raise ConfigInvalid(f"example asset {path} must be a JSON object with "
+                            f"string \"input\" and \"output\" fields")
+    return data["input"], data["output"]
+
+
 def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                  repetition: int = 1, gateway: Gateway | None = None,
                  example: tuple[str, str] | None = None) -> BaselineResult:
     """Execute one zero- or one-shot exchange over one file and persist it.
 
-    Without an ``example``, a one-shot run reads the JSON example asset
-    (input and output excerpts) named by the config.
+    Without an ``example``, a one-shot run reads the example asset named
+    by the config (see :func:`load_example`).
     """
     config.validate()
     if config.method is Method.VAPU:
         raise ValueError("run_baseline requires a zsl or osl method")
     if config.method is Method.OSL and example is None:
-        data = json.loads(Path(config.example_path).read_text(encoding="utf-8"))
-        example = (data["input"], data["output"])
+        example = load_example(config.example_path)
     mode = (BaselineMode(kind=BaselineKind.OSL, example=example)
             if config.method is Method.OSL else BaselineMode(kind=BaselineKind.ZSL))
 
     def steps(run: _Run) -> tuple[BaselineResult, dict]:
         prompt = build_baseline_prompt(mode, req.as_text(), code, run.templates)
-        exchange = _code_exchange(run.gateway, AgentRole.BASELINE, prompt.text, run.params)
+        exchange = _code_exchange(run.gateway, AgentRole.BASELINE, prompt, run.params)
         updated = _extract_into(code, exchange)
         result = BaselineResult(
             final_code=updated,

@@ -10,7 +10,7 @@ assets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -66,10 +66,16 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully rendered prompt, tagged with the template it came from."""
+    """A fully rendered prompt, tagged with the template it came from.
+
+    ``parts`` alternate literal template pieces and binding values,
+    starting and ending with a literal; ``"".join(parts) == text``.
+    A prompt not rendered from a template has none.
+    """
 
     text: str
     origin: str
+    parts: list[str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -108,8 +114,11 @@ def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptT
     for name in sorted(needed):
         if name not in bindings:
             raise MissingBinding(f"template {tpl.template_id!r} needs a binding for {name!r}")
-    text = _PLACEHOLDER_RE.sub(lambda m: bindings[m.group(1)], tpl.body)
-    return PromptText(text=text, origin=tpl.template_id)
+    # Split on the capturing placeholder pattern: names sit at the odd indices.
+    parts = _PLACEHOLDER_RE.split(tpl.body)
+    for i in range(1, len(parts), 2):
+        parts[i] = bindings[parts[i]]
+    return PromptText(text="".join(parts), origin=tpl.template_id, parts=parts)
 
 
 def extract_code(response: str) -> tuple[str, bool]:

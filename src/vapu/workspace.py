@@ -4,6 +4,15 @@ Transcripts are line-delimited JSON with a header record (config
 snapshot plus the run inputs so a replay is self-contained), one record
 per exchange, an outcome record, and a trailing checksum record.  The
 append-per-line layout keeps partially written files diagnosable.
+
+Prompts embed the file being updated, often twice, so format v2 stores
+each distinct binding value once, in a text table that the records
+build up in order: text 0 is the header's input file, and an exchange
+record's ``"texts"`` list appends the values it is the first to use.
+A prompt rendered from a template is a list of literal template pieces
+(strings) and table indices (ints); any other prompt stays a string.
+Each line needs only the lines before it.  Format v1 files, whose
+prompts are all strings, still load.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ from .models import CodeDocument
 
 logger = logging.getLogger(__name__)
 
-TRANSCRIPT_FORMAT = "vapu-transcript-v1"
+TRANSCRIPT_FORMAT = "vapu-transcript-v2"
+# Formats load_transcript reads; v1 is v2 without list prompts or texts.
+READABLE_FORMATS = frozenset({"vapu-transcript-v1", TRANSCRIPT_FORMAT})
 
 # File suffixes mapped to the language tag used for checker lookup.
 LANGUAGE_TAGS = {
@@ -168,7 +179,8 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
         "config": transcript.config,
         "inputs": transcript.inputs,
     }]
-    records.extend({"record": "exchange", **e.to_dict()} for e in transcript.exchanges)
+    table = {text: index for index, text in enumerate(_input_texts(transcript.inputs))}
+    records.extend(_exchange_record(e, table) for e in transcript.exchanges)
     records.append({
         "record": "outcome",
         "status": transcript.status,
@@ -187,6 +199,57 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
             raise StorageFull(f"cannot persist transcript to {path}") from exc
         raise
     return path
+
+
+def _input_texts(inputs: object) -> list[str]:
+    """The start of a transcript's text table: the input file, when the header has one."""
+    code = inputs.get("code") if isinstance(inputs, dict) else None
+    content = code.get("content") if isinstance(code, dict) else None
+    return [content] if isinstance(content, str) else []
+
+
+def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
+    """An exchange's record; its binding values become references into ``table``."""
+    record = {"record": "exchange", **exchange.to_dict()}
+    if exchange.parts is None:
+        return record
+    prompt: list[str | int] = []
+    texts = []
+    for i, part in enumerate(exchange.parts):
+        if i % 2 == 0:
+            if part:  # an empty literal adds nothing to the joined prompt
+                prompt.append(part)
+            continue
+        index = table.get(part)
+        if index is None:
+            index = table[part] = len(table)
+            texts.append(part)
+        prompt.append(index)
+    record["prompt"] = prompt
+    if texts:
+        record["texts"] = texts
+    return record
+
+
+def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExchange:
+    """Rebuild an exchange, appending its ``"texts"`` to ``table`` first."""
+    texts = record.get("texts", [])
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
+    table.extend(texts)
+    prompt = record.get("prompt")
+    if isinstance(prompt, list):
+        pieces = []
+        for piece in prompt:
+            if type(piece) is int:  # bool is an int subclass, and no reference
+                if not 0 <= piece < len(table):
+                    raise CorruptTranscript(f"{path}: prompt references undefined text {piece}")
+                piece = table[piece]
+            elif not isinstance(piece, str):
+                raise CorruptTranscript(f"{path}: prompt piece {piece!r} is not text or a reference")
+            pieces.append(piece)
+        record["prompt"] = "".join(pieces)
+    return ChatExchange.from_dict(record)
 
 
 def load_transcript(path: Path) -> RunTranscript:
@@ -208,15 +271,16 @@ def load_transcript(path: Path) -> RunTranscript:
     if digest != trailer.get("sha256"):
         raise CorruptTranscript(f"{path}: checksum mismatch")
     header, *middle, outcome = records[:-1]
-    if header.get("record") != "header" or header.get("format") != TRANSCRIPT_FORMAT:
+    if header.get("record") != "header" or header.get("format") not in READABLE_FORMATS:
         raise CorruptTranscript(f"{path}: bad header record")
     if outcome.get("record") != "outcome":
         raise CorruptTranscript(f"{path}: bad outcome record")
+    table = _input_texts(header.get("inputs", {}))
     exchanges = []
     for record in middle:
         if record.get("record") != "exchange":
             raise CorruptTranscript(f"{path}: unexpected record type {record.get('record')!r}")
-        exchanges.append(ChatExchange.from_dict(record))
+        exchanges.append(_exchange_from_record(record, table, path))
     return RunTranscript(
         run_id=header["run_id"],
         config=header["config"],

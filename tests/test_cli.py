@@ -322,3 +322,53 @@ def test_every_run_flag_reaches_the_config_header(tmp_path) -> None:
     assert len(paths) == 2
     for path in paths:
         assert load_transcript(path).config == expected
+
+
+def demo_osl_args(example: Path, out: Path, runs: int = 1) -> list[str]:
+    return [
+        "baseline", "--backend", "replay",
+        "--fixtures", str(DEMO / "fixtures-baseline"),
+        "--requirements", str(DEMO / "requirements.txt"),
+        "--project", str(DEMO / "legacy"),
+        "--model", "gpt-4o", "--runs", str(runs),
+        "--method", "osl", "--example", str(example),
+        "--output-dir", str(out),
+    ]
+
+
+@pytest.mark.parametrize("asset", [
+    None,  # missing file
+    "{not json",
+    json.dumps({"input": "old()"}),
+    json.dumps({"input": "old()", "output": 3}),
+    json.dumps(["old()", "new()"]),
+])
+def test_bad_example_asset_is_a_config_error_before_any_run(tmp_path, capsys, asset) -> None:
+    example = tmp_path / "example.json"
+    if asset is not None:
+        example.write_text(asset, encoding="utf-8")
+    out = tmp_path / "osl-runs"
+    assert main(demo_osl_args(example, out)) == 2
+    assert str(example) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_example_asset_is_read_once_per_command(tmp_path, monkeypatch) -> None:
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        if self == example:
+            reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    out = tmp_path / "osl-runs"
+    assert main(demo_osl_args(example, out, runs=3)) == 0
+    assert len(reads) == 1
+    paths = sorted(out.glob("*.jsonl"))
+    assert len(paths) == 3
+    for path in paths:
+        assert load_transcript(path).inputs["example"] == ["old()", "new()"]

@@ -8,6 +8,7 @@ import pytest
 from conftest import fenced, multi_task_fixtures, replay_config, write_fixtures
 from vapu.errors import (
     AbortedRun,
+    ConfigInvalid,
     EmptyChangeList,
     EmptyInstruction,
     NoCodeInResponse,
@@ -445,3 +446,17 @@ def test_reexecute_reproduces_baseline(tmp_path, sample_req, sample_doc) -> None
     transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
     recorded, replayed = reexecute_transcript(transcript, tmp_path / "scratch")
     assert recorded == replayed
+
+
+@pytest.mark.parametrize("asset", [None, "[]", json.dumps({"output": "new()"})])
+def test_osl_baseline_with_a_bad_example_asset_is_a_config_error(
+        tmp_path, sample_req, sample_doc, asset) -> None:
+    example_path = tmp_path / "example.json"
+    if asset is not None:
+        example_path.write_text(asset, encoding="utf-8")
+    fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'x';")})
+    config = replay_config(tmp_path / "out", fixtures,
+                           method=Method.OSL, example_path=example_path)
+    with pytest.raises(ConfigInvalid, match="example"):
+        run_baseline(sample_req, sample_doc, config)
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vapu.errors import (
     ConfigInvalid,
@@ -80,6 +80,61 @@ def test_render_never_leaves_placeholder_markers(task: str, code: str) -> None:
     tpl = template("{{task}}\n{{code}}")
     out = render_template(tpl, {"task": task, "code": code})
     assert "{{" not in out.text
+
+
+def oracle_render_template(tpl: PromptTemplate, bindings: dict[str, str]) -> str:
+    """The one-pass re.sub renderer that render_template replaced."""
+    for name in bindings:
+        if name not in PLACEHOLDERS:
+            raise UnknownPlaceholder(f"binding {name!r} is not a documented placeholder")
+    for name in sorted(tpl.placeholders()):
+        if name not in bindings:
+            raise MissingBinding(f"template {tpl.template_id!r} needs a binding for {name!r}")
+    return re.compile(r"\{\{(\w+)\}\}").sub(lambda m: bindings[m.group(1)], tpl.body)
+
+
+# Pieces that sit next to placeholders: braces that almost make one,
+# backslashes and group references that re.sub templates would expand.
+TRICKY = ["", "{", "}", "{{", "}}", "{{ task }}", "\\", "\\g<0>", "\\1", "$1", "\n", " "]
+placeholder = st.sampled_from(sorted(PLACEHOLDERS)).map(lambda name: "{{" + name + "}}")
+literal = st.sampled_from(TRICKY) | st.text(max_size=8)
+binding = st.sampled_from(TRICKY + ["{{task}}", "{{code}}"]) | st.text(max_size=12)
+
+
+@settings(max_examples=300)
+@given(
+    body=st.lists(placeholder | literal, min_size=1, max_size=10).map("".join),
+    bindings=st.fixed_dictionaries({name: binding for name in sorted(PLACEHOLDERS)}),
+)
+def test_render_matches_re_sub_oracle(body: str, bindings: dict[str, str]) -> None:
+    try:
+        tpl = template(body)
+    except (ValueError, UnknownPlaceholder):
+        assume(False)  # blank body, or literals that spell an undocumented placeholder
+    expected = oracle_render_template(tpl, bindings)
+    if not expected.strip():
+        with pytest.raises(ValueError):  # PromptText rejects a blank prompt
+            render_template(tpl, bindings)
+        return
+    out = render_template(tpl, bindings)
+    assert out.text == expected
+    assert "".join(out.parts) == out.text
+    # Literal template pieces at the even indices, binding values at the odd ones.
+    assert out.parts[::2] == re.split(r"\{\{\w+\}\}", body)
+    assert out.parts[1::2] == [bindings[n] for n in re.findall(r"\{\{(\w+)\}\}", body)]
+
+
+@pytest.mark.parametrize("body", [
+    "{{task}}{{code}}",  # adjacent, at the start and at the end
+    "{{code}}",
+    "{{{task}}}",
+    "x{{code}}\\g<0>{{task}}",
+])
+def test_render_matches_oracle_on_edge_cases(body: str) -> None:
+    bindings = {"task": "\\g<0> {{code}}", "code": "\\1\n"}
+    out = render_template(template(body), bindings)
+    assert out.text == oracle_render_template(template(body), bindings)
+    assert "".join(out.parts) == out.text
 
 
 # --- code extraction ---

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from vapu.cli import demo_root
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
-from vapu.gateway import ChatExchange
-from vapu.models import AgentRole
+from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
+from vapu.models import AgentRole, RequirementSpec
+from vapu.pipeline import run_update
 from vapu.workspace import (
     Backend,
     Method,
@@ -228,4 +232,128 @@ def test_round_trip_for_generated_transcripts(tmp_path_factory, run_id, prompts,
     )
     directory = tmp_path_factory.mktemp("transcripts")
     loaded = load_transcript(persist_transcript(original, directory))
+    assert loaded == original
+
+
+# --- format v2: prompts as template pieces plus a text table ---
+
+DEMO = demo_root()
+
+
+class SendLog(ReplayGateway):
+    """Replays the demo fixtures and keeps every prompt string it was sent."""
+
+    def __init__(self) -> None:
+        super().__init__(load_replay_fixtures(DEMO / "fixtures"), model_id="gpt-4o")
+        self.sent: list[str] = []
+
+    def _send(self, role, prompt, params):
+        self.sent.append(prompt)
+        return super()._send(role, prompt, params)
+
+
+def demo_run(output_dir: Path, gateway: Gateway) -> Path:
+    req = RequirementSpec.from_text(
+        id="requirements", text=(DEMO / "requirements.txt").read_text(encoding="utf-8"))
+    code = load_codebase(DEMO / "legacy", ["*.php"])[0]
+    config = RunConfig(model="gpt-4o", output_dir=output_dir, repetitions=1,
+                       backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
+    result = run_update(req, code, config, gateway=gateway)
+    return output_dir / f"{result.transcript_ref}.jsonl"
+
+
+def records_of(path: Path) -> list[dict]:
+    """Every record but the checksum."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()][:-1]
+
+
+def write_records(path: Path, records: list[dict]) -> None:
+    """Write records as persist_transcript does, with a valid checksum."""
+    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
+    trailer = {"record": "checksum", "sha256": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(body + (json.dumps(trailer, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def test_demo_prompts_load_as_the_strings_sent(tmp_path) -> None:
+    gateway = SendLog()
+    path = demo_run(tmp_path, gateway)
+    loaded = load_transcript(path)
+    assert [e.prompt for e in loaded.exchanges] == gateway.sent
+    assert len(gateway.sent) == 10
+    records = records_of(path)
+    assert records[0]["format"] == "vapu-transcript-v2"
+    assert all(isinstance(r["prompt"], list) for r in records[1:-1])
+    # The input file is text 0: stored once, in the header.
+    content = loaded.inputs["code"]["content"]
+    assert path.read_text(encoding="utf-8").count(json.dumps(content)[1:-1]) == 1
+
+
+def test_rewritten_prompt_is_stored_as_the_string_recorded(tmp_path) -> None:
+    class Suffixing(SendLog):
+        def complete(self, role, prompt, params):
+            return super().complete(role, prompt + " ", params)
+
+    gateway = Suffixing()
+    path = demo_run(tmp_path, gateway)
+    assert all(isinstance(r["prompt"], str) for r in records_of(path)[1:-1])
+    assert [e.prompt for e in load_transcript(path).exchanges] == gateway.sent
+
+
+def _undefine_first_text(records: list[dict]) -> None:
+    # The first exchange's new texts move to the second: defined too late.
+    records[2]["texts"] = records[1].pop("texts") + records[2].get("texts", [])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda records: records[1].update(prompt=["x", 999]),
+    lambda records: records[1].update(prompt=["x", -1]),
+    _undefine_first_text,
+    lambda records: records[1].update(prompt=["x", 1.0]),
+    lambda records: records[1].update(prompt=["x", True]),
+    lambda records: records[1].update(prompt=["x", None]),
+    lambda records: records[1].update(prompt=[["x"]]),
+    lambda records: records[1].update(texts="not a list"),
+    lambda records: records[1].update(texts=[0]),
+], ids=["out-of-range", "negative", "defined-later", "float", "bool", "null", "list",
+        "texts-string", "texts-int"])
+def test_bad_text_reference_is_corrupt(tmp_path, edit) -> None:
+    path = demo_run(tmp_path, SendLog())
+    records = records_of(path)
+    edit(records)
+    write_records(path, records)
+    with pytest.raises(CorruptTranscript):
+        load_transcript(path)
+
+
+def test_rewritten_records_still_load(tmp_path) -> None:
+    """write_records itself makes loadable files, so the failures above are the edits'."""
+    path = demo_run(tmp_path, SendLog())
+    expected = load_transcript(path)
+    write_records(path, records_of(path))
+    assert load_transcript(path) == expected
+
+
+INPUT_CODE = "<?php echo $x; ?>\n"
+# A small pool, so values repeat within and across prompts, and the input
+# file (text 0) is among them.
+pool_text = st.sampled_from(["", " ", "\n", "{{task}}", "\\g<0>", "x", INPUT_CODE]) | text_field
+odd_parts = st.lists(pool_text, min_size=1, max_size=9).map(
+    lambda items: items if len(items) % 2 else items + [""])
+
+
+@given(parts_per_prompt=st.lists(odd_parts, max_size=6), plain=st.lists(st.booleans()))
+def test_round_trip_for_generated_prompt_parts(tmp_path_factory, parts_per_prompt,
+                                               plain) -> None:
+    exchanges = [
+        ChatExchange(role=AgentRole.EXECUTOR, prompt="".join(parts),
+                     parts=None if i < len(plain) and plain[i] else parts,
+                     response="r", duration=0.0, started_at=float(i), model="m",
+                     temperature=0.0)
+        for i, parts in enumerate(parts_per_prompt)
+    ]
+    original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
+                             inputs={"code": {"content": INPUT_CODE}})
+    directory = tmp_path_factory.mktemp("transcripts")
+    loaded = load_transcript(persist_transcript(original, directory))
+    assert [e.prompt for e in loaded.exchanges] == ["".join(p) for p in parts_per_prompt]
     assert loaded == original
