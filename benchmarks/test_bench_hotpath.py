@@ -9,7 +9,9 @@ inputs are shaped like the large-file replay runs: a 900-LOC PHP view,
 an executor reply that fences it, and transcripts of ten exchanges
 whose prompts embed the file: as literal strings (stored inline), or
 rendered through the default templates (stored as template pieces plus
-references to the transcript's text table).
+references to the transcript's text table), optionally with the
+executor's and finalizer's replies split around their code as the
+pipeline splits them (the code stored as a reference too).
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ def rendered_transcript() -> RunTranscript:
     return _transcript(exchanges)
 
 
+@pytest.fixture
+def referenced_transcript(rendered_transcript) -> RunTranscript:
+    for exchange in rendered_transcript.exchanges:
+        if exchange.role in (AgentRole.EXECUTOR, AgentRole.FINALIZER):
+            code, _, (start, end) = extract_code(exchange.response, with_span=True)
+            exchange.response_parts = [exchange.response[:start], code, exchange.response[end:]]
+    return rendered_transcript
+
+
 def _transcript(exchanges: list[ChatExchange]) -> RunTranscript:
     return RunTranscript(
         run_id="app__View__items_index-vapu-replay-t0-r1",
@@ -100,3 +111,18 @@ def test_load_rendered_transcript(benchmark, rendered_transcript, tmp_path) -> N
     path = persist_transcript(rendered_transcript, tmp_path)
     loaded = benchmark(load_transcript, path)
     assert loaded == rendered_transcript
+
+
+def test_persist_referenced_transcript(benchmark, referenced_transcript, tmp_path) -> None:
+    path = benchmark(persist_transcript, referenced_transcript, tmp_path)
+    # One copy each: the header's input, code_after, the seven other
+    # replies, and the code the three code replies share.  The rest is
+    # JSON escaping and the prompts' template text.
+    assert path.stat().st_size < (10 + 1) * len(CODE)
+
+
+def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) -> None:
+    path = persist_transcript(referenced_transcript, tmp_path)
+    loaded = benchmark(load_transcript, path)
+    assert loaded == referenced_transcript
+    assert loaded.exchanges[3].response_parts == referenced_transcript.exchanges[3].response_parts

@@ -131,6 +131,9 @@ def cmd_baseline(args) -> int:
     method = Method(args.method)
     if method is Method.VAPU:
         raise err.ConfigInvalid("baseline method must be zsl or osl")
+    if method is Method.ZSL and args.example_path:
+        # RunConfig.validate accepts this, so older transcripts with the pair still replay.
+        raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
     config = RunConfig.from_snapshot({**vars(args), "method": method})
     example = None
     if method is Method.OSL and config.example_path is not None:

@@ -123,8 +123,10 @@ class ChatExchange:
     ``retries`` counts extra endpoint attempts beyond the first;
     ``flags`` collects pipeline annotations such as no_fence/truncated.
     ``parts`` are the template pieces and bindings ``prompt`` was
-    rendered from, when the pipeline knows them; transcripts store the
-    prompt through them, and :meth:`to_dict` leaves them out.
+    rendered from, when the pipeline knows them; ``response_parts`` are
+    a code reply split around the code the pipeline took from it
+    (text before, code, text after).  Transcripts store the prompt and
+    the response through them, and :meth:`to_dict` leaves them out.
     """
 
     role: AgentRole
@@ -137,11 +139,12 @@ class ChatExchange:
     retries: int = 0
     flags: list[str] = field(default_factory=list)
     parts: list[str] | None = field(default=None, compare=False, repr=False)
+    response_parts: list[str] | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         # dict.copy() of the instance dict is ~1.5x faster than {**vars(self)}.
         record = vars(self).copy()
-        del record["parts"]
+        del record["parts"], record["response_parts"]
         record["role"] = self.role.value
         record["flags"] = list(self.flags)
         return record
@@ -151,7 +154,9 @@ class ChatExchange:
         """Read a transcript record; unknown keys (such as "record") are ignored."""
         # The field names fields() would give, without building its tuple for every record.
         known = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        known.pop("parts", None)  # never stored, so never taken from a record
+        # Never stored, so never taken from a record.
+        known.pop("parts", None)
+        known.pop("response_parts", None)
         known["role"] = AgentRole(data["role"])
         known["flags"] = list(data.get("flags", []))
         return cls(**known)

@@ -165,14 +165,22 @@ def _code_exchange(gateway, role: AgentRole, prompt: PromptText,
 
 
 def _extract_into(code: CodeDocument, exchange: ChatExchange) -> CodeDocument:
+    """The document with the code of ``exchange``'s reply.
+
+    When that code is one slice of the reply, the exchange keeps the
+    reply split around it, so the transcript stores the code once.
+    """
+    response = exchange.response
     try:
-        content, fenced = extract_code(exchange.response)
+        content, fenced, span = extract_code(response, with_span=True)
     except EmptyResponse:
         raise NoCodeInResponse(f"{exchange.role.value} returned a blank response") from None
     if not fenced:
         exchange.flags.append(NO_FENCE_FLAG)
     if not content.strip():
         raise NoCodeInResponse(f"{exchange.role.value} response contained no code")
+    if span is not None:
+        exchange.response_parts = [response[:span[0]], content, response[span[1]:]]
     return code.with_content(content)
 
 

@@ -121,16 +121,20 @@ def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptT
     return PromptText(text="".join(parts), origin=tpl.template_id, parts=parts)
 
 
-def extract_code(response: str) -> tuple[str, bool]:
-    """Pull code out of an agent response.
+def extract_code(response: str, *, with_span: bool = False) -> tuple:
+    """Pull code out of an agent response: returns (code, fenced).
 
-    With one or more fenced blocks, their bodies are concatenated in
-    order with one blank line between them.  Without fences the whole
-    trimmed response is assumed to be code.
+    With one or more fenced blocks, their bodies, trimmed of line
+    breaks, are concatenated in order with one blank line between them.
+    Without fences the whole trimmed response is assumed to be code.
+
+    ``with_span=True`` adds a third item: ``(start, end)`` when the code
+    is the slice ``response[start:end]`` (one fenced block, or none),
+    else None.
     """
     if not response.strip():
         raise EmptyResponse("cannot extract code from a blank response")
-    blocks = []
+    spans = []
     start = response.find(_FENCE)
     while start >= 0:
         # A body runs from the first newline after a fence to the next fence.
@@ -139,11 +143,25 @@ def extract_code(response: str) -> tuple[str, bool]:
         end = response.find(_FENCE, newline + 1) if newline >= 0 else -1
         if end < 0:
             break
-        blocks.append(response[newline + 1:end])
+        body_start, body_end = newline + 1, end
+        while body_start < body_end and response[body_start] in "\r\n":
+            body_start += 1
+        while body_end > body_start and response[body_end - 1] in "\r\n":
+            body_end -= 1
+        spans.append((body_start, body_end))
         start = response.find(_FENCE, end + len(_FENCE))
-    if blocks:
-        return "\n\n".join(block.strip("\r\n") for block in blocks), True
-    return response.strip(), False
+    fenced = bool(spans)
+    if not spans:
+        trimmed = response.lstrip()
+        code_start = len(response) - len(trimmed)
+        spans.append((code_start, code_start + len(trimmed.rstrip())))
+    if len(spans) == 1:
+        span = spans[0]
+        code = response[span[0]:span[1]]
+    else:
+        span = None
+        code = "\n\n".join(response[s:e] for s, e in spans)
+    return (code, fenced, span) if with_span else (code, fenced)
 
 
 def has_unbalanced_fences(response: str) -> bool:

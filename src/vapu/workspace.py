@@ -5,14 +5,18 @@ snapshot plus the run inputs so a replay is self-contained), one record
 per exchange, an outcome record, and a trailing checksum record.  The
 append-per-line layout keeps partially written files diagnosable.
 
-Prompts embed the file being updated, often twice, so format v2 stores
-each distinct binding value once, in a text table that the records
-build up in order: text 0 is the header's input file, and an exchange
-record's ``"texts"`` list appends the values it is the first to use.
-A prompt rendered from a template is a list of literal template pieces
-(strings) and table indices (ints); any other prompt stays a string.
-Each line needs only the lines before it.  Format v1 files, whose
-prompts are all strings, still load.
+Prompts embed the file being updated, often twice, and code replies
+carry each new version of it, so format v3 stores each distinct text
+once, in a text table that the records build up in order: text 0 is
+the header's input file, and an exchange record's ``"texts"`` list
+appends the values it is the first to use.  A prompt rendered from a
+template is a list of literal template pieces (strings) and table
+indices (ints), and a reply the pipeline took code from is a list of
+the text before the code, the code's index and the text after it; any
+other prompt or reply stays a string.  The outcome's
+``final_code.content`` is an index when it is a table text.  Each line
+needs only the lines before it.  Format v2 files (only prompts as
+lists) and v1 files (all strings) still load.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .models import CodeDocument
 
 logger = logging.getLogger(__name__)
 
-TRANSCRIPT_FORMAT = "vapu-transcript-v2"
-# Formats load_transcript reads; v1 is v2 without list prompts or texts.
-READABLE_FORMATS = frozenset({"vapu-transcript-v1", TRANSCRIPT_FORMAT})
+TRANSCRIPT_FORMAT = "vapu-transcript-v3"
+# Formats load_transcript reads; each is the next one without some of its references.
+READABLE_FORMATS = frozenset({"vapu-transcript-v1", "vapu-transcript-v2", TRANSCRIPT_FORMAT})
 
 # File suffixes mapped to the language tag used for checker lookup.
 LANGUAGE_TAGS = {
@@ -184,7 +188,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     records.append({
         "record": "outcome",
         "status": transcript.status,
-        "outcome": transcript.outcome,
+        "outcome": _outcome_record(transcript.outcome, table),
         "duration": transcript.duration,
     })
     body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
@@ -209,26 +213,63 @@ def _input_texts(inputs: object) -> list[str]:
 
 
 def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
-    """An exchange's record; its binding values become references into ``table``."""
+    """An exchange's record; its binding values and reply code become references into ``table``."""
     record = {"record": "exchange", **exchange.to_dict()}
-    if exchange.parts is None:
-        return record
-    prompt: list[str | int] = []
-    texts = []
-    for i, part in enumerate(exchange.parts):
+    texts: list[str] = []
+    if exchange.parts is not None:
+        record["prompt"] = _pieces(exchange.parts, table, texts)
+    if exchange.response_parts is not None:
+        record["response"] = _pieces(exchange.response_parts, table, texts)
+    if texts:
+        record["texts"] = texts
+    return record
+
+
+def _pieces(parts: list[str], table: dict[str, int], texts: list[str]) -> list[str | int]:
+    """Literals (even indices) as strings, texts (odd) as indices; new texts join ``texts``."""
+    pieces: list[str | int] = []
+    for i, part in enumerate(parts):
         if i % 2 == 0:
-            if part:  # an empty literal adds nothing to the joined prompt
-                prompt.append(part)
+            if part:  # an empty literal adds nothing to the joined text
+                pieces.append(part)
             continue
         index = table.get(part)
         if index is None:
             index = table[part] = len(table)
             texts.append(part)
-        prompt.append(index)
-    record["prompt"] = prompt
-    if texts:
-        record["texts"] = texts
-    return record
+        pieces.append(index)
+    return pieces
+
+
+def _outcome_record(outcome: dict, table: dict[str, int]) -> dict:
+    """The outcome, with its final code as a reference when that is a table text."""
+    final = outcome.get("final_code")
+    content = final.get("content") if isinstance(final, dict) else None
+    index = table.get(content) if isinstance(content, str) else None
+    if index is None:
+        return outcome
+    return {**outcome, "final_code": {**final, "content": index}}
+
+
+def _text(reference: object, table: list[str], path: Path, where: str) -> str:
+    """The table text a stored reference names."""
+    # bool is an int subclass, and no reference.
+    if type(reference) is not int:
+        raise CorruptTranscript(f"{path}: {where} piece {reference!r} is not text or a reference")
+    if not 0 <= reference < len(table):
+        raise CorruptTranscript(f"{path}: {where} references undefined text {reference}")
+    return table[reference]
+
+
+def _parts(pieces: list, table: list[str], path: Path, where: str) -> list[str]:
+    """The parts stored pieces stand for, empty literals restored between references."""
+    parts = [""]
+    for piece in pieces:
+        if isinstance(piece, str):
+            parts[-1] += piece
+        else:
+            parts += (_text(piece, table, path, where), "")
+    return parts
 
 
 def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExchange:
@@ -237,19 +278,23 @@ def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExc
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
     table.extend(texts)
-    prompt = record.get("prompt")
-    if isinstance(prompt, list):
-        pieces = []
-        for piece in prompt:
-            if type(piece) is int:  # bool is an int subclass, and no reference
-                if not 0 <= piece < len(table):
-                    raise CorruptTranscript(f"{path}: prompt references undefined text {piece}")
-                piece = table[piece]
-            elif not isinstance(piece, str):
-                raise CorruptTranscript(f"{path}: prompt piece {piece!r} is not text or a reference")
-            pieces.append(piece)
-        record["prompt"] = "".join(pieces)
-    return ChatExchange.from_dict(record)
+    parts = {}
+    for key in ("prompt", "response"):
+        if isinstance(record.get(key), list):
+            parts[key] = _parts(record[key], table, path, key)
+            record[key] = "".join(parts[key])
+    exchange = ChatExchange.from_dict(record)
+    exchange.parts = parts.get("prompt")
+    exchange.response_parts = parts.get("response")
+    return exchange
+
+
+def _outcome_from_record(outcome: dict, table: list[str], path: Path) -> dict:
+    """The outcome with a final code reference replaced by its text."""
+    final = outcome.get("final_code") if isinstance(outcome, dict) else None
+    if isinstance(final, dict) and "content" in final and not isinstance(final["content"], str):
+        final["content"] = _text(final["content"], table, path, "final code")
+    return outcome
 
 
 def load_transcript(path: Path) -> RunTranscript:
@@ -285,7 +330,7 @@ def load_transcript(path: Path) -> RunTranscript:
         run_id=header["run_id"],
         config=header["config"],
         exchanges=exchanges,
-        outcome=outcome["outcome"],
+        outcome=_outcome_from_record(outcome["outcome"], table, path),
         duration=outcome["duration"],
         inputs=header.get("inputs", {}),
         status=outcome.get("status", "completed"),

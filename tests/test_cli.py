@@ -123,6 +123,16 @@ def test_baseline_subcommand(tmp_path) -> None:
     assert (out / "reference_list-zsl-gpt-4o-t0-r1.jsonl").exists()
 
 
+def test_zero_shot_baseline_refuses_an_example(tmp_path, capsys) -> None:
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    args = demo_osl_args(example, tmp_path / "zsl-runs")
+    args[args.index("osl")] = "zsl"
+    assert main(args) == 2
+    assert "--example" in capsys.readouterr().err
+    assert not (tmp_path / "zsl-runs").exists()
+
+
 def test_evaluate_and_report_flow(tmp_path) -> None:
     vapu_out = run_demo_update(tmp_path)
     zsl_out = tmp_path / "zsl-runs"

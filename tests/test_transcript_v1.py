@@ -1,8 +1,10 @@
-"""Format v1 transcripts still load, replay and score as before.
+"""Format v1 and v2 transcripts still load, replay and score as before.
 
-``data/v1/`` holds the demo ``update`` and ``baseline --method zsl``
-transcripts as the v1 writer made them (run from a directory holding a
-copy of the demo, so the config paths are relative).
+``data/v1/`` and ``data/v2/`` hold the demo ``update`` and ``baseline
+--method zsl`` transcripts as the v1 and v2 writers made them (run from
+a directory holding a copy of the demo, so the config paths are
+relative).  The v1 files keep the test ids they had before v2 files
+joined them.
 """
 
 from __future__ import annotations
@@ -17,21 +19,38 @@ from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
 from vapu.workspace import RunTranscript, load_transcript
 
-V1 = Path(__file__).parent / "data" / "v1"
+DATA = Path(__file__).parent / "data"
 DEMO = demo_root()
-VAPU_V1 = V1 / "reference_list-vapu-gpt-4o-t0-r1.jsonl"
-ZSL_V1 = V1 / "reference_list-zsl-gpt-4o-t0-r1.jsonl"
+VAPU_NAME = "reference_list-vapu-gpt-4o-t0-r1.jsonl"
+ZSL_NAME = "reference_list-zsl-gpt-4o-t0-r1.jsonl"
+OLD_FORMATS = ("v1", "v2")
+
+OLD_TRANSCRIPTS = [
+    pytest.param(DATA / version / name, method,
+                 id=kind if version == "v1" else f"{version}-{kind}")
+    for version in OLD_FORMATS
+    for name, method, kind in ((VAPU_NAME, "vapu", "update"), (ZSL_NAME, "zsl", "zsl"))
+]
 
 
-def v1_reading(path: Path) -> RunTranscript:
-    """What the v1 reader built: every record taken as written."""
+def as_written(path: Path) -> RunTranscript:
+    """What the reader of the file's own format built: v2 list prompts
+    joined through the text table, every other field taken as written."""
     header, *middle, outcome, _ = [
         json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert header["format"] == "vapu-transcript-v1"
+    assert header["format"] == f"vapu-transcript-{path.parent.name}"
+    table = [header["inputs"]["code"]["content"]]
+    exchanges = []
+    for record in middle:
+        table += record.pop("texts", [])
+        if isinstance(record["prompt"], list):
+            record["prompt"] = "".join(
+                table[piece] if isinstance(piece, int) else piece for piece in record["prompt"])
+        exchanges.append(ChatExchange.from_dict(record))
     return RunTranscript(
         run_id=header["run_id"],
         config=header["config"],
-        exchanges=[ChatExchange.from_dict(record) for record in middle],
+        exchanges=exchanges,
         outcome=outcome["outcome"],
         duration=outcome["duration"],
         inputs=header["inputs"],
@@ -41,7 +60,7 @@ def v1_reading(path: Path) -> RunTranscript:
 
 def remake(tmp_path: Path) -> Path:
     """The same two demo runs, written now; returns the runs directory."""
-    runs = tmp_path / "v2"
+    runs = tmp_path / "now"
     common = ["--backend", "replay", "--requirements", str(DEMO / "requirements.txt"),
               "--project", str(DEMO / "legacy"), "--model", "gpt-4o",
               "--temperature", "0", "--runs", "1"]
@@ -53,13 +72,12 @@ def remake(tmp_path: Path) -> Path:
     return runs
 
 
-@pytest.mark.parametrize("path", [VAPU_V1, ZSL_V1], ids=["update", "zsl"])
-def test_v1_loads_as_before(path) -> None:
-    assert load_transcript(path) == v1_reading(path)
+@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+def test_v1_loads_as_before(path, method) -> None:
+    assert load_transcript(path) == as_written(path)
 
 
-@pytest.mark.parametrize("path, method", [(VAPU_V1, "vapu"), (ZSL_V1, "zsl")],
-                         ids=["update", "zsl"])
+@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
 def test_v1_and_v2_of_one_run_load_alike(tmp_path, path, method) -> None:
     old = load_transcript(path)
     new = load_transcript(remake(tmp_path) / method / path.name)
@@ -69,20 +87,22 @@ def test_v1_and_v2_of_one_run_load_alike(tmp_path, path, method) -> None:
         [(e.role, e.prompt, e.response, e.flags) for e in new.exchanges]
 
 
-@pytest.mark.parametrize("path", [VAPU_V1, ZSL_V1], ids=["update", "zsl"])
-def test_v1_replays_byte_identically(path, capsys) -> None:
+@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+def test_v1_replays_byte_identically(path, method, capsys) -> None:
     assert main(["replay", "--transcript", str(path)]) == 0
     assert "byte-identically" in capsys.readouterr().out
 
 
 def test_v1_scores_like_v2(tmp_path) -> None:
-    v2 = remake(tmp_path)
+    """Each old format scores the same records as a fresh run, apart from durations."""
+    remake(tmp_path)
     scored = {}
-    for label, runs_dir in (("v1", tmp_path / "v1"), ("v2", v2)):
-        for method, transcript in (("vapu", VAPU_V1), ("zsl", ZSL_V1)):
-            if label == "v1":
+    for label in (*OLD_FORMATS, "now"):
+        runs_dir = tmp_path / label
+        for method, name in (("vapu", VAPU_NAME), ("zsl", ZSL_NAME)):
+            if label != "now":
                 (runs_dir / method).mkdir(parents=True)
-                shutil.copy(transcript, runs_dir / method)
+                shutil.copy(DATA / label / name, runs_dir / method)
             output = tmp_path / f"scored-{label}-{method}.json"
             assert main(["evaluate", "--runs-dir", str(runs_dir / method),
                          "--annotations", str(DEMO / "annotations.json"),
@@ -90,6 +110,7 @@ def test_v1_scores_like_v2(tmp_path) -> None:
             records = json.loads(output.read_text(encoding="utf-8"))["records"]
             scored[label, method] = [
                 {k: v for k, v in r.items() if k != "duration"} for r in records]
-    for method in ("vapu", "zsl"):
-        assert len(scored["v1", method]) == 1
-        assert scored["v1", method] == scored["v2", method]
+    for label in OLD_FORMATS:
+        for method in ("vapu", "zsl"):
+            assert len(scored[label, method]) == 1
+            assert scored[label, method] == scored["now", method]

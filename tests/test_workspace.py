@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from vapu.cli import demo_root
+import vapu.pipeline
+from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
 from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, RequirementSpec
 from vapu.pipeline import run_update
+from vapu.prompts import extract_code
 from vapu.workspace import (
     Backend,
     Method,
@@ -281,11 +283,18 @@ def test_demo_prompts_load_as_the_strings_sent(tmp_path) -> None:
     assert [e.prompt for e in loaded.exchanges] == gateway.sent
     assert len(gateway.sent) == 10
     records = records_of(path)
-    assert records[0]["format"] == "vapu-transcript-v2"
+    assert records[0]["format"] == "vapu-transcript-v3"
     assert all(isinstance(r["prompt"], list) for r in records[1:-1])
     # The input file is text 0: stored once, in the header.
+    text = path.read_text(encoding="utf-8")
     content = loaded.inputs["code"]["content"]
-    assert path.read_text(encoding="utf-8").count(json.dumps(content)[1:-1]) == 1
+    assert text.count(json.dumps(content)[1:-1]) == 1
+    # Each code version the executor and finalizer fenced is stored once too,
+    # though later prompts embed it and the outcome carries the last one.
+    versions = [extract_code(e.response)[0] for e in loaded.exchanges if "```" in e.response]
+    assert len(versions) == 3
+    for version in versions:
+        assert text.count(json.dumps(version)[1:-1]) == 1
 
 
 def test_rewritten_prompt_is_stored_as_the_string_recorded(tmp_path) -> None:
@@ -304,6 +313,33 @@ def _undefine_first_text(records: list[dict]) -> None:
     records[2]["texts"] = records[1].pop("texts") + records[2].get("texts", [])
 
 
+def _code_reply(records: list[dict]) -> dict:
+    """The first exchange record whose reply references its code (the executor's)."""
+    return next(r for r in records[1:-1] if isinstance(r["response"], list))
+
+
+def _reply_reference(value: object):
+    return lambda records: _code_reply(records).update(response=["x", value])
+
+
+def _define_reply_code_later(records: list[dict]) -> None:
+    # The reply's code is its record's last new text; the next record defines it instead.
+    at = records.index(_code_reply(records))
+    code = records[at]["texts"].pop()
+    records[at + 1]["texts"] = [code, *records[at + 1].get("texts", [])]
+
+
+def _final_code_reference(value: object):
+    return lambda records: records[-1]["outcome"]["final_code"].update(content=value)
+
+
+def _final_code_at_next_index(records: list[dict]) -> None:
+    # No record follows the outcome, so the closest it comes to a text
+    # defined later is the index the next new text would take.
+    table_size = 1 + sum(len(r.get("texts", [])) for r in records[1:-1])
+    records[-1]["outcome"]["final_code"]["content"] = table_size
+
+
 @pytest.mark.parametrize("edit", [
     lambda records: records[1].update(prompt=["x", 999]),
     lambda records: records[1].update(prompt=["x", -1]),
@@ -314,8 +350,22 @@ def _undefine_first_text(records: list[dict]) -> None:
     lambda records: records[1].update(prompt=[["x"]]),
     lambda records: records[1].update(texts="not a list"),
     lambda records: records[1].update(texts=[0]),
+    _reply_reference(999),
+    _reply_reference(-1),
+    _define_reply_code_later,
+    _reply_reference(5.0),
+    _reply_reference(True),
+    _final_code_reference(999),
+    _final_code_reference(-1),
+    _final_code_at_next_index,
+    _final_code_reference(1.0),
+    _final_code_reference(True),
 ], ids=["out-of-range", "negative", "defined-later", "float", "bool", "null", "list",
-        "texts-string", "texts-int"])
+        "texts-string", "texts-int",
+        "reply-out-of-range", "reply-negative", "reply-defined-later", "reply-float",
+        "reply-bool",
+        "final-code-out-of-range", "final-code-negative", "final-code-next-index",
+        "final-code-float", "final-code-bool"])
 def test_bad_text_reference_is_corrupt(tmp_path, edit) -> None:
     path = demo_run(tmp_path, SendLog())
     records = records_of(path)
@@ -341,19 +391,104 @@ odd_parts = st.lists(pool_text, min_size=1, max_size=9).map(
     lambda items: items if len(items) % 2 else items + [""])
 
 
-@given(parts_per_prompt=st.lists(odd_parts, max_size=6), plain=st.lists(st.booleans()))
+@given(parts_per_prompt=st.lists(odd_parts, max_size=6), plain=st.lists(st.booleans()),
+       replies=st.lists(st.none() | odd_parts), final_code=pool_text)
 def test_round_trip_for_generated_prompt_parts(tmp_path_factory, parts_per_prompt,
-                                               plain) -> None:
+                                               plain, replies, final_code) -> None:
+    reply_parts = [replies[i] if i < len(replies) else None
+                   for i in range(len(parts_per_prompt))]
     exchanges = [
         ChatExchange(role=AgentRole.EXECUTOR, prompt="".join(parts),
                      parts=None if i < len(plain) and plain[i] else parts,
-                     response="r", duration=0.0, started_at=float(i), model="m",
+                     response="r" if reply is None else "".join(reply),
+                     response_parts=reply, duration=0.0, started_at=float(i), model="m",
                      temperature=0.0)
-        for i, parts in enumerate(parts_per_prompt)
+        for i, (parts, reply) in enumerate(zip(parts_per_prompt, reply_parts))
     ]
     original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
+                             outcome={"final_code": {"content": final_code}},
                              inputs={"code": {"content": INPUT_CODE}})
     directory = tmp_path_factory.mktemp("transcripts")
-    loaded = load_transcript(persist_transcript(original, directory))
+    path = persist_transcript(original, directory)
+    loaded = load_transcript(path)
     assert [e.prompt for e in loaded.exchanges] == ["".join(p) for p in parts_per_prompt]
     assert loaded == original
+    # The parts survive the load, so persisting again writes the same file.
+    assert persist_transcript(loaded, directory / "again").read_bytes() == path.read_bytes()
+
+
+# --- format v3: code replies and the final code as table references ---
+
+def demo_command(tmp_path: Path, kind: str) -> list[str]:
+    """A demo CLI run: update, a zsl or osl baseline, or an update that aborts."""
+    common = ["--backend", "replay", "--requirements", str(DEMO / "requirements.txt"),
+              "--project", str(DEMO / "legacy"), "--model", "gpt-4o", "--runs", "1",
+              "--output-dir", str(tmp_path / "runs")]
+    if kind == "update":
+        return ["update", *common, "--fixtures", str(DEMO / "fixtures")]
+    if kind == "aborted":  # the third verdict is missing, so task 2 fails
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        for source in (DEMO / "fixtures").glob("*.txt"):
+            if source.name != "verifier-2.txt":
+                (fixtures / source.name).write_bytes(source.read_bytes())
+        return ["update", *common, "--fixtures", str(fixtures)]
+    baseline = ["baseline", *common, "--fixtures", str(DEMO / "fixtures-baseline"),
+                "--method", kind]
+    if kind == "osl":
+        example = tmp_path / "example.json"
+        example.write_text(json.dumps({"input": "$a['B']['c']", "output": "$a->c"}),
+                           encoding="utf-8")
+        baseline += ["--example", str(example)]
+    return baseline
+
+
+@pytest.mark.parametrize("kind", ["update", "zsl", "osl", "aborted"])
+def test_demo_transcript_loads_as_run_and_persists_again_unchanged(tmp_path, monkeypatch,
+                                                                   kind) -> None:
+    persisted = []
+    real_persist = vapu.pipeline.persist_transcript
+
+    def keeping(transcript, directory):
+        path = real_persist(transcript, directory)
+        persisted.append((transcript, path))
+        return path
+
+    monkeypatch.setattr(vapu.pipeline, "persist_transcript", keeping)
+    assert main(demo_command(tmp_path, kind)) == (9 if kind == "aborted" else 0)
+    [(transcript, path)] = persisted
+    records = records_of(path)
+    assert any(isinstance(r["response"], list) for r in records[1:-1])
+    final_code = records[-1]["outcome"].get("final_code")
+    assert kind == "aborted" or isinstance(final_code["content"], int)
+    loaded = load_transcript(path)
+    assert loaded == transcript
+    again = persist_transcript(loaded, tmp_path / "again")
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("reshape, stored_as", [
+    (lambda reply: reply + "\n```\nextra\n```\n", str),
+    (lambda reply: "\n  " + extract_code(reply)[0] + " \n", list),
+], ids=["several-fenced-blocks", "unfenced"])
+def test_code_reply_is_a_reference_only_when_its_code_is_one_slice(tmp_path, reshape,
+                                                                   stored_as) -> None:
+    class Reshaping(SendLog):
+        def __init__(self) -> None:
+            super().__init__()
+            self.replies: list[str] = []
+
+        def _send(self, role, prompt, params):
+            reply = super()._send(role, prompt, params)
+            if role in (AgentRole.EXECUTOR, AgentRole.FINALIZER):
+                reply = reshape(reply)
+            self.replies.append(reply)
+            return reply
+
+    gateway = Reshaping()
+    path = demo_run(tmp_path, gateway)
+    code_replies = [r["response"] for r in records_of(path)[1:-1]
+                    if r["role"] in ("executor", "finalizer")]
+    assert len(code_replies) == 3
+    assert all(isinstance(reply, stored_as) for reply in code_replies)
+    assert [e.response for e in load_transcript(path).exchanges] == gateway.replies
