@@ -26,7 +26,7 @@ from .evaluation import (
     records_for_report,
     score_transcript,
 )
-from .models import CodeDocument, RequirementKind, RequirementSpec
+from .models import RequirementKind, RequirementSpec
 from .pipeline import (
     gateway_factory,
     load_example,
@@ -62,38 +62,25 @@ _EXIT_CODES: list[tuple[type, int]] = [
 ]
 
 
-def exit_code_for(exc: err.VapuError) -> int:
-    for klass, code in _EXIT_CODES:
-        if isinstance(exc, klass):
-            return code
-    return 18
-
-
 def demo_root() -> Path:
     """Directory of the bundled offline demo assets."""
     return Path(str(resources.files("vapu").joinpath("demo")))
 
 
-def _load_requirements(args) -> RequirementSpec:
+def cmd_run(args) -> int:
+    """``update`` and ``baseline``: a run per (file, repetition), once the run ids are unique."""
     path = Path(args.requirements)
     kind = (RequirementKind.PROJECT_DESCRIPTION if args.kind == "description"
             else RequirementKind.REQUIREMENT_LIST)
-    return RequirementSpec.from_text(
-        id=path.stem,
-        text=path.read_text(encoding="utf-8"),
-        kind=kind,
-    )
-
-
-def _write_updated(output_dir: Path, run_id: str, document: CodeDocument) -> Path:
-    target = Path(output_dir) / run_id / document.path
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(document.content, encoding="utf-8")
-    return target
-
-
-def _run_jobs(args, req: RequirementSpec, config: RunConfig, run) -> list:
-    """Run ``run`` per (file, repetition), once the run ids are known to be unique."""
+    req = RequirementSpec.from_text(id=path.stem, text=path.read_text(encoding="utf-8"), kind=kind)
+    config = RunConfig.from_snapshot(vars(args))
+    if config.method is Method.ZSL and config.example_path:
+        # RunConfig.validate accepts this, so older transcripts with the pair still replay.
+        raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
+    # Read once for every run; a missing --example fails config validation.
+    example = load_example(config.example_path) if config.example_path else None
+    run = (run_update if config.method is Method.VAPU
+           else functools.partial(run_baseline, example=example))
     config.validate()
     documents = load_codebase(Path(args.project), args.include or ["**/*"])
     jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
@@ -107,41 +94,23 @@ def _run_jobs(args, req: RequirementSpec, config: RunConfig, run) -> list:
     def worker(job):
         doc, rep = job
         result = run(req, doc, config, repetition=rep, gateway=new_gateway())
-        path = _write_updated(config.output_dir, result.transcript_ref, result.final_code)
-        return result, path
+        target = Path(config.output_dir) / result.transcript_ref / result.final_code.path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(result.final_code.content, encoding="utf-8")
+        return result, target
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
-
-
-def cmd_update(args) -> int:
-    req = _load_requirements(args)
-    config = RunConfig.from_snapshot({**vars(args), "method": Method.VAPU})
-    for result, path in _run_jobs(args, req, config, run_update):
-        state = "unverified" if result.unverified else "verified"
-        print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
-              f"{state}, updated file at {path}")
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    req = _load_requirements(args)
-    method = Method(args.method)
-    if method is Method.VAPU:
-        raise err.ConfigInvalid("baseline method must be zsl or osl")
-    if method is Method.ZSL and args.example_path:
-        # RunConfig.validate accepts this, so older transcripts with the pair still replay.
-        raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
-    config = RunConfig.from_snapshot({**vars(args), "method": method})
-    example = None
-    if method is Method.OSL and config.example_path is not None:
-        # Read once for every run; a missing --example fails config validation.
-        example = load_example(config.example_path)
-    run = functools.partial(run_baseline, example=example)
-    for result, path in _run_jobs(args, req, config, run):
-        print(f"{result.transcript_ref}: baseline update written to {path}")
+            finished = list(pool.map(worker, jobs))
+    else:
+        finished = [worker(job) for job in jobs]
+    for result, target in finished:
+        if config.method is Method.VAPU:
+            state = "unverified" if result.unverified else "verified"
+            print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
+                  f"{state}, updated file at {target}")
+        else:
+            print(f"{result.transcript_ref}: baseline update written to {target}")
     return 0
 
 
@@ -164,17 +133,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_scored(path: Path) -> list[dict]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict):
-        return data.get("records", [])
-    return data
+def _load_scored(path: Path) -> tuple[list, dict]:
+    """Check marks and features from the ``{"records": [...]}`` object ``evaluate`` writes."""
+    try:
+        return records_for_report(json.loads(Path(path).read_text(encoding="utf-8"))["records"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise err.ConfigInvalid(f"scored file {path} is malformed: {exc!r}") from None
 
 
 def cmd_report(args) -> int:
     vapu_path, baseline_path = args.compare
-    vapu_marks, vapu_features = records_for_report(_load_scored(Path(vapu_path)))
-    baseline_marks, baseline_features = records_for_report(_load_scored(Path(baseline_path)))
+    vapu_marks, vapu_features = _load_scored(vapu_path)
+    baseline_marks, baseline_features = _load_scored(baseline_path)
     features = {**baseline_features, **vapu_features}
     if not vapu_marks or not baseline_marks:
         raise err.ConfigInvalid("both scored files need records with check marks")
@@ -247,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     update = commands.add_parser("update", help="run the agent pipeline over a codebase")
     _add_run_arguments(update)
-    update.set_defaults(func=cmd_update)
+    update.set_defaults(func=cmd_run, method=Method.VAPU)
 
     baseline = commands.add_parser("baseline", help="run a one-prompt baseline over a codebase")
     _add_run_arguments(baseline)
     baseline.add_argument("--method", choices=["zsl", "osl"], default="zsl")
     baseline.add_argument("--example", dest="example_path", metavar="EXAMPLE",
                           help="JSON example asset for one-shot prompts")
-    baseline.set_defaults(func=cmd_baseline)
+    baseline.set_defaults(func=cmd_run)
 
     evaluate = commands.add_parser("evaluate", help="merge transcripts with annotations")
     evaluate.add_argument("--runs-dir", required=True, help="directory of run transcripts")
@@ -285,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except err.VapuError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return next(code for klass, code in _EXIT_CODES if isinstance(exc, klass))
 
 
 if __name__ == "__main__":

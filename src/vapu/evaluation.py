@@ -8,13 +8,14 @@ temperature selection, and the side-by-side comparison report.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_type_hints
 
 from .errors import CheckerUnavailable, ConfigInvalid, EmptyScores, InvalidCCLetter
 from .models import CodeDocument, count_loc  # noqa: F401  (count_loc is part of this surface)
@@ -31,6 +32,9 @@ class FindingSource(str, Enum):
     HUMAN_ANNOTATION = "human_annotation"
     AUTOMATED_CHECK = "automated_check"
 
+
+# get_type_hints evaluates the postponed annotations on every call.
+_type_hints = functools.cache(get_type_hints)
 
 _DIGITS_RE = re.compile(r"\d+")
 _WS_RE = re.compile(r"\s+")
@@ -347,102 +351,83 @@ class ComparisonReport:
     def overall_delta(self) -> int:
         return self.vapu_totals.total - self.baseline_totals.total
 
+    def _sections(self) -> tuple[tuple[str, str, str, tuple[BucketDelta, ...]], ...]:
+        """(dict key, row section, text title, buckets) per bucketed table, in report order."""
+        return (
+            ("loc_bands", "loc_band", "By LOC band:", self.loc_bands),
+            ("cc_groups", "cc_group", "By complexity grade:", self.cc_groups),
+            ("task_counts", "task_count", "By task count:", self.task_counts),
+        )
+
+    def _model_pairs(self) -> list[tuple[ModelTotals, ModelTotals | None]]:
+        """Each pipeline model's totals beside the baseline's for that model, if it has any."""
+        baseline_by_model = {m.model: m for m in self.baseline_models}
+        return [(entry, baseline_by_model.get(entry.model)) for entry in self.vapu_models]
+
     def to_dict(self) -> dict:
-        def method(t: MethodTotals) -> dict:
-            return {
-                "first": t.first, "second": t.second, "third": t.third,
-                "total": t.total, "records": t.records, "possible": t.possible,
-                "pass_rate": t.pass_rate,
-            }
+        def figures(totals: _MarkTotals, *names: str) -> dict:
+            return {name: getattr(totals, name) for name in (*names, "total", "possible", "pass_rate")}
 
-        def models(entries: tuple[ModelTotals, ...]) -> list[dict]:
-            return [
-                {"model": m.model, "total": m.total, "possible": m.possible,
-                 "pass_rate": m.pass_rate}
-                for m in entries
-            ]
-
-        def buckets(entries: tuple[BucketDelta, ...]) -> list[dict]:
-            return [
-                {"bucket": b.label, "vapu": b.vapu, "baseline": b.baseline, "delta": b.delta}
-                for b in entries
-            ]
-
-        return {
-            "vapu": method(self.vapu_totals),
-            "baseline": method(self.baseline_totals),
+        report = {
+            "vapu": figures(self.vapu_totals, "first", "second", "third", "records"),
+            "baseline": figures(self.baseline_totals, "first", "second", "third", "records"),
             "overall_delta": self.overall_delta,
-            "models": {"vapu": models(self.vapu_models), "baseline": models(self.baseline_models)},
-            "loc_bands": buckets(self.loc_bands),
-            "cc_groups": buckets(self.cc_groups),
-            "task_counts": buckets(self.task_counts),
+            "models": {"vapu": [figures(m, "model") for m in self.vapu_models],
+                       "baseline": [figures(m, "model") for m in self.baseline_models]},
         }
+        for key, _, _, buckets in self._sections():
+            report[key] = [
+                {"bucket": b.label, "vapu": b.vapu, "baseline": b.baseline, "delta": b.delta}
+                for b in buckets
+            ]
+        return report
 
     def to_rows(self) -> list[tuple[str, ...]]:
         """Flat delimited-table form, one row per figure."""
-        rows: list[tuple[str, ...]] = [("section", "key", "vapu", "baseline", "delta")]
-        rows.append((
-            "totals", "check_marks",
-            str(self.vapu_totals.total), str(self.baseline_totals.total),
-            str(self.overall_delta),
-        ))
-        rows.append((
-            "totals", "pass_rate_pct",
-            f"{self.vapu_totals.pass_rate:.1f}", f"{self.baseline_totals.pass_rate:.1f}",
-            f"{self.vapu_totals.pass_rate - self.baseline_totals.pass_rate:.1f}",
-        ))
-        for name, vapu_flag, baseline_flag in (
-            ("first_marks", self.vapu_totals.first, self.baseline_totals.first),
-            ("second_marks", self.vapu_totals.second, self.baseline_totals.second),
-            ("third_marks", self.vapu_totals.third, self.baseline_totals.third),
-        ):
-            rows.append(("totals", name, str(vapu_flag), str(baseline_flag),
-                         str(vapu_flag - baseline_flag)))
-        baseline_by_model = {m.model: m for m in self.baseline_models}
-        for entry in self.vapu_models:
-            other = baseline_by_model.get(entry.model)
+        vapu, baseline = self.vapu_totals, self.baseline_totals
+        rows: list[tuple[str, ...]] = [
+            ("section", "key", "vapu", "baseline", "delta"),
+            ("totals", "check_marks", str(vapu.total), str(baseline.total),
+             str(self.overall_delta)),
+            ("totals", "pass_rate_pct", f"{vapu.pass_rate:.1f}", f"{baseline.pass_rate:.1f}",
+             f"{vapu.pass_rate - baseline.pass_rate:.1f}"),
+        ]
+        for name in ("first", "second", "third"):
+            mine, theirs = getattr(vapu, name), getattr(baseline, name)
+            rows.append(("totals", f"{name}_marks", str(mine), str(theirs), str(mine - theirs)))
+        for entry, other in self._model_pairs():
             rows.append((
                 "models", entry.model, str(entry.total),
                 str(other.total) if other else "",
                 str(entry.total - other.total) if other else "",
             ))
-        for section, buckets in (
-            ("loc_band", self.loc_bands),
-            ("cc_group", self.cc_groups),
-            ("task_count", self.task_counts),
-        ):
+        for _, section, _, buckets in self._sections():
             for bucket in buckets:
                 rows.append((section, bucket.label, str(bucket.vapu),
                              str(bucket.baseline), str(bucket.delta)))
         return rows
 
     def to_text(self) -> str:
+        def method(name: str, t: MethodTotals) -> str:
+            return (f"  {name} : {t.total}/{t.possible} marks ({t.pass_rate:.1f}%) "
+                    f"[{t.first}/{t.second}/{t.third}]")
+
         lines = [
             "Check-mark comparison (pipeline vs baseline)",
             "",
-            f"  pipeline : {self.vapu_totals.total}/{self.vapu_totals.possible} marks "
-            f"({self.vapu_totals.pass_rate:.1f}%) "
-            f"[{self.vapu_totals.first}/{self.vapu_totals.second}/{self.vapu_totals.third}]",
-            f"  baseline : {self.baseline_totals.total}/{self.baseline_totals.possible} marks "
-            f"({self.baseline_totals.pass_rate:.1f}%) "
-            f"[{self.baseline_totals.first}/{self.baseline_totals.second}/{self.baseline_totals.third}]",
+            method("pipeline", self.vapu_totals),
+            method("baseline", self.baseline_totals),
             f"  overall delta: {self.overall_delta:+d}",
             "",
             "Per model (pipeline vs baseline):",
         ]
-        baseline_by_model = {m.model: m for m in self.baseline_models}
-        for entry in self.vapu_models:
-            other = baseline_by_model.get(entry.model)
+        for entry, other in self._model_pairs():
             if other:
                 lines.append(
                     f"  {entry.model}: {entry.total} vs {other.total} "
                     f"({entry.pass_rate:.1f}% vs {other.pass_rate:.1f}%)"
                 )
-        for title, buckets in (
-            ("By LOC band:", self.loc_bands),
-            ("By complexity grade:", self.cc_groups),
-            ("By task count:", self.task_counts),
-        ):
+        for _, _, title, buckets in self._sections():
             lines.append("")
             lines.append(title)
             for bucket in buckets:
@@ -474,17 +459,6 @@ def _model_totals(records: Sequence[CheckMarkRecord]) -> tuple[ModelTotals, ...]
         )
         for model, group in sorted(by_model.items())
     )
-
-
-def _bucket_sums(records: Sequence[CheckMarkRecord],
-                 bucket_of: Callable[[str], str | None],
-                 labels: Iterable[str]) -> dict[str, int]:
-    sums = {label: 0 for label in labels}
-    for record in records:
-        label = bucket_of(record.file_id)
-        if label is not None:
-            sums[label] += score_checkmarks(record.marks)
-    return sums
 
 
 def build_comparison_report(
@@ -527,14 +501,14 @@ def build_comparison_report(
     def task_bucket(file_id: str) -> str:
         return str(features[file_id].task_count)
 
-    def deltas(bucket_of: Callable[[str], str | None], labels: Iterable[str]) -> tuple[BucketDelta, ...]:
-        labels = list(labels)
-        vapu_sums = _bucket_sums(vapu_runs, bucket_of, labels)
-        baseline_sums = _bucket_sums(baseline_runs, bucket_of, labels)
-        return tuple(
-            BucketDelta(label=label, vapu=vapu_sums[label], baseline=baseline_sums[label])
-            for label in labels
-        )
+    def deltas(bucket_of: Callable[[str], str | None], labels: list[str]) -> tuple[BucketDelta, ...]:
+        sums = {label: [0, 0] for label in labels}  # [pipeline, baseline]
+        for side, runs in enumerate((vapu_runs, baseline_runs)):
+            for record in runs:
+                label = bucket_of(record.file_id)
+                if label is not None:
+                    sums[label][side] += score_checkmarks(record.marks)
+        return tuple(BucketDelta(label, *sums[label]) for label in labels)
 
     return ComparisonReport(
         vapu_totals=_method_totals(vapu_runs),
@@ -563,6 +537,19 @@ class Annotations:
     features: dict[str, FileFeatures] = field(default_factory=dict)
 
 
+def _from_json(cls, data: Mapping):
+    """``cls`` built from a JSON object, each field converted to its annotated type.
+
+    Flags go through ``bool`` and counts through ``int``; a text field must be text.
+    """
+    values = {}
+    for name, kind in _type_hints(cls).items():
+        if kind is str and not isinstance(data[name], str):
+            raise TypeError(f"{cls.__name__}.{name} must be a string, got {data[name]!r}")
+        values[name] = kind(data[name])
+    return cls(**values)
+
+
 def load_annotations(path: Path) -> Annotations:
     """Read the JSON annotations file.
 
@@ -571,36 +558,22 @@ def load_annotations(path: Path) -> Annotations:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"annotations file {path} is not valid JSON: {exc}") from exc
-    annotations = Annotations()
-    for entry in data.get("findings", []):
-        finding = Finding(
-            category=ErrorCategory(entry["category"]),
-            cause_key=entry["cause_key"],
-            description=entry.get("description", ""),
-            source=FindingSource.HUMAN_ANNOTATION,
-        )
-        annotations.findings.setdefault(entry["run_id"], []).append(finding)
-    for entry in data.get("requirements", []):
-        result = RequirementResult(
-            requirement_id=entry["requirement_id"],
-            value=int(entry["value"]),
-        )
-        annotations.requirements.setdefault(entry["run_id"], []).append(result)
-    for entry in data.get("checkmarks", []):
-        key = (entry["file_id"], entry["model"], entry["method"])
-        annotations.checkmarks[key] = CheckMarks(
-            updates_present_and_plausible=bool(entry["updates_present_and_plausible"]),
-            basic_functions_ok=bool(entry["basic_functions_ok"]),
-            all_requirements_correct=bool(entry["all_requirements_correct"]),
-        )
-    for entry in data.get("files", []):
-        annotations.features[entry["file_id"]] = FileFeatures(
-            loc=int(entry["loc"]),
-            cc_letter=entry["cc_letter"],
-            task_count=int(entry["task_count"]),
-        )
+        annotations = Annotations()
+        for entry in data.get("findings", []):
+            # Annotated findings come from human inspection, whatever the entry says.
+            finding = _from_json(Finding, {"description": "", **entry,
+                                           "source": FindingSource.HUMAN_ANNOTATION})
+            annotations.findings.setdefault(entry["run_id"], []).append(finding)
+        for entry in data.get("requirements", []):
+            result = _from_json(RequirementResult, entry)
+            annotations.requirements.setdefault(entry["run_id"], []).append(result)
+        for entry in data.get("checkmarks", []):
+            key = (entry["file_id"], entry["model"], entry["method"])
+            annotations.checkmarks[key] = _from_json(CheckMarks, entry)
+        for entry in data.get("files", []):
+            annotations.features[entry["file_id"]] = _from_json(FileFeatures, entry)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"annotations file {path} is malformed: {exc!r}") from None
     return annotations
 
 
@@ -665,27 +638,24 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
     summaries = []
     for key, members in sorted(groups.items()):
         file_id, method, model, temperature = key
-        errors = [m["error_count"] for m in members]
-        error_stats = aggregate_runs(errors)
         summary = {
             "file_id": file_id,
             "method": method,
             "model": model,
             "temperature": temperature,
             "n": len(members),
-            "error_mean": error_stats.mean,
-            "error_sd": error_stats.sd,
         }
-        requirement_scores = [m["requirement_score"] for m in members
-                              if m["requirement_score"] is not None]
-        if requirement_scores:
-            requirement_stats = aggregate_runs(requirement_scores)
-            summary["requirement_mean"] = requirement_stats.mean
-            summary["requirement_sd"] = requirement_stats.sd
         durations = [m["duration"] for m in members]
-        duration_stats = aggregate_runs(durations)
-        summary["duration_mean"] = duration_stats.mean
-        summary["duration_sd"] = duration_stats.sd
+        for name, values in (
+            ("error", [m["error_count"] for m in members]),
+            ("requirement", [m["requirement_score"] for m in members
+                             if m["requirement_score"] is not None]),
+            ("duration", durations),
+        ):
+            if values:  # only requirement scores can be missing
+                stats = aggregate_runs(values)
+                summary[f"{name}_mean"] = stats.mean
+                summary[f"{name}_sd"] = stats.sd
         summary["normalized_durations"] = normalize_durations(durations)
         summaries.append(summary)
     return summaries
@@ -698,19 +668,11 @@ def records_for_report(records: Sequence[dict]) -> tuple[list[CheckMarkRecord], 
     for record in records:
         if record.get("checkmarks") is None:
             continue
-        cm = record["checkmarks"]
         marks.append(CheckMarkRecord(
             file_id=record["file_id"],
             model=record["model"],
-            marks=CheckMarks(
-                updates_present_and_plausible=bool(cm["updates_present_and_plausible"]),
-                basic_functions_ok=bool(cm["basic_functions_ok"]),
-                all_requirements_correct=bool(cm["all_requirements_correct"]),
-            ),
+            marks=_from_json(CheckMarks, record["checkmarks"]),
         ))
         if record.get("features"):
-            f = record["features"]
-            features[record["file_id"]] = FileFeatures(
-                loc=int(f["loc"]), cc_letter=f["cc_letter"], task_count=int(f["task_count"]),
-            )
+            features[record["file_id"]] = _from_json(FileFeatures, record["features"])
     return marks, features

@@ -90,18 +90,8 @@ class ModelRegistry:
 
     @classmethod
     def from_file(cls, path: Path) -> "ModelRegistry":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls._from_entries(data["profiles"])
-
-    @classmethod
-    def default(cls) -> "ModelRegistry":
-        raw = resources.files("vapu").joinpath("registry.json").read_text(encoding="utf-8")
-        return cls._from_entries(json.loads(raw)["profiles"])
-
-    @classmethod
-    def _from_entries(cls, entries: list[dict]) -> "ModelRegistry":
         profiles = {}
-        for entry in entries:
+        for entry in json.loads(Path(path).read_text(encoding="utf-8"))["profiles"]:
             profile = ModelProfile(
                 profile_id=entry["profile_id"],
                 company=entry["company"],
@@ -114,6 +104,10 @@ class ModelRegistry:
                 raise ValueError(f"duplicate profile_id {profile.profile_id!r} in registry")
             profiles[profile.profile_id] = profile
         return cls(profiles)
+
+    @classmethod
+    def default(cls) -> "ModelRegistry":
+        return cls.from_file(Path(str(resources.files("vapu").joinpath("registry.json"))))
 
 
 @dataclass

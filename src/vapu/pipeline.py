@@ -90,10 +90,12 @@ class RecordingGateway:
 
     started_at stamps are bumped by a microsecond when the clock did not
     advance, so transcript ordering stays strict even on fast replays.
+    ``run_id`` names the run the exchanges belong to, for its warnings.
     """
 
-    def __init__(self, inner: Gateway):
+    def __init__(self, inner: Gateway, run_id: str | None = None):
         self.inner = inner
+        self.run_id = run_id
         self.exchanges: list[ChatExchange] = []
         self._last_started: float | None = None
 
@@ -123,15 +125,13 @@ def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
     return lambda: LiveGateway(profile)
 
 
-def build_gateway(config: RunConfig) -> Gateway:
-    """Construct the backend a run configuration asks for."""
-    return gateway_factory(config)()
-
-
-def resolve_templates(config: RunConfig) -> TemplateSet:
-    if config.templates_dir:
-        return load_templates(config.templates_dir)
-    return default_templates()
+def _warn(gateway, msg: str, *args) -> None:
+    """Log a warning that names the run ``gateway`` records, when it records one."""
+    run_id = getattr(gateway, "run_id", None)
+    if run_id is None:
+        logger.warning(msg, *args)
+    else:
+        logger.warning("run %s: " + msg, run_id, *args)
 
 
 def _complete(gateway, role: AgentRole, prompt: PromptText,
@@ -147,41 +147,37 @@ def _complete(gateway, role: AgentRole, prompt: PromptText,
     return exchange
 
 
-def _code_exchange(gateway, role: AgentRole, prompt: PromptText,
-                   params: GenerationParams) -> ChatExchange:
-    """Completion for code-producing roles, retried once on truncation.
+def _code_reply(gateway, role: AgentRole, prompt: PromptText, params: GenerationParams,
+                code: CodeDocument) -> tuple[CodeDocument, ChatExchange]:
+    """``code`` with the code of a code-producing role's reply, and that reply's exchange.
 
-    An unbalanced fence means the output was cut off mid-block; the
-    exchange keeps a truncated flag either way so the run records it.
+    An unbalanced fence means the output was cut off mid-block, so the
+    call is retried once; the exchange keeps a truncated flag either way
+    so the run records it.  A retry that is cut off too raises
+    NoCodeInResponse, because a file that was cut off is not an update.
+    When the code is one slice of the reply, the exchange keeps the
+    reply split around it, so the transcript stores the code once.
     """
     exchange = _complete(gateway, role, prompt, params)
     if has_unbalanced_fences(exchange.response):
         exchange.flags.append(TRUNCATED_FLAG)
-        logger.warning("%s output looked truncated; retrying once", role.value)
+        _warn(gateway, "%s output looked truncated; retrying once", role.value)
         exchange = _complete(gateway, role, prompt, params)
         if has_unbalanced_fences(exchange.response):
             exchange.flags.append(TRUNCATED_FLAG)
-    return exchange
-
-
-def _extract_into(code: CodeDocument, exchange: ChatExchange) -> CodeDocument:
-    """The document with the code of ``exchange``'s reply.
-
-    When that code is one slice of the reply, the exchange keeps the
-    reply split around it, so the transcript stores the code once.
-    """
+            raise NoCodeInResponse(f"{role.value} output still looked truncated after a retry")
     response = exchange.response
     try:
         content, fenced, span = extract_code(response, with_span=True)
     except EmptyResponse:
-        raise NoCodeInResponse(f"{exchange.role.value} returned a blank response") from None
+        raise NoCodeInResponse(f"{role.value} returned a blank response") from None
     if not fenced:
         exchange.flags.append(NO_FENCE_FLAG)
     if not content.strip():
-        raise NoCodeInResponse(f"{exchange.role.value} response contained no code")
+        raise NoCodeInResponse(f"{role.value} response contained no code")
     if span is not None:
         exchange.response_parts = [response[:span[0]], content, response[span[1]:]]
-    return code.with_content(content)
+    return code.with_content(content), exchange
 
 
 def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
@@ -206,7 +202,7 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
     try:
         draft = parse_task_list(draft_exchange.response)
     except UnparseableTaskList:
-        logger.warning("manager draft yielded no tasks; reflection sees the raw response")
+        _warn(gateway, "manager draft yielded no tasks; reflection sees the raw response")
     draft_text = serialize_task_plan(draft) if draft else draft_exchange.response.strip()
     reflection_prompt = render_template(
         templates["reflection"],
@@ -249,8 +245,7 @@ def execute_task(instruction: PromptText, code: CodeDocument, gateway,
         templates["executor"],
         {"task": instruction.text, "code": code.content},
     )
-    exchange = _code_exchange(gateway, AgentRole.EXECUTOR, prompt, params)
-    return _extract_into(code, exchange)
+    return _code_reply(gateway, AgentRole.EXECUTOR, prompt, params, code)[0]
 
 
 def verify_task(req: RequirementSpec, task: Task, before: CodeDocument,
@@ -287,8 +282,7 @@ def finalize_code(code: CodeDocument, changes: tuple[ChangeRequest, ...] | list[
             "changes": "\n".join(f"- {change.description}" for change in changes),
         },
     )
-    exchange = _code_exchange(gateway, AgentRole.FINALIZER, prompt, params)
-    return _extract_into(code, exchange)
+    return _code_reply(gateway, AgentRole.FINALIZER, prompt, params, code)[0]
 
 
 def _verify_with_reask(req, task, before, after, gateway, params, templates) -> Verdict:
@@ -301,11 +295,11 @@ def _verify_with_reask(req, task, before, after, gateway, params, templates) -> 
     try:
         return verify_task(req, task, before, after, gateway, params, templates)
     except UnparseableVerdict:
-        logger.warning("unparseable verdict for task %d; re-asking once", task.index)
+        _warn(gateway, "unparseable verdict for task %d; re-asking once", task.index)
     try:
         return verify_task(req, task, before, after, gateway, params, templates)
     except UnparseableVerdict:
-        logger.warning("verdict still unparseable; treating as rejection")
+        _warn(gateway, "verdict still unparseable; treating as rejection")
         return Verdict(accepted=False, changes=(ChangeRequest(GENERIC_CHANGE),))
 
 
@@ -332,12 +326,13 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     error marks it aborted and raises AbortedRun; any other exception
     (including KeyboardInterrupt) marks it aborted and propagates unchanged.
     """
+    run_id = make_run_id(code.path, config.method, config.model, config.temperature, repetition)
     run = _Run(
-        run_id=make_run_id(code.path, config.method, config.model,
-                           config.temperature, repetition),
-        gateway=RecordingGateway(gateway or build_gateway(config)),
+        run_id=run_id,
+        gateway=RecordingGateway(gateway or gateway_factory(config)(), run_id),
         params=GenerationParams(temperature=config.temperature),
-        templates=resolve_templates(config),
+        templates=(load_templates(config.templates_dir) if config.templates_dir
+                   else default_templates()),
     )
     inputs = {
         "requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
@@ -389,14 +384,13 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         for task in plan.tasks:
             run.task_index = task.index
             instruction = make_task_prompt(req, task, current, recorder, params, templates)
-            before = current
             updated = execute_task(instruction, current, recorder, params, templates)
-            verdict = _verify_with_reask(req, task, before, updated, recorder, params, templates)
+            verdict = _verify_with_reask(req, task, current, updated, recorder, params, templates)
             budget = FeedbackBudget(max_iterations=config.max_feedback_iterations)
             while not verdict.accepted and not budget.exhausted():
                 updated = finalize_code(updated, verdict.changes, recorder, params, templates)
                 budget.spend()
-                verdict = _verify_with_reask(req, task, before, updated, recorder, params, templates)
+                verdict = _verify_with_reask(req, task, current, updated, recorder, params, templates)
             if not verdict.accepted:
                 logger.warning("run %s: task %d left unverified after %d finalizer iteration(s)",
                                run.run_id, task.index, budget.used)
@@ -459,8 +453,7 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
 
     def steps(run: _Run) -> tuple[BaselineResult, dict]:
         prompt = build_baseline_prompt(mode, req.as_text(), code, run.templates)
-        exchange = _code_exchange(run.gateway, AgentRole.BASELINE, prompt, run.params)
-        updated = _extract_into(code, exchange)
+        updated, exchange = _code_reply(run.gateway, AgentRole.BASELINE, prompt, run.params, code)
         result = BaselineResult(
             final_code=updated,
             transcript_ref=run.run_id,
@@ -506,11 +499,8 @@ def reexecute_transcript(transcript: RunTranscript, output_dir: Path) -> tuple[s
     repetition = inputs.get("repetition", 1)
     if config.method is Method.VAPU:
         result = run_update(req, code, config, repetition=repetition, gateway=gateway)
-        replayed = result.final_code.content
     else:
         example = tuple(inputs["example"]) if inputs.get("example") else None
-        baseline = run_baseline(req, code, config, repetition=repetition,
-                                gateway=gateway, example=example)
-        replayed = baseline.final_code.content
-    recorded = transcript.outcome["final_code"]["content"]
-    return recorded, replayed
+        result = run_baseline(req, code, config, repetition=repetition,
+                              gateway=gateway, example=example)
+    return transcript.outcome["final_code"]["content"], result.final_code.content

@@ -254,11 +254,6 @@ def parse_agent_output(role: AgentRole, response: str) -> TaskPlan | Verdict:
     raise ValueError(f"role {role.value} has no structured output format")
 
 
-def format_example(example: tuple[str, str]) -> str:
-    before, after = example
-    return f"Example input:\n{before}\n\nExample output:\n{after}"
-
-
 def build_baseline_prompt(mode: BaselineMode, update_request: str,
                           code: CodeDocument,
                           templates: "TemplateSet | None" = None) -> PromptText:
@@ -269,7 +264,7 @@ def build_baseline_prompt(mode: BaselineMode, update_request: str,
         assert mode.example is not None  # guaranteed by BaselineMode
         bindings = {
             "requirements": update_request,
-            "example": format_example(mode.example),
+            "example": "Example input:\n{}\n\nExample output:\n{}".format(*mode.example),
             "code": code.content,
         }
     else:
@@ -318,13 +313,4 @@ def load_templates(directory: Path) -> TemplateSet:
 @lru_cache(maxsize=1)
 def default_templates() -> TemplateSet:
     """The editable default assets shipped with the package."""
-    templates: TemplateSet = {}
-    root = resources.files("vapu").joinpath("templates")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".txt"):
-            stem = entry.name[: -len(".txt")]
-            templates[stem] = parse_template_file(entry.name, entry.read_text(encoding="utf-8"))
-    missing = [name for name in REQUIRED_TEMPLATES if name not in templates]
-    if missing:  # packaging error, not a user mistake
-        raise ConfigInvalid(f"bundled template set is missing: {missing}")
-    return templates
+    return load_templates(Path(str(resources.files("vapu").joinpath("templates"))))

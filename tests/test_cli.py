@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from conftest import write_fixtures
+from conftest import fenced, write_fixtures
 import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.workspace import load_transcript
@@ -382,3 +383,166 @@ def test_example_asset_is_read_once_per_command(tmp_path, monkeypatch) -> None:
     assert len(paths) == 3
     for path in paths:
         assert load_transcript(path).inputs["example"] == ["old()", "new()"]
+
+
+def test_demo_update_and_baseline_summary_lines(tmp_path, capsys) -> None:
+    out = tmp_path / "vapu-runs"
+    assert main(demo_update_args(DEMO / "legacy", out, runs=2)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"reference_list-vapu-gpt-4o-t0-r{rep}: 2 task(s), verified, updated file at "
+        f"{out / f'reference_list-vapu-gpt-4o-t0-r{rep}' / 'reference_list.php'}"
+        for rep in (1, 2)
+    ]
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    for method in ("zsl", "osl"):
+        args = demo_osl_args(example, tmp_path / f"{method}-runs", runs=2)
+        args[args.index("osl")] = method
+        if method == "zsl":
+            del args[args.index("--example"):args.index("--example") + 2]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"reference_list-{method}-gpt-4o-t0-r{rep}: baseline update written to "
+            f"{tmp_path / f'{method}-runs' / f'reference_list-{method}-gpt-4o-t0-r{rep}' / 'reference_list.php'}"
+            for rep in (1, 2)
+        ]
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "report"
+
+
+def synthetic_scored(method: str, models: tuple[str, ...]) -> dict:
+    """Scored records over twelve files and several models, in the shape evaluate writes.
+
+    The files cover every LOC band (both edges of each), every CC group
+    with lower- and upper-case letters, and task counts that sort
+    differently as text and as numbers.
+    """
+    locs = (1, 99, 100, 199, 200, 299, 300, 900, 40, 120, 260, 310)
+    letters = "aBcDeFAbCdEf"
+    task_counts = (1, 2, 3, 5, 10)
+    records = []
+    for i in range(len(locs)):
+        for j, model in enumerate(models):
+            flags = [((i + 1) * (j + 2) + k * len(method)) % (k + 3) != 0 for k in range(3)]
+            records.append({
+                "run_id": f"file{i:02d}-{method}-{model}-t0-r1",
+                "file_id": f"file{i:02d}",
+                "model": model,
+                "method": method,
+                "checkmarks": {
+                    "updates_present_and_plausible": flags[0],
+                    "basic_functions_ok": flags[1],
+                    "all_requirements_correct": flags[2],
+                    "score": sum(flags),
+                },
+                "features": {"loc": locs[i], "cc_letter": letters[i],
+                             "task_count": task_counts[i % len(task_counts)]},
+            })
+    # A run with no check marks is left out of the report.
+    records.append({**records[0], "run_id": "unmarked", "checkmarks": None})
+    return {"records": records}
+
+
+def write_synthetic_report_inputs(directory: Path) -> tuple[Path, Path]:
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for method, models in (("vapu", ("model-a", "model-b", "pipeline-only")),
+                           ("zsl", ("baseline-only", "model-a", "model-b"))):
+        path = directory / f"scored-{method}.json"
+        path.write_text(json.dumps(synthetic_scored(method, models), indent=2), encoding="utf-8")
+        paths.append(path)
+    return paths[0], paths[1]
+
+
+def test_report_bytes_match_the_golden_files(tmp_path) -> None:
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
+    out = tmp_path / "report"
+    assert main(["report", "--compare", str(vapu_scored), str(zsl_scored),
+                 "--output-dir", str(out)]) == 0
+    for name in ("report.json", "report.tsv", "report.txt"):
+        assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
+
+
+def annotation_without_a_flag(data: dict) -> dict:
+    del data["checkmarks"][0]["basic_functions_ok"]
+    return data
+
+
+def annotation_with_text_loc(data: dict) -> dict:
+    data["files"][0]["loc"] = "many"
+    return data
+
+
+def annotations_as_a_list(data: dict) -> list:
+    return [data]
+
+
+def scored_record_without_a_flag(data: dict) -> dict:
+    del data["records"][0]["checkmarks"]["all_requirements_correct"]
+    return data
+
+
+def scored_records_as_a_list(data: dict) -> list:
+    return data["records"]
+
+
+@pytest.mark.parametrize("target, corrupt", [
+    ("annotations", annotation_without_a_flag),
+    ("annotations", annotation_with_text_loc),
+    ("annotations", annotations_as_a_list),
+    ("scored", scored_record_without_a_flag),
+    ("scored", scored_records_as_a_list),
+])
+def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
+        tmp_path, capsys, target, corrupt) -> None:
+    runs = run_demo_update(tmp_path)
+    annotations = tmp_path / "annotations.json"
+    data = json.loads((DEMO / "annotations.json").read_text(encoding="utf-8"))
+    if target == "annotations":
+        data = corrupt(data)
+    annotations.write_text(json.dumps(data), encoding="utf-8")
+    scored = tmp_path / "scored.json"
+    status = main(["evaluate", "--runs-dir", str(runs), "--annotations", str(annotations),
+                   "--output", str(scored)])
+    if target == "scored":
+        assert status == 0
+        records = corrupt(json.loads(scored.read_text(encoding="utf-8")))
+        scored.write_text(json.dumps(records), encoding="utf-8")
+        capsys.readouterr()
+        status = main(["report", "--compare", str(scored), str(scored),
+                       "--output-dir", str(tmp_path / "report")])
+    assert status == 2
+    assert str(tmp_path / f"{target}.json") in capsys.readouterr().err
+
+
+def test_pipeline_warnings_name_their_own_run(tmp_path, caplog) -> None:
+    fixtures = write_fixtures(tmp_path / "fx", {
+        "manager-0": "no task list here",
+        "manager-1": "1. update the view",
+        "prompt_maker-0": "rewrite the view",
+        "executor-0": "```php\ncut off",
+        "executor-1": fenced("echo 'updated';"),
+        "verifier-0": "maybe",
+        "verifier-1": "still maybe",
+        "finalizer-0": fenced("echo 'final';"),
+        "verifier-2": "ACCEPT",
+    })
+    # A run id is no logging format string: "%" in it must reach the log as it is.
+    project = demo_project(tmp_path / "project", "a.php", "100%.php")
+    args = demo_update_args(project, tmp_path / "runs")
+    args[args.index(str(DEMO / "fixtures"))] = str(fixtures)
+    caplog.set_level(logging.WARNING)
+    assert main([*args, "--parallel", "2"]) == 0
+    warnings: dict[str, list[str]] = {}
+    for record in caplog.records:
+        if record.levelno == logging.WARNING and record.name.startswith("vapu"):
+            prefix, _, message = record.getMessage().partition(": ")
+            warnings.setdefault(prefix, []).append(message)
+    expected = [
+        "manager draft yielded no tasks; reflection sees the raw response",
+        "executor output looked truncated; retrying once",
+        "unparseable verdict for task 1; re-asking once",
+        "verdict still unparseable; treating as rejection",
+    ]
+    assert warnings == {"run a-vapu-gpt-4o-t0-r1": expected, "run 100%-vapu-gpt-4o-t0-r1": expected}

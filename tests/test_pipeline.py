@@ -347,6 +347,32 @@ def test_truncated_executor_output_marks_run(tmp_path, sample_req, sample_doc) -
     assert result.final_code.content == "echo 'recovered';"
 
 
+@pytest.mark.parametrize("method, role", [(Method.VAPU, "executor"), (Method.ZSL, "baseline")])
+def test_code_reply_still_truncated_after_its_retry_aborts_the_run(
+        tmp_path, sample_req, sample_doc, method, role) -> None:
+    cut_off = "Here:\n```php\n<?php echo 1;\n"
+    if method is Method.VAPU:
+        entries = multi_task_fixtures(tasks=1, verifier_responses=["ACCEPT"], finalizer_count=0)
+    else:
+        entries = {}
+    entries[f"{role}-0"] = entries[f"{role}-1"] = cut_off
+    fixtures = write_fixtures(tmp_path / "fx", entries)
+    config = replay_config(tmp_path / "out", fixtures, method=method)
+    run = run_update if method is Method.VAPU else run_baseline
+    task_index = 1 if method is Method.VAPU else 0
+    with pytest.raises(AbortedRun) as excinfo:
+        run(sample_req, sample_doc, config)
+    assert excinfo.value.task_index == task_index
+    transcript = load_transcript(
+        Path(config.output_dir) / f"{excinfo.value.run_id}.jsonl")
+    assert transcript.status == "aborted"
+    assert transcript.outcome["failed_task_index"] == task_index
+    assert "final_code" not in transcript.outcome
+    replies = [e for e in transcript.exchanges if e.role.value == role]
+    assert [e.response for e in replies] == [cut_off, cut_off]
+    assert [e.flags for e in replies] == [["truncated"], ["truncated"]]
+
+
 def test_replay_runs_are_deterministic(tmp_path, sample_req, sample_doc) -> None:
     entries = multi_task_fixtures(
         tasks=2, verifier_responses=["REJECT:\n- more", "ACCEPT", "ACCEPT"], finalizer_count=1)
