@@ -11,7 +11,9 @@ whose prompts embed the file: as literal strings (stored inline), or
 rendered through the default templates (stored as template pieces plus
 references to the transcript's text table), optionally with the
 executor's and finalizer's replies split around their code as the
-pipeline splits them (the code stored as a reference too).
+pipeline splits them (the code stored as a reference too).  The prompt
+benches render the executor and baseline templates around that file,
+and the verdict bench parses a rejection with eight change bullets.
 """
 
 from __future__ import annotations
@@ -19,8 +21,15 @@ from __future__ import annotations
 import pytest
 
 from vapu.gateway import ChatExchange
-from vapu.models import AgentRole
-from vapu.prompts import default_templates, extract_code, has_unbalanced_fences, render_template
+from vapu.models import AgentRole, CodeDocument
+from vapu.prompts import (
+    build_baseline_prompt,
+    default_templates,
+    extract_code,
+    has_unbalanced_fences,
+    parse_verdict,
+    render_template,
+)
 from vapu.workspace import RunTranscript, load_transcript, persist_transcript
 
 LOC = 900
@@ -29,6 +38,10 @@ CODE = "".join(
     for i in range(LOC)
 )
 REPLY = f"Here is the updated view:\n```php\n{CODE}```\nAll tasks applied.\n"
+VERDICT = "REJECT: the view still uses CakePHP 1.2 conventions\n" + "".join(
+    f"- read field_{i} through an entity getter, not array access\n" for i in range(8))
+EXAMPLE = ("<?php echo $html->link($row['Item']['title'], '/items/view/' . $row['Item']['id']);",
+           "<?php echo $this->Html->link($row->title, ['action' => 'view', $row->id]);")
 
 
 ROLES = [AgentRole.MANAGER, AgentRole.MANAGER, AgentRole.PROMPT_MAKER,
@@ -93,6 +106,25 @@ def test_extract_code(benchmark) -> None:
 
 def test_has_unbalanced_fences(benchmark) -> None:
     assert benchmark(has_unbalanced_fences, REPLY) is False
+
+
+def test_render_template(benchmark) -> None:
+    tpl = default_templates()["executor"]
+    prompt = benchmark(render_template, tpl, {k: BINDINGS[k] for k in tpl.placeholders()})
+    assert CODE in prompt.text and "".join(prompt.parts) == prompt.text
+
+
+def test_parse_verdict(benchmark) -> None:
+    verdict = benchmark(parse_verdict, VERDICT)
+    assert not verdict.accepted and len(verdict.changes) == 8
+
+
+@pytest.mark.parametrize("example", [None, EXAMPLE], ids=["zsl", "osl"])
+def test_build_baseline_prompt(benchmark, example) -> None:
+    code = CodeDocument(path="app/View/items_index.php", language_tag="php", content=CODE)
+    prompt = benchmark(build_baseline_prompt, BINDINGS["requirements"], code, example=example)
+    assert CODE in prompt.text
+    assert ("Example input:" in prompt.text) == (example is not None)
 
 
 def test_persist_transcript(benchmark, transcript, tmp_path) -> None:

@@ -72,7 +72,11 @@ def cmd_run(args) -> int:
     path = Path(args.requirements)
     kind = (RequirementKind.PROJECT_DESCRIPTION if args.kind == "description"
             else RequirementKind.REQUIREMENT_LIST)
-    req = RequirementSpec.from_text(id=path.stem, text=path.read_text(encoding="utf-8"), kind=kind)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise err.ConfigInvalid(f"cannot read requirements file {path}: {exc}") from None
+    req = RequirementSpec.from_text(id=path.stem, text=text, kind=kind)
     config = RunConfig.from_snapshot(vars(args))
     if config.method is Method.ZSL and config.example_path:
         # RunConfig.validate accepts this, so older transcripts with the pair still replay.
@@ -137,7 +141,7 @@ def _load_scored(path: Path) -> tuple[list, dict]:
     """Check marks and features from the ``{"records": [...]}`` object ``evaluate`` writes."""
     try:
         return records_for_report(json.loads(Path(path).read_text(encoding="utf-8"))["records"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise err.ConfigInvalid(f"scored file {path} is malformed: {exc!r}") from None
 
 

@@ -102,14 +102,6 @@ class EmptyResponse(VapuError):
     """Agent response was blank where content is required."""
 
 
-class ExampleMissing(VapuError):
-    """One-shot baseline requested without a worked example."""
-
-
-class ExampleForbidden(VapuError):
-    """Zero-shot baseline supplied with a worked example."""
-
-
 # --- evaluation harness ---
 
 class CheckerUnavailable(VapuError):

@@ -8,17 +8,16 @@ temperature selection, and the side-by-side comparison report.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 from .errors import CheckerUnavailable, ConfigInvalid, EmptyScores, InvalidCCLetter
-from .models import CodeDocument, count_loc  # noqa: F401  (count_loc is part of this surface)
+from .models import CodeDocument, from_json
 
 
 class ErrorCategory(str, Enum):
@@ -32,9 +31,6 @@ class FindingSource(str, Enum):
     HUMAN_ANNOTATION = "human_annotation"
     AUTOMATED_CHECK = "automated_check"
 
-
-# get_type_hints evaluates the postponed annotations on every call.
-_type_hints = functools.cache(get_type_hints)
 
 _DIGITS_RE = re.compile(r"\d+")
 _WS_RE = re.compile(r"\s+")
@@ -537,19 +533,6 @@ class Annotations:
     features: dict[str, FileFeatures] = field(default_factory=dict)
 
 
-def _from_json(cls, data: Mapping):
-    """``cls`` built from a JSON object, each field converted to its annotated type.
-
-    Flags go through ``bool`` and counts through ``int``; a text field must be text.
-    """
-    values = {}
-    for name, kind in _type_hints(cls).items():
-        if kind is str and not isinstance(data[name], str):
-            raise TypeError(f"{cls.__name__}.{name} must be a string, got {data[name]!r}")
-        values[name] = kind(data[name])
-    return cls(**values)
-
-
 def load_annotations(path: Path) -> Annotations:
     """Read the JSON annotations file.
 
@@ -561,18 +544,18 @@ def load_annotations(path: Path) -> Annotations:
         annotations = Annotations()
         for entry in data.get("findings", []):
             # Annotated findings come from human inspection, whatever the entry says.
-            finding = _from_json(Finding, {"description": "", **entry,
-                                           "source": FindingSource.HUMAN_ANNOTATION})
+            finding = from_json(Finding, {"description": "", **entry,
+                                          "source": FindingSource.HUMAN_ANNOTATION})
             annotations.findings.setdefault(entry["run_id"], []).append(finding)
         for entry in data.get("requirements", []):
-            result = _from_json(RequirementResult, entry)
+            result = from_json(RequirementResult, entry)
             annotations.requirements.setdefault(entry["run_id"], []).append(result)
         for entry in data.get("checkmarks", []):
             key = (entry["file_id"], entry["model"], entry["method"])
-            annotations.checkmarks[key] = _from_json(CheckMarks, entry)
+            annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
-            annotations.features[entry["file_id"]] = _from_json(FileFeatures, entry)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            annotations.features[entry["file_id"]] = from_json(FileFeatures, entry)
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"annotations file {path} is malformed: {exc!r}") from None
     return annotations
 
@@ -671,8 +654,8 @@ def records_for_report(records: Sequence[dict]) -> tuple[list[CheckMarkRecord], 
         marks.append(CheckMarkRecord(
             file_id=record["file_id"],
             model=record["model"],
-            marks=_from_json(CheckMarks, record["checkmarks"]),
+            marks=from_json(CheckMarks, record["checkmarks"]),
         ))
         if record.get("features"):
-            features[record["file_id"]] = _from_json(FileFeatures, record["features"])
+            features[record["file_id"]] = from_json(FileFeatures, record["features"])
     return marks, features

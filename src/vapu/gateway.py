@@ -156,27 +156,8 @@ class ChatExchange:
         return cls(**known)
 
 
-class ReplayFixtureSet:
-    """Canned responses keyed by (role, per-role sequence index)."""
-
-    def __init__(self, entries: Mapping[tuple[str, int], str]):
-        self.entries = dict(entries)
-
-    def get(self, role: AgentRole, index: int) -> str:
-        try:
-            return self.entries[(role.value, index)]
-        except KeyError:
-            raise FixtureMiss(f"no replay fixture for ({role.value}, {index})") from None
-
-    def count(self, role: AgentRole) -> int:
-        return sum(1 for key in self.entries if key[0] == role.value)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_replay_fixtures(directory: Path) -> ReplayFixtureSet:
-    """Load ``<role>-<index>.txt`` files from a directory.
+def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
+    """Load ``<role>-<index>.txt`` files from a directory, keyed by (role, index).
 
     Indices must be contiguous from 0 within each role; other .txt files
     are rejected so a typoed fixture never silently disappears.
@@ -197,7 +178,7 @@ def load_replay_fixtures(directory: Path) -> ReplayFixtureSet:
         indices = sorted(i for r, i in entries if r == role)
         if indices != list(range(len(indices))):
             raise GapInIndices(f"{role} fixture indices {indices} are not contiguous from 0")
-    return ReplayFixtureSet(entries)
+    return entries
 
 
 class TransientBackendError(Exception):
@@ -242,7 +223,7 @@ class Gateway:
                     raise TransientExhausted(
                         f"{self.model_id}: gave up after {attempts} attempts: {exc}"
                     ) from exc
-                self._sleep(self.backoff_base * 2 ** (attempts - 1))
+                time.sleep(self.backoff_base * 2 ** (attempts - 1))
         return ChatExchange(
             role=role,
             prompt=prompt,
@@ -257,23 +238,16 @@ class Gateway:
     def _send(self, role: AgentRole, prompt: str, params: GenerationParams) -> str:
         raise NotImplementedError
 
-    @staticmethod
-    def _sleep(seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
 
 class ReplayGateway(Gateway):
     """Deterministic backend replaying fixture files.
 
     Each run owns its gateway, so the per-role cursors are private to
     that run and no gateway is shared between threads; the underlying
-    fixture set is shared read-only, so it needs no lock either.
+    fixtures are shared read-only, so they need no lock either.
     """
 
-    backoff_base = 0.0
-
-    def __init__(self, fixtures: ReplayFixtureSet, model_id: str = "replay",
+    def __init__(self, fixtures: Mapping[tuple[str, int], str], model_id: str = "replay",
                  context_length: int | None = None):
         super().__init__(model_id=model_id, context_length=context_length)
         self.fixtures = fixtures
@@ -282,7 +256,10 @@ class ReplayGateway(Gateway):
     def _send(self, role: AgentRole, prompt: str, params: GenerationParams) -> str:
         index = self._cursors.get(role.value, 0)
         self._cursors[role.value] = index + 1
-        return self.fixtures.get(role, index)
+        try:
+            return self.fixtures[(role.value, index)]
+        except KeyError:
+            raise FixtureMiss(f"no replay fixture for ({role.value}, {index})") from None
 
 
 # Environment variable stems for live credentials, keyed by company slug.

@@ -7,11 +7,15 @@ it holds one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping, get_args, get_type_hints
 
 from .errors import EmptyRequirements
+
+# get_type_hints evaluates the postponed annotations on every call (~150 us).
+_type_hints = functools.cache(get_type_hints)
 
 
 class AgentRole(str, Enum):
@@ -37,6 +41,35 @@ def count_loc(code: str) -> int:
     in any dialect are measured the same way.
     """
     return sum(1 for line in code.splitlines() if line.strip())
+
+
+def from_json(cls, data: Mapping):
+    """``cls`` built from a JSON object, each value checked or converted to its field's type.
+
+    Keys that are not fields are ignored and missing ones keep their
+    defaults; an empty or None optional reads as None.  Flags, counts
+    and text must be JSON booleans, integers and strings; other values
+    (numbers, enums, paths) go through the field's type, so ``1`` reads
+    as ``1.0`` for a float.
+    """
+    values = {}
+    for name, kind in _type_hints(cls).items():
+        if name not in data:
+            continue
+        value = data[name]
+        if type(None) in get_args(kind):
+            kind = next(k for k in get_args(kind) if k is not type(None))
+            if not value:
+                values[name] = None
+                continue
+        if kind in (bool, int, str):
+            # Exact type: bool is an int subclass, and no count.
+            if type(value) is not kind:
+                raise TypeError(f"{cls.__name__}.{name} must be {kind.__name__}, got {value!r}")
+        elif not isinstance(value, kind):
+            value = kind(value)
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)

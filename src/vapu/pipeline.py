@@ -8,9 +8,11 @@ recorded so runs replay deterministically from fixtures.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -33,7 +35,6 @@ from .gateway import (
     Gateway,
     LiveGateway,
     ModelRegistry,
-    ReplayFixtureSet,
     ReplayGateway,
     load_replay_fixtures,
 )
@@ -51,8 +52,6 @@ from .models import (
     Verdict,
 )
 from .prompts import (
-    BaselineKind,
-    BaselineMode,
     PromptText,
     TemplateSet,
     build_baseline_prompt,
@@ -233,7 +232,7 @@ def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
     instruction = exchange.response.strip()
     if not instruction:
         raise EmptyInstruction(f"prompt-maker returned nothing for task {task.index}")
-    return PromptText(text=instruction, origin=templates["prompt_maker"].template_id)
+    return PromptText(text=instruction)
 
 
 def execute_task(instruction: PromptText, code: CodeDocument, gateway,
@@ -448,11 +447,11 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         raise ValueError("run_baseline requires a zsl or osl method")
     if config.method is Method.OSL and example is None:
         example = load_example(config.example_path)
-    mode = (BaselineMode(kind=BaselineKind.OSL, example=example)
-            if config.method is Method.OSL else BaselineMode(kind=BaselineKind.ZSL))
+    # A zero-shot prompt shows no example, not even one a caller passed.
+    shown = example if config.method is Method.OSL else None
 
     def steps(run: _Run) -> tuple[BaselineResult, dict]:
-        prompt = build_baseline_prompt(mode, req.as_text(), code, run.templates)
+        prompt = build_baseline_prompt(req.as_text(), code, run.templates, shown)
         updated, exchange = _code_reply(run.gateway, AgentRole.BASELINE, prompt, run.params, code)
         result = BaselineResult(
             final_code=updated,
@@ -466,15 +465,10 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     return _record_run(req, code, config, repetition, gateway, steps, example=example)
 
 
-def fixtures_from_transcript(transcript: RunTranscript) -> ReplayFixtureSet:
-    """Rebuild a fixture set from a persisted transcript's exchanges."""
-    entries: dict[tuple[str, int], str] = {}
-    cursors: dict[str, int] = {}
-    for exchange in transcript.exchanges:
-        index = cursors.get(exchange.role.value, 0)
-        cursors[exchange.role.value] = index + 1
-        entries[(exchange.role.value, index)] = exchange.response
-    return ReplayFixtureSet(entries)
+def fixtures_from_transcript(transcript: RunTranscript) -> dict[tuple[str, int], str]:
+    """Rebuild replay fixtures, keyed by (role, index), from a transcript's exchanges."""
+    cursors = defaultdict(itertools.count)  # the next index per role
+    return {(e.role.value, next(cursors[e.role.value])): e.response for e in transcript.exchanges}
 
 
 def reexecute_transcript(transcript: RunTranscript, output_dir: Path) -> tuple[str, str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -20,8 +19,6 @@ from typing import Mapping
 from .errors import (
     ConfigInvalid,
     EmptyResponse,
-    ExampleForbidden,
-    ExampleMissing,
     MissingBinding,
     UnknownPlaceholder,
     UnparseableTaskList,
@@ -66,7 +63,7 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully rendered prompt, tagged with the template it came from.
+    """A fully rendered prompt.
 
     ``parts`` alternate literal template pieces and binding values,
     starting and ending with a literal; ``"".join(parts) == text``.
@@ -74,31 +71,11 @@ class PromptText:
     """
 
     text: str
-    origin: str
     parts: list[str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text.strip():
             raise ValueError("rendered prompt must be non-empty")
-
-
-class BaselineKind(str, Enum):
-    ZSL = "zsl"
-    OSL = "osl"
-
-
-@dataclass(frozen=True)
-class BaselineMode:
-    """Zero-shot or one-shot prompting; one-shot carries exactly one example pair."""
-
-    kind: BaselineKind
-    example: tuple[str, str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is BaselineKind.OSL and self.example is None:
-            raise ExampleMissing("one-shot baseline requires an (input, output) example pair")
-        if self.kind is BaselineKind.ZSL and self.example is not None:
-            raise ExampleForbidden("zero-shot baseline must not carry an example")
 
 
 def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptText:
@@ -118,7 +95,7 @@ def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptT
     parts = _PLACEHOLDER_RE.split(tpl.body)
     for i in range(1, len(parts), 2):
         parts[i] = bindings[parts[i]]
-    return PromptText(text="".join(parts), origin=tpl.template_id, parts=parts)
+    return PromptText(text="".join(parts), parts=parts)
 
 
 def extract_code(response: str, *, with_span: bool = False) -> tuple:
@@ -254,23 +231,20 @@ def parse_agent_output(role: AgentRole, response: str) -> TaskPlan | Verdict:
     raise ValueError(f"role {role.value} has no structured output format")
 
 
-def build_baseline_prompt(mode: BaselineMode, update_request: str,
-                          code: CodeDocument,
-                          templates: "TemplateSet | None" = None) -> PromptText:
-    """Construct the one-call baseline prompt for the requested mode."""
+def build_baseline_prompt(update_request: str, code: CodeDocument,
+                          templates: "TemplateSet | None" = None,
+                          example: tuple[str, str] | None = None) -> PromptText:
+    """Construct the one-call baseline prompt: one-shot with an (input, output)
+    ``example`` pair, zero-shot without one."""
     templates = templates or default_templates()
-    if mode.kind is BaselineKind.OSL:
-        tpl = templates["osl"]
-        assert mode.example is not None  # guaranteed by BaselineMode
-        bindings = {
-            "requirements": update_request,
-            "example": "Example input:\n{}\n\nExample output:\n{}".format(*mode.example),
-            "code": code.content,
-        }
-    else:
-        tpl = templates["zsl"]
-        bindings = {"requirements": update_request, "code": code.content}
-    return render_template(tpl, bindings)
+    if example is None:
+        return render_template(templates["zsl"], {"requirements": update_request,
+                                                  "code": code.content})
+    return render_template(templates["osl"], {
+        "requirements": update_request,
+        "example": "Example input:\n{}\n\nExample output:\n{}".format(*example),
+        "code": code.content,
+    })
 
 
 TemplateSet = dict[str, PromptTemplate]

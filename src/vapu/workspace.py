@@ -22,19 +22,18 @@ lists) and v1 files (all strings) still load.
 from __future__ import annotations
 
 import errno
-import functools
 import hashlib
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Mapping, Sequence, get_args, get_type_hints
+from typing import Mapping, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument
+from .models import CodeDocument, from_json
 
 logger = logging.getLogger(__name__)
 
@@ -109,28 +108,9 @@ class RunConfig:
 
     @classmethod
     def from_snapshot(cls, data: Mapping) -> "RunConfig":
-        """Inverse of :meth:`snapshot`; the CLI builds its config from its parsed flags too.
-
-        Keys that are not fields are ignored and missing ones keep their
-        defaults; an empty or None optional path reads as None.
-        """
-        hints = _type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            if f.name not in data:
-                continue
-            value, kind = data[f.name], hints[f.name]
-            if type(None) in get_args(kind):
-                kind = next(k for k in get_args(kind) if k is not type(None))
-                value = value or None
-            if value is not None and not isinstance(value, kind):
-                value = kind(value)
-            values[f.name] = value
-        return cls(**values)
-
-
-# get_type_hints evaluates the postponed annotations on every call (~150 us).
-_type_hints = functools.cache(get_type_hints)
+        """Inverse of :meth:`snapshot`, read by :func:`vapu.models.from_json`; the CLI
+        builds its config from its parsed flags too."""
+        return from_json(cls, data)
 
 
 def _plain(value):

@@ -478,6 +478,16 @@ def annotations_as_a_list(data: dict) -> list:
     return [data]
 
 
+def annotation_with_a_text_flag(data: dict) -> dict:
+    data["checkmarks"][1]["all_requirements_correct"] = "false"
+    return data
+
+
+def annotation_with_a_boolean_loc(data: dict) -> dict:
+    data["files"][0]["loc"] = True
+    return data
+
+
 def scored_record_without_a_flag(data: dict) -> dict:
     del data["records"][0]["checkmarks"]["all_requirements_correct"]
     return data
@@ -487,12 +497,20 @@ def scored_records_as_a_list(data: dict) -> list:
     return data["records"]
 
 
+def scored_record_with_a_text_flag(data: dict) -> dict:
+    data["records"][0]["checkmarks"]["all_requirements_correct"] = "false"
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
     ("annotations", annotations_as_a_list),
+    ("annotations", annotation_with_a_text_flag),
+    ("annotations", annotation_with_a_boolean_loc),
     ("scored", scored_record_without_a_flag),
     ("scored", scored_records_as_a_list),
+    ("scored", scored_record_with_a_text_flag),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:
@@ -514,6 +532,24 @@ def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
                        "--output-dir", str(tmp_path / "report")])
     assert status == 2
     assert str(tmp_path / f"{target}.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["update", "evaluate", "report"])
+def test_missing_input_file_is_a_config_error_naming_it(tmp_path, capsys, command) -> None:
+    missing = tmp_path / "absent.txt"
+    out = tmp_path / "out"
+    if command == "update":
+        args = demo_update_args(DEMO / "legacy", out)
+        args[args.index(str(DEMO / "requirements.txt"))] = str(missing)
+    elif command == "evaluate":
+        args = ["evaluate", "--runs-dir", str(run_demo_update(tmp_path)),
+                "--annotations", str(missing), "--output", str(out / "scored.json")]
+    else:
+        args = ["report", "--compare", str(missing), str(missing), "--output-dir", str(out)]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_warnings_name_their_own_run(tmp_path, caplog) -> None:

@@ -20,7 +20,6 @@ from vapu.evaluation import (
     aggregate_runs,
     build_comparison_report,
     check_fatal,
-    count_loc,
     default_checkers,
     in_selection_range,
     normalize_cause_key,
@@ -30,7 +29,7 @@ from vapu.evaluation import (
     score_requirements,
     select_temperature,
 )
-from vapu.models import CodeDocument
+from vapu.models import CodeDocument, count_loc
 
 
 def finding(cause: str, category: ErrorCategory = ErrorCategory.FATAL) -> Finding:

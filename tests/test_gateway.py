@@ -110,8 +110,8 @@ def test_load_fixtures_counts_per_role(tmp_path) -> None:
     fixtures = load_replay_fixtures(write_fixtures(
         tmp_path, {"executor-0": "a", "executor-1": "b"}
     ))
-    assert fixtures.count(AgentRole.EXECUTOR) == 2
-    assert fixtures.get(AgentRole.EXECUTOR, 1) == "b"
+    assert sum(1 for role, _ in fixtures if role == AgentRole.EXECUTOR.value) == 2
+    assert fixtures[(AgentRole.EXECUTOR.value, 1)] == "b"
 
 
 def test_load_fixtures_rejects_gaps(tmp_path) -> None:

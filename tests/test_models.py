@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 from vapu.errors import EmptyRequirements
 from vapu.models import (
+    AgentRole,
     ChangeRequest,
     CodeDocument,
     FeedbackBudget,
@@ -14,6 +18,7 @@ from vapu.models import (
     UpdateResult,
     Verdict,
     count_loc,
+    from_json,
 )
 
 
@@ -120,3 +125,37 @@ def test_update_result_unverified_must_match_outcomes() -> None:
     with pytest.raises(ValueError):
         UpdateResult(final_code=doc, per_task_outcomes=(ok, bad),
                      unverified=False, transcript_ref="t")
+
+
+# --- typed JSON reader ---
+
+@dataclass
+class Typed:
+    flag: bool = False
+    count: int = 0
+    text: str = ""
+    ratio: float = 0.0
+    role: AgentRole = AgentRole.MANAGER
+    where: Path | None = None
+
+
+def test_from_json_converts_numbers_enums_and_paths() -> None:
+    typed = from_json(Typed, {"ratio": 1, "role": "executor", "where": "a/b", "other": 1})
+    assert typed == Typed(ratio=1.0, role=AgentRole.EXECUTOR, where=Path("a/b"))
+    assert type(typed.ratio) is float
+
+
+@pytest.mark.parametrize("empty", ["", None])
+def test_from_json_reads_an_empty_optional_as_none(empty) -> None:
+    assert from_json(Typed, {"where": empty}).where is None
+
+
+@pytest.mark.parametrize("data", [
+    {"flag": "false"}, {"flag": 0}, {"flag": None},
+    {"count": True}, {"count": 2.0}, {"count": "2"},
+    {"text": 3},
+], ids=repr)
+def test_from_json_takes_flags_counts_and_text_only_as_their_json_type(data) -> None:
+    [name] = data
+    with pytest.raises(TypeError, match=f"Typed.{name} must be"):
+        from_json(Typed, data)

@@ -123,7 +123,7 @@ def test_two_tasks_get_distinct_prompts_in_fixture_order(tmp_path, sample_req, s
 # --- execute_task ---
 
 def instruction() -> PromptText:
-    return PromptText(text="do the update", origin="test")
+    return PromptText(text="do the update")
 
 
 def test_execute_task_extracts_fenced_code(tmp_path, sample_doc) -> None:
@@ -429,6 +429,15 @@ def test_osl_baseline_embeds_one_example(tmp_path, sample_req, sample_doc) -> No
     prompt = transcript.exchanges[0].prompt
     assert prompt.count("Example input:") == 1
     assert "old()" in prompt and "new()" in prompt
+
+
+def test_zsl_baseline_shows_no_example_even_when_passed_one(
+        tmp_path, sample_req, sample_doc) -> None:
+    fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'zsl';")})
+    config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
+    result = run_baseline(sample_req, sample_doc, config, example=("old()", "new()"))
+    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
+    assert "Example" not in transcript.exchanges[0].prompt
 
 
 @pytest.mark.parametrize("entries", [{"baseline-0": "   "}, {}], ids=["blank", "missing"])

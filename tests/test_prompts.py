@@ -8,8 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from vapu.errors import (
     ConfigInvalid,
     EmptyResponse,
-    ExampleForbidden,
-    ExampleMissing,
     MissingBinding,
     UnknownPlaceholder,
     UnparseableTaskList,
@@ -18,8 +16,6 @@ from vapu.errors import (
 from vapu.models import AgentRole, ChangeRequest, TaskPlan, Verdict
 from vapu.prompts import (
     PLACEHOLDERS,
-    BaselineKind,
-    BaselineMode,
     PromptTemplate,
     build_baseline_prompt,
     default_templates,
@@ -46,7 +42,6 @@ def test_render_substitutes_all_placeholders() -> None:
     tpl = template("Do {{task}} on:\n{{code}}")
     out = render_template(tpl, {"task": "rename", "code": "x = 1"})
     assert out.text == "Do rename on:\nx = 1"
-    assert out.origin == "t"
 
 
 def test_render_missing_binding_names_placeholder() -> None:
@@ -239,8 +234,7 @@ def test_fence_scans_match_oracles(text: str) -> None:
 # --- baseline prompts ---
 
 def test_zsl_prompt_has_request_then_code_and_no_example(sample_doc) -> None:
-    mode = BaselineMode(kind=BaselineKind.ZSL)
-    out = build_baseline_prompt(mode, "update to version 4.5", sample_doc)
+    out = build_baseline_prompt("update to version 4.5", sample_doc)
     assert "update to version 4.5" in out.text
     assert sample_doc.content.strip() in out.text
     assert "Example" not in out.text
@@ -248,21 +242,10 @@ def test_zsl_prompt_has_request_then_code_and_no_example(sample_doc) -> None:
 
 
 def test_osl_prompt_has_exactly_one_example_section(sample_doc) -> None:
-    mode = BaselineMode(kind=BaselineKind.OSL, example=("old()", "new()"))
-    out = build_baseline_prompt(mode, "update", sample_doc)
+    out = build_baseline_prompt("update", sample_doc, example=("old()", "new()"))
     assert out.text.count("Example input:") == 1
     assert out.text.count("Example output:") == 1
     assert "old()" in out.text and "new()" in out.text
-
-
-def test_zsl_with_example_is_forbidden() -> None:
-    with pytest.raises(ExampleForbidden):
-        BaselineMode(kind=BaselineKind.ZSL, example=("a", "b"))
-
-
-def test_osl_without_example_is_missing() -> None:
-    with pytest.raises(ExampleMissing):
-        BaselineMode(kind=BaselineKind.OSL)
 
 
 # --- task list parsing ---

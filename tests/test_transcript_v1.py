@@ -17,7 +17,7 @@ import pytest
 
 from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
-from vapu.workspace import RunTranscript, load_transcript
+from vapu.workspace import RunConfig, RunTranscript, load_transcript
 
 DATA = Path(__file__).parent / "data"
 DEMO = demo_root()
@@ -85,6 +85,12 @@ def test_v1_and_v2_of_one_run_load_alike(tmp_path, path, method) -> None:
     assert (old.inputs, old.outcome, old.status) == (new.inputs, new.outcome, new.status)
     assert [(e.role, e.prompt, e.response, e.flags) for e in old.exchanges] == \
         [(e.role, e.prompt, e.response, e.flags) for e in new.exchanges]
+
+
+@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+def test_v1_header_reads_back_through_the_typed_reader(path, method) -> None:
+    config = load_transcript(path).config
+    assert RunConfig.from_snapshot(config).snapshot() == config
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)

@@ -116,6 +116,17 @@ def test_from_snapshot_ignores_unknown_keys_and_reads_empty_paths_as_none(tmp_pa
     assert config == RunConfig(model="m", output_dir=tmp_path, backend=Backend.REPLAY)
 
 
+def test_from_snapshot_reads_an_integer_temperature_as_a_float(tmp_path) -> None:
+    config = RunConfig.from_snapshot({"model": "m", "output_dir": str(tmp_path), "temperature": 1})
+    assert type(config.temperature) is float and config.temperature == 1.0
+
+
+@pytest.mark.parametrize("key, value", [("repetitions", "2"), ("parallel", True), ("model", 4)])
+def test_from_snapshot_refuses_a_value_of_the_wrong_json_type(tmp_path, key, value) -> None:
+    with pytest.raises(TypeError, match=f"RunConfig.{key} must be"):
+        RunConfig.from_snapshot({"model": "m", "output_dir": str(tmp_path), key: value})
+
+
 # --- codebase ingestion ---
 
 def test_load_single_file(tmp_path) -> None:
