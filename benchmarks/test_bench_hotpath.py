@@ -14,14 +14,32 @@ executor's and finalizer's replies split around their code as the
 pipeline splits them (the code stored as a reference too).  The prompt
 benches render the executor and baseline templates around that file,
 and the verdict bench parses a rejection with eight change bullets.
+
+Three benches run whole layers on the bundled demo instead: one
+``run_update`` through a replay gateway (planning, two tasks, the
+verifier loop and the transcript write), ``score_transcript`` on that
+run's loaded transcript, and ``build_comparison_report`` on the
+synthetic scored records whose report ``tests/test_cli.py`` checks
+against the golden files.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from vapu.gateway import ChatExchange
-from vapu.models import AgentRole, CodeDocument
+from vapu.cli import demo_root
+from vapu.evaluation import (
+    build_comparison_report,
+    load_annotations,
+    records_for_report,
+    score_transcript,
+)
+from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
+from vapu.models import AgentRole, CodeDocument, RequirementSpec
+from vapu.pipeline import run_update
 from vapu.prompts import (
     build_baseline_prompt,
     default_templates,
@@ -30,7 +48,21 @@ from vapu.prompts import (
     parse_verdict,
     render_template,
 )
-from vapu.workspace import RunTranscript, load_transcript, persist_transcript
+from vapu.workspace import (
+    Backend,
+    RunConfig,
+    RunTranscript,
+    load_codebase,
+    load_transcript,
+    persist_transcript,
+)
+
+# The golden-report records live with the test that checks their report.
+TESTS = Path(__file__).parents[1] / "tests"
+sys.path.insert(0, str(TESTS))
+from test_cli import synthetic_scored  # noqa: E402
+
+DEMO = demo_root()
 
 LOC = 900
 CODE = "".join(
@@ -158,3 +190,38 @@ def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) 
     loaded = benchmark(load_transcript, path)
     assert loaded == referenced_transcript
     assert loaded.exchanges[3].response_parts == referenced_transcript.exchanges[3].response_parts
+
+
+def _demo_update(output_dir: Path):
+    """A call that runs the bundled demo update into ``output_dir``; its inputs are read here."""
+    fixtures = load_replay_fixtures(DEMO / "fixtures")
+    req = RequirementSpec.from_text(
+        id="requirements", text=(DEMO / "requirements.txt").read_text(encoding="utf-8"))
+    [doc] = load_codebase(DEMO / "legacy", ["**/*"])
+    config = RunConfig(model="gpt-4o", output_dir=output_dir, temperature=0.0, repetitions=1,
+                       backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
+    return lambda: run_update(req, doc, config, gateway=ReplayGateway(fixtures, model_id="gpt-4o"))
+
+
+def test_demo_run_update(benchmark, tmp_path) -> None:
+    result = benchmark(_demo_update(tmp_path))
+    assert len(result.per_task_outcomes) == 2 and not result.unverified
+    assert (tmp_path / f"{result.transcript_ref}.jsonl").exists()
+
+
+def test_score_demo_transcript(benchmark, tmp_path) -> None:
+    result = _demo_update(tmp_path)()
+    transcript = load_transcript(tmp_path / f"{result.transcript_ref}.jsonl")
+    record = benchmark(score_transcript, transcript, load_annotations(DEMO / "annotations.json"))
+    assert record["run_id"] == result.transcript_ref and record["checkmarks"] is not None
+
+
+def test_build_comparison_report(benchmark) -> None:
+    vapu_marks, vapu_features = records_for_report(
+        synthetic_scored("vapu", ("model-a", "model-b", "pipeline-only"))["records"])
+    zsl_marks, zsl_features = records_for_report(
+        synthetic_scored("zsl", ("baseline-only", "model-a", "model-b"))["records"])
+    report = benchmark(build_comparison_report, vapu_marks, zsl_marks,
+                       {**zsl_features, **vapu_features})
+    golden = TESTS / "data" / "report" / "report.txt"
+    assert report.to_text() == golden.read_text(encoding="utf-8")

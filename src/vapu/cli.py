@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
             else RequirementKind.REQUIREMENT_LIST)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8
         raise err.ConfigInvalid(f"cannot read requirements file {path}: {exc}") from None
     req = RequirementSpec.from_text(id=path.stem, text=text, kind=kind)
     config = RunConfig.from_snapshot(vars(args))

@@ -22,6 +22,7 @@ import requests
 
 from .errors import (
     BackendRefused,
+    ConfigInvalid,
     ContextOverflow,
     FixtureMiss,
     GapInIndices,
@@ -29,7 +30,7 @@ from .errors import (
     TransientExhausted,
     UnknownModel,
 )
-from .models import AgentRole
+from .models import AgentRole, from_json
 
 # Rough prompt-size estimate used for the context pre-check.
 CHARS_PER_TOKEN = 4
@@ -90,19 +91,16 @@ class ModelRegistry:
 
     @classmethod
     def from_file(cls, path: Path) -> "ModelRegistry":
+        """Read a ``{"profiles": [...]}`` file; a missing or malformed one is a ConfigInvalid."""
         profiles = {}
-        for entry in json.loads(Path(path).read_text(encoding="utf-8"))["profiles"]:
-            profile = ModelProfile(
-                profile_id=entry["profile_id"],
-                company=entry["company"],
-                model_name=entry["model_name"],
-                context_length=int(entry["context_length"]),
-                size_class=SizeClass(entry["size_class"]),
-                context_length_is_placeholder=bool(entry.get("context_length_is_placeholder", False)),
-            )
-            if profile.profile_id in profiles:
-                raise ValueError(f"duplicate profile_id {profile.profile_id!r} in registry")
-            profiles[profile.profile_id] = profile
+        try:
+            for entry in json.loads(Path(path).read_text(encoding="utf-8"))["profiles"]:
+                profile = from_json(ModelProfile, entry)
+                if profile.profile_id in profiles:
+                    raise ValueError(f"duplicate profile_id {profile.profile_id!r}")
+                profiles[profile.profile_id] = profile
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read model registry {path}: {exc!r}") from None
         return cls(profiles)
 
     @classmethod

@@ -13,7 +13,7 @@ import json
 import logging
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -84,27 +84,41 @@ NO_FENCE_FLAG = "no_fence"
 R = TypeVar("R")
 
 
-class RecordingGateway:
-    """Wraps a gateway, keeping every exchange in order.
+@dataclass
+class Run:
+    """One run in flight: what its steps send through, and every exchange it made.
 
-    started_at stamps are bumped by a microsecond when the clock did not
-    advance, so transcript ordering stays strict even on fast replays.
-    ``run_id`` names the run the exchanges belong to, for its warnings.
+    Each step of a method takes the run, renders its prompt from the
+    run's templates and sends it with :meth:`complete`.  started_at
+    stamps are bumped by a microsecond when the clock did not advance,
+    so transcript ordering stays strict even on fast replays.
     """
 
-    def __init__(self, inner: Gateway, run_id: str | None = None):
-        self.inner = inner
-        self.run_id = run_id
-        self.exchanges: list[ChatExchange] = []
-        self._last_started: float | None = None
+    gateway: Gateway
+    params: GenerationParams
+    templates: TemplateSet
+    run_id: str
+    exchanges: list[ChatExchange] = field(default_factory=list, init=False)
+    # Reported as failed_task_index on abort: 0 while planning or in a baseline's one call.
+    task_index: int = field(default=0, init=False)
 
-    def complete(self, role: AgentRole, prompt: str, params: GenerationParams) -> ChatExchange:
-        exchange = self.inner.complete(role, prompt, params)
-        if self._last_started is not None and exchange.started_at <= self._last_started:
-            exchange.started_at = self._last_started + 1e-6
-        self._last_started = exchange.started_at
+    def complete(self, role: AgentRole, prompt: PromptText) -> ChatExchange:
+        """Send a rendered prompt and record its exchange, which keeps the prompt's parts.
+
+        The parts are kept only when the exchange records the very string
+        sent, so a gateway that rewrites prompts is recorded as it saw them.
+        """
+        exchange = self.gateway.complete(role, prompt.text, self.params)
+        if exchange.prompt is prompt.text:
+            exchange.parts = prompt.parts
+        if self.exchanges and exchange.started_at <= self.exchanges[-1].started_at:
+            exchange.started_at = self.exchanges[-1].started_at + 1e-6
         self.exchanges.append(exchange)
         return exchange
+
+    def warn(self, msg: str, *args) -> None:
+        """Log a warning that names this run."""
+        logger.warning("run %s: " + msg, self.run_id, *args)
 
     def truncation_seen(self) -> bool:
         return any(TRUNCATED_FLAG in e.flags for e in self.exchanges)
@@ -124,29 +138,7 @@ def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
     return lambda: LiveGateway(profile)
 
 
-def _warn(gateway, msg: str, *args) -> None:
-    """Log a warning that names the run ``gateway`` records, when it records one."""
-    run_id = getattr(gateway, "run_id", None)
-    if run_id is None:
-        logger.warning(msg, *args)
-    else:
-        logger.warning("run %s: " + msg, run_id, *args)
-
-
-def _complete(gateway, role: AgentRole, prompt: PromptText,
-              params: GenerationParams) -> ChatExchange:
-    """Send a rendered prompt; the exchange keeps its parts for the transcript.
-
-    The parts are kept only when the exchange records the very string
-    sent, so a gateway that rewrites prompts is recorded as it saw them.
-    """
-    exchange = gateway.complete(role, prompt.text, params)
-    if exchange.prompt is prompt.text:
-        exchange.parts = prompt.parts
-    return exchange
-
-
-def _code_reply(gateway, role: AgentRole, prompt: PromptText, params: GenerationParams,
+def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
                 code: CodeDocument) -> tuple[CodeDocument, ChatExchange]:
     """``code`` with the code of a code-producing role's reply, and that reply's exchange.
 
@@ -157,11 +149,11 @@ def _code_reply(gateway, role: AgentRole, prompt: PromptText, params: Generation
     When the code is one slice of the reply, the exchange keeps the
     reply split around it, so the transcript stores the code once.
     """
-    exchange = _complete(gateway, role, prompt, params)
+    exchange = run.complete(role, prompt)
     if has_unbalanced_fences(exchange.response):
         exchange.flags.append(TRUNCATED_FLAG)
-        _warn(gateway, "%s output looked truncated; retrying once", role.value)
-        exchange = _complete(gateway, role, prompt, params)
+        run.warn("%s output looked truncated; retrying once", role.value)
+        exchange = run.complete(role, prompt)
         if has_unbalanced_fences(exchange.response):
             exchange.flags.append(TRUNCATED_FLAG)
             raise NoCodeInResponse(f"{role.value} output still looked truncated after a retry")
@@ -179,9 +171,7 @@ def _code_reply(gateway, role: AgentRole, prompt: PromptText, params: Generation
     return code.with_content(content), exchange
 
 
-def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
-               params: GenerationParams,
-               templates: TemplateSet | None = None) -> TaskPlan:
+def plan_tasks(req: RequirementSpec, code: CodeDocument, run: Run) -> TaskPlan:
     """Ask the manager for a task list, then apply exactly one reflection pass.
 
     The reflection exchange sees the draft list and may reorder or
@@ -189,25 +179,24 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
     yields no tasks falls back to the draft, and only when both
     exchanges yield nothing is the plan unparseable.
     """
-    templates = templates or default_templates()
     if not req.as_text().strip():
         raise EmptyRequirements(f"requirement {req.id!r} is blank")
     draft_prompt = render_template(
-        templates["manager"],
+        run.templates["manager"],
         {"requirements": req.as_text(), "code": code.content},
     )
-    draft_exchange = _complete(gateway, AgentRole.MANAGER, draft_prompt, params)
+    draft_exchange = run.complete(AgentRole.MANAGER, draft_prompt)
     draft: TaskPlan | None = None
     try:
         draft = parse_task_list(draft_exchange.response)
     except UnparseableTaskList:
-        _warn(gateway, "manager draft yielded no tasks; reflection sees the raw response")
+        run.warn("manager draft yielded no tasks; reflection sees the raw response")
     draft_text = serialize_task_plan(draft) if draft else draft_exchange.response.strip()
     reflection_prompt = render_template(
-        templates["reflection"],
+        run.templates["reflection"],
         {"requirements": req.as_text(), "task": draft_text},
     )
-    reflection_exchange = _complete(gateway, AgentRole.MANAGER, reflection_prompt, params)
+    reflection_exchange = run.complete(AgentRole.MANAGER, reflection_prompt)
     try:
         final = parse_task_list(reflection_exchange.response)
     except UnparseableTaskList:
@@ -220,42 +209,35 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, gateway,
 
 
 def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
-                     gateway, params: GenerationParams,
-                     templates: TemplateSet | None = None) -> PromptText:
+                     run: Run) -> PromptText:
     """Have the prompt-maker write the detailed instruction for one task."""
-    templates = templates or default_templates()
     prompt = render_template(
-        templates["prompt_maker"],
+        run.templates["prompt_maker"],
         {"requirements": req.as_text(), "task": task.description, "code": code.content},
     )
-    exchange = _complete(gateway, AgentRole.PROMPT_MAKER, prompt, params)
+    exchange = run.complete(AgentRole.PROMPT_MAKER, prompt)
     instruction = exchange.response.strip()
     if not instruction:
         raise EmptyInstruction(f"prompt-maker returned nothing for task {task.index}")
     return PromptText(text=instruction)
 
 
-def execute_task(instruction: PromptText, code: CodeDocument, gateway,
-                 params: GenerationParams,
-                 templates: TemplateSet | None = None) -> CodeDocument:
+def execute_task(instruction: PromptText, code: CodeDocument, run: Run) -> CodeDocument:
     """Run the executor on the instruction plus the current code."""
-    templates = templates or default_templates()
     prompt = render_template(
-        templates["executor"],
+        run.templates["executor"],
         {"task": instruction.text, "code": code.content},
     )
-    return _code_reply(gateway, AgentRole.EXECUTOR, prompt, params, code)[0]
+    return _code_reply(run, AgentRole.EXECUTOR, prompt, code)[0]
 
 
 def verify_task(req: RequirementSpec, task: Task, before: CodeDocument,
-                after: CodeDocument, gateway, params: GenerationParams,
-                templates: TemplateSet | None = None) -> Verdict:
+                after: CodeDocument, run: Run) -> Verdict:
     """Ask the verifier to compare the file before and after the task."""
     if before.path != after.path:
         raise ValueError("verify_task expects two versions of the same file")
-    templates = templates or default_templates()
     prompt = render_template(
-        templates["verifier"],
+        run.templates["verifier"],
         {
             "requirements": req.as_text(),
             "task": task.description,
@@ -263,28 +245,26 @@ def verify_task(req: RequirementSpec, task: Task, before: CodeDocument,
             "code_after": after.content,
         },
     )
-    exchange = _complete(gateway, AgentRole.VERIFIER, prompt, params)
+    exchange = run.complete(AgentRole.VERIFIER, prompt)
     return parse_verdict(exchange.response)
 
 
 def finalize_code(code: CodeDocument, changes: tuple[ChangeRequest, ...] | list[ChangeRequest],
-                  gateway, params: GenerationParams,
-                  templates: TemplateSet | None = None) -> CodeDocument:
+                  run: Run) -> CodeDocument:
     """Have the finalizer apply the verifier's requested changes."""
     if not changes:
         raise EmptyChangeList("finalizer invoked with no change requests")
-    templates = templates or default_templates()
     prompt = render_template(
-        templates["finalizer"],
+        run.templates["finalizer"],
         {
             "code": code.content,
             "changes": "\n".join(f"- {change.description}" for change in changes),
         },
     )
-    return _code_reply(gateway, AgentRole.FINALIZER, prompt, params, code)[0]
+    return _code_reply(run, AgentRole.FINALIZER, prompt, code)[0]
 
 
-def _verify_with_reask(req, task, before, after, gateway, params, templates) -> Verdict:
+def _verify_with_reask(req, task, before, after, run: Run) -> Verdict:
     """Verify, re-asking once on an unparseable verdict.
 
     A second unparseable answer is treated as a rejection with a generic
@@ -292,31 +272,19 @@ def _verify_with_reask(req, task, before, after, gateway, params, templates) -> 
     of aborting the run.
     """
     try:
-        return verify_task(req, task, before, after, gateway, params, templates)
+        return verify_task(req, task, before, after, run)
     except UnparseableVerdict:
-        _warn(gateway, "unparseable verdict for task %d; re-asking once", task.index)
+        run.warn("unparseable verdict for task %d; re-asking once", task.index)
     try:
-        return verify_task(req, task, before, after, gateway, params, templates)
+        return verify_task(req, task, before, after, run)
     except UnparseableVerdict:
-        _warn(gateway, "verdict still unparseable; treating as rejection")
+        run.warn("verdict still unparseable; treating as rejection")
         return Verdict(accepted=False, changes=(ChangeRequest(GENERIC_CHANGE),))
-
-
-@dataclass
-class _Run:
-    """One run in flight, as its method's steps see it."""
-
-    run_id: str
-    gateway: RecordingGateway
-    params: GenerationParams
-    templates: TemplateSet
-    # Reported as failed_task_index on abort: 0 while planning or in a baseline's one call.
-    task_index: int = 0
 
 
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                 repetition: int, gateway: Gateway | None,
-                steps: Callable[[_Run], tuple[R, dict]],
+                steps: Callable[[Run], tuple[R, dict]],
                 example: tuple[str, str] | None = None) -> R:
     """Record one run of ``steps`` over one file and persist its transcript.
 
@@ -325,14 +293,10 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     error marks it aborted and raises AbortedRun; any other exception
     (including KeyboardInterrupt) marks it aborted and propagates unchanged.
     """
-    run_id = make_run_id(code.path, config.method, config.model, config.temperature, repetition)
-    run = _Run(
-        run_id=run_id,
-        gateway=RecordingGateway(gateway or gateway_factory(config)(), run_id),
-        params=GenerationParams(temperature=config.temperature),
-        templates=(load_templates(config.templates_dir) if config.templates_dir
-                   else default_templates()),
-    )
+    run = Run(gateway or gateway_factory(config)(),
+              GenerationParams(temperature=config.temperature),
+              load_templates(config.templates_dir) if config.templates_dir else default_templates(),
+              make_run_id(code.path, config.method, config.model, config.temperature, repetition))
     inputs = {
         "requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
         "code": code.to_dict(),
@@ -358,7 +322,7 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         transcript.outcome = {"error": repr(exc), "failed_task_index": run.task_index}
         raise
     finally:
-        transcript.exchanges = run.gateway.exchanges
+        transcript.exchanges = run.exchanges
         transcript.duration = time.perf_counter() - clock_start
         persist_transcript(transcript, config.output_dir)
 
@@ -373,26 +337,25 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     """
     config.validate()
 
-    def steps(run: _Run) -> tuple[UpdateResult, dict]:
-        recorder, params, templates = run.gateway, run.params, run.templates
-        plan = plan_tasks(req, code, recorder, params, templates)
+    def steps(run: Run) -> tuple[UpdateResult, dict]:
+        plan = plan_tasks(req, code, run)
         assert plan.reflected
         logger.info("run %s: plan of %d task(s)", run.run_id, len(plan.tasks))
         current = code
         outcomes: list[TaskOutcome] = []
         for task in plan.tasks:
             run.task_index = task.index
-            instruction = make_task_prompt(req, task, current, recorder, params, templates)
-            updated = execute_task(instruction, current, recorder, params, templates)
-            verdict = _verify_with_reask(req, task, current, updated, recorder, params, templates)
+            instruction = make_task_prompt(req, task, current, run)
+            updated = execute_task(instruction, current, run)
+            verdict = _verify_with_reask(req, task, current, updated, run)
             budget = FeedbackBudget(max_iterations=config.max_feedback_iterations)
             while not verdict.accepted and not budget.exhausted():
-                updated = finalize_code(updated, verdict.changes, recorder, params, templates)
+                updated = finalize_code(updated, verdict.changes, run)
                 budget.spend()
-                verdict = _verify_with_reask(req, task, current, updated, recorder, params, templates)
+                verdict = _verify_with_reask(req, task, current, updated, run)
             if not verdict.accepted:
-                logger.warning("run %s: task %d left unverified after %d finalizer iteration(s)",
-                               run.run_id, task.index, budget.used)
+                run.warn("task %d left unverified after %d finalizer iteration(s)",
+                         task.index, budget.used)
             outcomes.append(TaskOutcome(
                 task_index=task.index,
                 accepted=verdict.accepted,
@@ -404,7 +367,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
             per_task_outcomes=tuple(outcomes),
             unverified=any(not o.accepted for o in outcomes),
             transcript_ref=run.run_id,
-            truncated=recorder.truncation_seen(),
+            truncated=run.truncation_seen(),
         )
         return result, result.to_dict()
 
@@ -450,14 +413,14 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     # A zero-shot prompt shows no example, not even one a caller passed.
     shown = example if config.method is Method.OSL else None
 
-    def steps(run: _Run) -> tuple[BaselineResult, dict]:
+    def steps(run: Run) -> tuple[BaselineResult, dict]:
         prompt = build_baseline_prompt(req.as_text(), code, run.templates, shown)
-        updated, exchange = _code_reply(run.gateway, AgentRole.BASELINE, prompt, run.params, code)
+        updated, exchange = _code_reply(run, AgentRole.BASELINE, prompt, code)
         result = BaselineResult(
             final_code=updated,
             transcript_ref=run.run_id,
             fenced=NO_FENCE_FLAG not in exchange.flags,
-            truncated=run.gateway.truncation_seen(),
+            truncated=run.truncation_seen(),
         )
         return result, {"final_code": updated.to_dict(), "fenced": result.fenced,
                         "truncated": result.truncated}

@@ -552,6 +552,24 @@ def test_missing_input_file_is_a_config_error_naming_it(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--requirements", "--registry"])
+def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag) -> None:
+    # A requirements file that is not UTF-8, or a registry file that is missing.
+    bad = tmp_path / "bad.txt"
+    out = tmp_path / "out"
+    args = demo_update_args(DEMO / "legacy", out)
+    if flag == "--requirements":
+        bad.write_bytes(b"Update the view \xff to the current version.\n")
+        args[args.index(str(DEMO / "requirements.txt"))] = str(bad)
+    else:  # only a live backend reads the registry, before any call
+        args[args.index("replay")] = "live"
+        args += ["--registry", str(bad)]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_warnings_name_their_own_run(tmp_path, caplog) -> None:
     fixtures = write_fixtures(tmp_path / "fx", {
         "manager-0": "no task list here",

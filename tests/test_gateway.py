@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import write_fixtures
 from vapu.errors import (
     AbortedRun,
     BackendRefused,
+    ConfigInvalid,
     ContextOverflow,
     FixtureMiss,
     GapInIndices,
@@ -83,6 +86,20 @@ def test_registry_loads_from_file(tmp_path) -> None:
     )
     registry = ModelRegistry.from_file(path)
     assert registry.resolve("m").context_length == 1000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("context_length_is_placeholder", "false"),
+    ("context_length", "128000"),
+])
+def test_registry_refuses_a_flag_or_count_written_as_a_string(tmp_path, field, value) -> None:
+    entry = {"profile_id": "m", "company": "c", "model_name": "m1",
+             "context_length": 1000, "size_class": "small", field: value}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"profiles": [entry]}), encoding="utf-8")
+    with pytest.raises(ConfigInvalid) as excinfo:
+        ModelRegistry.from_file(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_size_classes_follow_parameter_ordering() -> None:

@@ -18,7 +18,7 @@ from vapu.errors import (
 from vapu.gateway import GenerationParams, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, ChangeRequest, Task
 from vapu.pipeline import (
-    RecordingGateway,
+    Run,
     execute_task,
     finalize_code,
     make_task_prompt,
@@ -28,15 +28,15 @@ from vapu.pipeline import (
     run_update,
     verify_task,
 )
-from vapu.prompts import PromptText
+from vapu.prompts import PromptText, default_templates
 from vapu.workspace import Method, load_transcript
 
 PARAMS = GenerationParams(temperature=0.0)
 
 
-def gateway_for(tmp_path: Path, entries: dict[str, str], name: str = "fx") -> ReplayGateway:
+def gateway_for(tmp_path: Path, entries: dict[str, str], name: str = "fx") -> Run:
     directory = write_fixtures(tmp_path / name, entries)
-    return ReplayGateway(load_replay_fixtures(directory))
+    return Run(ReplayGateway(load_replay_fixtures(directory)), PARAMS, default_templates(), "r1")
 
 
 # --- plan_tasks ---
@@ -46,7 +46,7 @@ def test_plan_tasks_from_fixtures(tmp_path, sample_req, sample_doc) -> None:
         "manager-0": "1. Update data access\n2. Update form helpers",
         "manager-1": "1. Update data access\n2. Update form helpers",
     })
-    plan = plan_tasks(sample_req, sample_doc, gateway, PARAMS)
+    plan = plan_tasks(sample_req, sample_doc, gateway)
     assert [t.description for t in plan.tasks] == ["Update data access", "Update form helpers"]
     assert plan.reflected
 
@@ -57,16 +57,16 @@ def test_reflection_reorders_draft(tmp_path, sample_req, sample_doc) -> None:
         "manager-0": "2. second step\n1. first step",
         "manager-1": "1. first step\n2. second step",
     })
-    plan = plan_tasks(sample_req, sample_doc, gateway, PARAMS)
+    plan = plan_tasks(sample_req, sample_doc, gateway)
     assert [t.description for t in plan.tasks] == ["first step", "second step"]
 
 
 def test_reflection_prompt_embeds_draft(tmp_path, sample_req, sample_doc) -> None:
-    gateway = RecordingGateway(gateway_for(tmp_path, {
+    gateway = gateway_for(tmp_path, {
         "manager-0": "1. alpha\n2. beta",
         "manager-1": "1. alpha\n2. beta",
-    }))
-    plan_tasks(sample_req, sample_doc, gateway, PARAMS)
+    })
+    plan_tasks(sample_req, sample_doc, gateway)
     reflection = gateway.exchanges[1]
     assert "1. alpha" in reflection.prompt and "2. beta" in reflection.prompt
 
@@ -76,7 +76,7 @@ def test_unparseable_reflection_falls_back_to_draft(tmp_path, sample_req, sample
         "manager-0": "1. only task",
         "manager-1": "sounds good to me",
     })
-    plan = plan_tasks(sample_req, sample_doc, gateway, PARAMS)
+    plan = plan_tasks(sample_req, sample_doc, gateway)
     assert [t.description for t in plan.tasks] == ["only task"]
 
 
@@ -86,12 +86,12 @@ def test_zero_tasks_after_both_exchanges(tmp_path, sample_req, sample_doc) -> No
         "manager-1": "still cannot help",
     })
     with pytest.raises(UnparseableTaskList):
-        plan_tasks(sample_req, sample_doc, gateway, PARAMS)
+        plan_tasks(sample_req, sample_doc, gateway)
 
 
 def test_single_task_plans_are_permitted(tmp_path, sample_req, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"manager-0": "1. all in one", "manager-1": "1. all in one"})
-    assert len(plan_tasks(sample_req, sample_doc, gateway, PARAMS).tasks) == 1
+    assert len(plan_tasks(sample_req, sample_doc, gateway).tasks) == 1
 
 
 # --- make_task_prompt ---
@@ -100,14 +100,14 @@ def test_make_task_prompt_returns_fixture_text(tmp_path, sample_req, sample_doc)
     gateway = gateway_for(tmp_path, {
         "prompt_maker-0": "Replace $variant['Variant'] access with entity getters",
     })
-    out = make_task_prompt(sample_req, Task(1, "update access"), sample_doc, gateway, PARAMS)
+    out = make_task_prompt(sample_req, Task(1, "update access"), sample_doc, gateway)
     assert out.text == "Replace $variant['Variant'] access with entity getters"
 
 
 def test_make_task_prompt_blank_response(tmp_path, sample_req, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"prompt_maker-0": "   "})
     with pytest.raises(EmptyInstruction):
-        make_task_prompt(sample_req, Task(1, "t"), sample_doc, gateway, PARAMS)
+        make_task_prompt(sample_req, Task(1, "t"), sample_doc, gateway)
 
 
 def test_two_tasks_get_distinct_prompts_in_fixture_order(tmp_path, sample_req, sample_doc) -> None:
@@ -115,8 +115,8 @@ def test_two_tasks_get_distinct_prompts_in_fixture_order(tmp_path, sample_req, s
         "prompt_maker-0": "first instruction",
         "prompt_maker-1": "second instruction",
     })
-    first = make_task_prompt(sample_req, Task(1, "a"), sample_doc, gateway, PARAMS)
-    second = make_task_prompt(sample_req, Task(2, "b"), sample_doc, gateway, PARAMS)
+    first = make_task_prompt(sample_req, Task(1, "a"), sample_doc, gateway)
+    second = make_task_prompt(sample_req, Task(2, "b"), sample_doc, gateway)
     assert (first.text, second.text) == ("first instruction", "second instruction")
 
 
@@ -128,36 +128,36 @@ def instruction() -> PromptText:
 
 def test_execute_task_extracts_fenced_code(tmp_path, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"executor-0": "done:\n```\necho 1;\n```"})
-    updated = execute_task(instruction(), sample_doc, gateway, PARAMS)
+    updated = execute_task(instruction(), sample_doc, gateway)
     assert updated.content == "echo 1;"
     assert updated.path == sample_doc.path
     assert updated.language_tag == sample_doc.language_tag
 
 
 def test_execute_task_prose_flags_no_fence(tmp_path, sample_doc) -> None:
-    recorder = RecordingGateway(gateway_for(tmp_path, {"executor-0": "  bare statement  "}))
-    updated = execute_task(instruction(), sample_doc, recorder, PARAMS)
+    recorder = gateway_for(tmp_path, {"executor-0": "  bare statement  "})
+    updated = execute_task(instruction(), sample_doc, recorder)
     assert updated.content == "bare statement"
     assert "no_fence" in recorder.exchanges[-1].flags
 
 
 def test_execute_task_concatenates_two_blocks(tmp_path, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"executor-0": "```\na\n```\nand\n```\nb\n```"})
-    assert execute_task(instruction(), sample_doc, gateway, PARAMS).content == "a\n\nb"
+    assert execute_task(instruction(), sample_doc, gateway).content == "a\n\nb"
 
 
 def test_execute_task_blank_response(tmp_path, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"executor-0": ""})
     with pytest.raises(NoCodeInResponse):
-        execute_task(instruction(), sample_doc, gateway, PARAMS)
+        execute_task(instruction(), sample_doc, gateway)
 
 
 def test_execute_task_retries_truncated_output(tmp_path, sample_doc) -> None:
-    recorder = RecordingGateway(gateway_for(tmp_path, {
+    recorder = gateway_for(tmp_path, {
         "executor-0": "```php\ncut off mid-file",
         "executor-1": fenced("echo 'complete';"),
-    }))
-    updated = execute_task(instruction(), sample_doc, recorder, PARAMS)
+    })
+    updated = execute_task(instruction(), sample_doc, recorder)
     assert updated.content == "echo 'complete';"
     assert "truncated" in recorder.exchanges[0].flags
     assert len(recorder.exchanges) == 2
@@ -168,14 +168,14 @@ def test_execute_task_retries_truncated_output(tmp_path, sample_doc) -> None:
 def test_verify_accept(tmp_path, sample_req, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"verifier-0": "ACCEPT"})
     verdict = verify_task(sample_req, Task(1, "t"), sample_doc,
-                          sample_doc.with_content("new"), gateway, PARAMS)
+                          sample_doc.with_content("new"), gateway)
     assert verdict.accepted
 
 
 def test_verify_reject(tmp_path, sample_req, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"verifier-0": "REJECT:\n- restore URL helper"})
     verdict = verify_task(sample_req, Task(1, "t"), sample_doc,
-                          sample_doc.with_content("new"), gateway, PARAMS)
+                          sample_doc.with_content("new"), gateway)
     assert not verdict.accepted and len(verdict.changes) == 1
 
 
@@ -183,33 +183,33 @@ def test_verify_unparseable_raises(tmp_path, sample_req, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"verifier-0": "maybe"})
     with pytest.raises(UnparseableVerdict):
         verify_task(sample_req, Task(1, "t"), sample_doc,
-                    sample_doc.with_content("new"), gateway, PARAMS)
+                    sample_doc.with_content("new"), gateway)
 
 
 def test_verify_requires_same_path(tmp_path, sample_req, sample_doc) -> None:
     other = sample_doc.with_content("x")
     other.path = "elsewhere.php"
     with pytest.raises(ValueError):
-        verify_task(sample_req, Task(1, "t"), sample_doc, other, None, PARAMS)
+        verify_task(sample_req, Task(1, "t"), sample_doc, other, None)
 
 
 # --- finalize_code ---
 
 def test_finalize_returns_corrected_code(tmp_path, sample_doc) -> None:
     gateway = gateway_for(tmp_path, {"finalizer-0": fenced("echo 'fixed';")})
-    updated = finalize_code(sample_doc, [ChangeRequest("restore helper")], gateway, PARAMS)
+    updated = finalize_code(sample_doc, [ChangeRequest("restore helper")], gateway)
     assert updated.content == "echo 'fixed';"
 
 
 def test_finalize_rejects_empty_change_list(tmp_path, sample_doc) -> None:
     with pytest.raises(EmptyChangeList):
-        finalize_code(sample_doc, [], None, PARAMS)
+        finalize_code(sample_doc, [], None)
 
 
 def test_finalizer_prompt_lists_changes(tmp_path, sample_doc) -> None:
-    recorder = RecordingGateway(gateway_for(tmp_path, {"finalizer-0": fenced("x")}))
+    recorder = gateway_for(tmp_path, {"finalizer-0": fenced("x")})
     finalize_code(sample_doc, [ChangeRequest("fix a"), ChangeRequest("fix b")],
-                  recorder, PARAMS)
+                  recorder)
     prompt = recorder.exchanges[0].prompt
     assert "- fix a" in prompt and "- fix b" in prompt
 
