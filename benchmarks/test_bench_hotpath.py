@@ -154,7 +154,8 @@ def test_parse_verdict(benchmark) -> None:
 @pytest.mark.parametrize("example", [None, EXAMPLE], ids=["zsl", "osl"])
 def test_build_baseline_prompt(benchmark, example) -> None:
     code = CodeDocument(path="app/View/items_index.php", language_tag="php", content=CODE)
-    prompt = benchmark(build_baseline_prompt, BINDINGS["requirements"], code, example=example)
+    prompt = benchmark(build_baseline_prompt, BINDINGS["requirements"], code,
+                       default_templates(), example=example)
     assert CODE in prompt.text
     assert ("Example input:" in prompt.text) == (example is not None)
 

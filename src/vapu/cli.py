@@ -26,7 +26,7 @@ from .evaluation import (
     records_for_report,
     score_transcript,
 )
-from .models import RequirementKind, RequirementSpec
+from .models import RequirementKind, RequirementSpec, from_json
 from .pipeline import (
     gateway_factory,
     load_example,
@@ -77,7 +77,7 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8
         raise err.ConfigInvalid(f"cannot read requirements file {path}: {exc}") from None
     req = RequirementSpec.from_text(id=path.stem, text=text, kind=kind)
-    config = RunConfig.from_snapshot(vars(args))
+    config = from_json(RunConfig, vars(args))
     if config.method is Method.ZSL and config.example_path:
         # RunConfig.validate accepts this, so older transcripts with the pair still replay.
         raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")

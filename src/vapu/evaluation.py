@@ -576,7 +576,7 @@ def score_transcript(transcript, annotations: Annotations,
         ledger.record(finding)
     final_code = None
     if transcript.status == "completed" and transcript.outcome.get("final_code"):
-        final_code = CodeDocument.from_dict(transcript.outcome["final_code"])
+        final_code = from_json(CodeDocument, transcript.outcome["final_code"])
         try:
             for finding in check_fatal(final_code, checkers):
                 ledger.record(finding)

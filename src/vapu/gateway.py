@@ -141,18 +141,6 @@ class ChatExchange:
         record["flags"] = list(self.flags)
         return record
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChatExchange":
-        """Read a transcript record; unknown keys (such as "record") are ignored."""
-        # The field names fields() would give, without building its tuple for every record.
-        known = {name: data[name] for name in cls.__dataclass_fields__ if name in data}
-        # Never stored, so never taken from a record.
-        known.pop("parts", None)
-        known.pop("response_parts", None)
-        known["role"] = AgentRole(data["role"])
-        known["flags"] = list(data.get("flags", []))
-        return cls(**known)
-
 
 def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
     """Load ``<role>-<index>.txt`` files from a directory, keyed by (role, index).
@@ -245,9 +233,8 @@ class ReplayGateway(Gateway):
     fixtures are shared read-only, so they need no lock either.
     """
 
-    def __init__(self, fixtures: Mapping[tuple[str, int], str], model_id: str = "replay",
-                 context_length: int | None = None):
-        super().__init__(model_id=model_id, context_length=context_length)
+    def __init__(self, fixtures: Mapping[tuple[str, int], str], model_id: str = "replay"):
+        super().__init__(model_id=model_id)
         self.fixtures = fixtures
         self._cursors: dict[str, int] = {}
 

@@ -10,12 +10,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, get_args, get_type_hints
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import EmptyRequirements
-
-# get_type_hints evaluates the postponed annotations on every call (~150 us).
-_type_hints = functools.cache(get_type_hints)
 
 
 class AgentRole(str, Enum):
@@ -43,25 +40,41 @@ def count_loc(code: str) -> int:
     return sum(1 for line in code.splitlines() if line.strip())
 
 
+@functools.cache
+def _read_plan(cls) -> tuple[tuple[str, type, bool], ...]:
+    """Each field's name, the type its value is read as, and whether it may be None.
+
+    Worked out once per class: get_type_hints evaluates the postponed
+    annotations on every call (~150 us).  A parameterized container
+    such as ``list[str]`` is read as its origin, ``list``.
+    """
+    plan = []
+    for name, kind in get_type_hints(cls).items():
+        args = get_args(kind)
+        optional = type(None) in args
+        if optional:
+            kind = next(k for k in args if k is not type(None))
+        plan.append((name, get_origin(kind) or kind, optional))
+    return tuple(plan)
+
+
 def from_json(cls, data: Mapping):
     """``cls`` built from a JSON object, each value checked or converted to its field's type.
 
     Keys that are not fields are ignored and missing ones keep their
-    defaults; an empty or None optional reads as None.  Flags, counts
-    and text must be JSON booleans, integers and strings; other values
-    (numbers, enums, paths) go through the field's type, so ``1`` reads
-    as ``1.0`` for a float.
+    defaults; a None or empty-string optional reads as None.  Flags,
+    counts and text must be JSON booleans, integers and strings; other
+    values (numbers, enums, paths, containers) go through the field's
+    type, so ``1`` reads as ``1.0`` for a float and a list as a tuple.
     """
     values = {}
-    for name, kind in _type_hints(cls).items():
+    for name, kind, optional in _read_plan(cls):
         if name not in data:
             continue
         value = data[name]
-        if type(None) in get_args(kind):
-            kind = next(k for k in get_args(kind) if k is not type(None))
-            if not value:
-                values[name] = None
-                continue
+        if optional and (value is None or value == ""):
+            values[name] = None
+            continue
         if kind in (bool, int, str):
             # Exact type: bool is an int subclass, and no count.
             if type(value) is not kind:
@@ -111,14 +124,9 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Ordered task list produced by the manager.
-
-    ``reflected`` records whether the one reflection exchange has been
-    applied; the pipeline only executes reflected plans.
-    """
+    """Ordered task list produced by the manager."""
 
     tasks: tuple[Task, ...]
-    reflected: bool = False
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -131,9 +139,9 @@ class TaskPlan:
                 )
 
     @classmethod
-    def from_descriptions(cls, descriptions: Iterable[str], reflected: bool = False) -> "TaskPlan":
+    def from_descriptions(cls, descriptions: Iterable[str]) -> "TaskPlan":
         tasks = tuple(Task(index=i, description=d) for i, d in enumerate(descriptions, start=1))
-        return cls(tasks=tasks, reflected=reflected)
+        return cls(tasks=tasks)
 
 
 @dataclass
@@ -159,10 +167,6 @@ class CodeDocument:
             "loc": self.loc,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CodeDocument":
-        return cls(path=data["path"], language_tag=data["language_tag"], content=data["content"])
-
 
 @dataclass(frozen=True)
 class ChangeRequest:
@@ -185,28 +189,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.accepted != (len(self.changes) == 0):
             raise ValueError("verdict must be accepted iff its change list is empty")
-
-
-@dataclass
-class FeedbackBudget:
-    """Bounded verifier/finalizer loop allowance for one task."""
-
-    max_iterations: int = 2
-    used: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not 0 <= self.used <= self.max_iterations:
-            raise ValueError("used iterations must stay within the budget")
-
-    def exhausted(self) -> bool:
-        return self.used >= self.max_iterations
-
-    def spend(self) -> None:
-        if self.exhausted():
-            raise ValueError("feedback budget already exhausted")
-        self.used += 1
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .errors import (
     ConfigInvalid,
     EmptyChangeList,
     EmptyInstruction,
-    EmptyRequirements,
     EmptyResponse,
     NoCodeInResponse,
     UnparseableTaskList,
@@ -42,14 +41,13 @@ from .models import (
     AgentRole,
     ChangeRequest,
     CodeDocument,
-    FeedbackBudget,
-    RequirementKind,
     RequirementSpec,
     Task,
     TaskOutcome,
     TaskPlan,
     UpdateResult,
     Verdict,
+    from_json,
 )
 from .prompts import (
     PromptText,
@@ -179,8 +177,6 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, run: Run) -> TaskPlan:
     yields no tasks falls back to the draft, and only when both
     exchanges yield nothing is the plan unparseable.
     """
-    if not req.as_text().strip():
-        raise EmptyRequirements(f"requirement {req.id!r} is blank")
     draft_prompt = render_template(
         run.templates["manager"],
         {"requirements": req.as_text(), "code": code.content},
@@ -198,14 +194,13 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, run: Run) -> TaskPlan:
     )
     reflection_exchange = run.complete(AgentRole.MANAGER, reflection_prompt)
     try:
-        final = parse_task_list(reflection_exchange.response)
+        return parse_task_list(reflection_exchange.response)
     except UnparseableTaskList:
         if draft is None:
             raise UnparseableTaskList(
                 "manager yielded zero tasks in both the draft and the reflection"
             ) from None
-        final = draft
-    return TaskPlan(tasks=final.tasks, reflected=True)
+        return draft
 
 
 def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
@@ -339,7 +334,6 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
 
     def steps(run: Run) -> tuple[UpdateResult, dict]:
         plan = plan_tasks(req, code, run)
-        assert plan.reflected
         logger.info("run %s: plan of %d task(s)", run.run_id, len(plan.tasks))
         current = code
         outcomes: list[TaskOutcome] = []
@@ -348,18 +342,18 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
             instruction = make_task_prompt(req, task, current, run)
             updated = execute_task(instruction, current, run)
             verdict = _verify_with_reask(req, task, current, updated, run)
-            budget = FeedbackBudget(max_iterations=config.max_feedback_iterations)
-            while not verdict.accepted and not budget.exhausted():
+            iterations = 0
+            while not verdict.accepted and iterations < config.max_feedback_iterations:
                 updated = finalize_code(updated, verdict.changes, run)
-                budget.spend()
+                iterations += 1
                 verdict = _verify_with_reask(req, task, current, updated, run)
             if not verdict.accepted:
                 run.warn("task %d left unverified after %d finalizer iteration(s)",
-                         task.index, budget.used)
+                         task.index, iterations)
             outcomes.append(TaskOutcome(
                 task_index=task.index,
                 accepted=verdict.accepted,
-                finalizer_iterations=budget.used,
+                finalizer_iterations=iterations,
             ))
             current = updated
         result = UpdateResult(
@@ -441,13 +435,9 @@ def reexecute_transcript(transcript: RunTranscript, output_dir: Path) -> tuple[s
     caller's byte-identity check.
     """
     inputs = transcript.inputs
-    req = RequirementSpec(
-        id=inputs["requirement"]["id"],
-        body=tuple(inputs["requirement"]["body"]),
-        kind=RequirementKind(inputs["requirement"]["kind"]),
-    )
-    code = CodeDocument.from_dict(inputs["code"])
-    config = RunConfig.from_snapshot(transcript.config)
+    req = from_json(RequirementSpec, inputs["requirement"])
+    code = from_json(CodeDocument, inputs["code"])
+    config = from_json(RunConfig, transcript.config)
     # The injected gateway supplies the responses; the fixtures directory is
     # only kept for provenance in the re-executed transcript.
     config = replace(config, output_dir=Path(output_dir), backend=Backend.REPLAY,

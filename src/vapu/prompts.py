@@ -232,11 +232,10 @@ def parse_agent_output(role: AgentRole, response: str) -> TaskPlan | Verdict:
 
 
 def build_baseline_prompt(update_request: str, code: CodeDocument,
-                          templates: "TemplateSet | None" = None,
+                          templates: "TemplateSet",
                           example: tuple[str, str] | None = None) -> PromptText:
     """Construct the one-call baseline prompt: one-shot with an (input, output)
     ``example`` pair, zero-shot without one."""
-    templates = templates or default_templates()
     if example is None:
         return render_template(templates["zsl"], {"requirements": update_request,
                                                   "code": code.content})

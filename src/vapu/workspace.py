@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
@@ -105,12 +105,6 @@ class RunConfig:
     def snapshot(self) -> dict:
         """JSON-friendly copy of every field: paths as str, enums as their values."""
         return {name: _plain(value) for name, value in vars(self).items()}
-
-    @classmethod
-    def from_snapshot(cls, data: Mapping) -> "RunConfig":
-        """Inverse of :meth:`snapshot`, read by :func:`vapu.models.from_json`; the CLI
-        builds its config from its parsed flags too."""
-        return from_json(cls, data)
 
 
 def _plain(value):
@@ -263,7 +257,7 @@ def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExc
         if isinstance(record.get(key), list):
             parts[key] = _parts(record[key], table, path, key)
             record[key] = "".join(parts[key])
-    exchange = ChatExchange.from_dict(record)
+    exchange = from_json(ChatExchange, record)
     exchange.parts = parts.get("prompt")
     exchange.response_parts = parts.get("response")
     return exchange
@@ -271,23 +265,34 @@ def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExc
 
 def _outcome_from_record(outcome: dict, table: list[str], path: Path) -> dict:
     """The outcome with a final code reference replaced by its text."""
-    final = outcome.get("final_code") if isinstance(outcome, dict) else None
+    final = outcome.get("final_code")
     if isinstance(final, dict) and "content" in final and not isinstance(final["content"], str):
         final["content"] = _text(final["content"], table, path, "final code")
     return outcome
 
 
 def load_transcript(path: Path) -> RunTranscript:
-    """Read a persisted transcript, verifying structure and checksum."""
+    """Read a persisted transcript, verifying structure and checksum.
+
+    A file that cannot be read raises ConfigInvalid, and one that is not
+    a well-formed transcript CorruptTranscript; both name the file.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read transcript {path}: {exc}") from None
+    try:
+        return _transcript_from_text(data.decode("utf-8"), path)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptTranscript(f"{path}: malformed transcript: {exc!r}") from None
+
+
+def _transcript_from_text(text: str, path: Path) -> RunTranscript:
     lines = text.splitlines(keepends=True)
     if len(lines) < 3:
         raise CorruptTranscript(f"{path}: too short to be a transcript")
-    try:
-        records = [json.loads(line) for line in lines]
-    except json.JSONDecodeError as exc:
-        raise CorruptTranscript(f"{path}: undecodable line: {exc}") from exc
+    records = [json.loads(line) for line in lines]
     trailer = records[-1]
     if trailer.get("record") != "checksum":
         raise CorruptTranscript(f"{path}: missing checksum record (truncated?)")
@@ -298,7 +303,7 @@ def load_transcript(path: Path) -> RunTranscript:
     header, *middle, outcome = records[:-1]
     if header.get("record") != "header" or header.get("format") not in READABLE_FORMATS:
         raise CorruptTranscript(f"{path}: bad header record")
-    if outcome.get("record") != "outcome":
+    if outcome.get("record") != "outcome" or not isinstance(outcome.get("outcome"), dict):
         raise CorruptTranscript(f"{path}: bad outcome record")
     table = _input_texts(header.get("inputs", {}))
     exchanges = []

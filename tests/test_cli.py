@@ -534,7 +534,7 @@ def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
     assert str(tmp_path / f"{target}.json") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["update", "evaluate", "report"])
+@pytest.mark.parametrize("command", ["update", "evaluate", "report", "replay"])
 def test_missing_input_file_is_a_config_error_naming_it(tmp_path, capsys, command) -> None:
     missing = tmp_path / "absent.txt"
     out = tmp_path / "out"
@@ -544,12 +544,29 @@ def test_missing_input_file_is_a_config_error_naming_it(tmp_path, capsys, comman
     elif command == "evaluate":
         args = ["evaluate", "--runs-dir", str(run_demo_update(tmp_path)),
                 "--annotations", str(missing), "--output", str(out / "scored.json")]
-    else:
+    elif command == "report":
         args = ["report", "--compare", str(missing), str(missing), "--output-dir", str(out)]
+    else:
+        args = ["replay", "--transcript", str(missing)]
     capsys.readouterr()
     assert main(args) == 2
     assert str(missing) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replay"])
+def test_transcript_that_is_not_utf8_exits_14_naming_it(tmp_path, capsys, command) -> None:
+    runs = run_demo_update(tmp_path)
+    [path] = runs.glob("*.jsonl")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    if command == "evaluate":
+        args = ["evaluate", "--runs-dir", str(runs), "--annotations",
+                str(DEMO / "annotations.json"), "--output", str(tmp_path / "scored.json")]
+    else:
+        args = ["replay", "--transcript", str(path)]
+    capsys.readouterr()
+    assert main(args) == 14
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--requirements", "--registry"])

@@ -27,7 +27,7 @@ from vapu.gateway import (
     TransientBackendError,
     load_replay_fixtures,
 )
-from vapu.models import AgentRole, CodeDocument, RequirementSpec
+from vapu.models import AgentRole, CodeDocument, RequirementSpec, from_json
 from vapu.pipeline import run_update
 from vapu.workspace import RunConfig, load_transcript
 
@@ -251,13 +251,13 @@ def test_exchange_dict_round_trip() -> None:
         role=AgentRole.VERIFIER, prompt="p", response="r", duration=0.25,
         started_at=123.5, model="m", temperature=1.0, retries=2, flags=["no_fence"],
     )
-    assert ChatExchange.from_dict(exchange.to_dict()) == exchange
+    assert from_json(ChatExchange, exchange.to_dict()) == exchange
 
 
 def test_exchange_from_transcript_record_without_optional_keys() -> None:
     record = {"record": "exchange", "role": "executor", "prompt": "p", "response": "r",
               "duration": 0.5, "started_at": 1.0, "model": "m", "temperature": 0.0}
-    exchange = ChatExchange.from_dict(record)
+    exchange = from_json(ChatExchange, record)
     assert exchange.role is AgentRole.EXECUTOR
     assert (exchange.retries, exchange.flags) == (0, [])
 

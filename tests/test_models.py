@@ -10,7 +10,7 @@ from vapu.models import (
     AgentRole,
     ChangeRequest,
     CodeDocument,
-    FeedbackBudget,
+    RequirementKind,
     RequirementSpec,
     Task,
     TaskOutcome,
@@ -71,9 +71,8 @@ def test_task_plan_requires_contiguous_indices() -> None:
 
 
 def test_task_plan_from_descriptions() -> None:
-    plan = TaskPlan.from_descriptions(["a", "b"], reflected=True)
+    plan = TaskPlan.from_descriptions(["a", "b"])
     assert [t.index for t in plan.tasks] == [1, 2]
-    assert plan.reflected
 
 
 def test_code_document_loc_tracks_content() -> None:
@@ -86,7 +85,7 @@ def test_code_document_loc_tracks_content() -> None:
 
 def test_code_document_dict_round_trip() -> None:
     doc = CodeDocument(path="a.php", language_tag="php", content="x")
-    assert CodeDocument.from_dict(doc.to_dict()) == doc
+    assert from_json(CodeDocument, doc.to_dict()) == doc
 
 
 def test_verdict_consistency_enforced() -> None:
@@ -100,21 +99,6 @@ def test_verdict_consistency_enforced() -> None:
 def test_change_request_must_have_text() -> None:
     with pytest.raises(ValueError):
         ChangeRequest("  ")
-
-
-def test_feedback_budget_spend_and_exhaustion() -> None:
-    budget = FeedbackBudget(max_iterations=2)
-    assert not budget.exhausted()
-    budget.spend()
-    budget.spend()
-    assert budget.exhausted()
-    with pytest.raises(ValueError):
-        budget.spend()
-
-
-def test_feedback_budget_rejects_overspent_state() -> None:
-    with pytest.raises(ValueError):
-        FeedbackBudget(max_iterations=2, used=3)
 
 
 def test_update_result_unverified_must_match_outcomes() -> None:
@@ -137,6 +121,8 @@ class Typed:
     ratio: float = 0.0
     role: AgentRole = AgentRole.MANAGER
     where: Path | None = None
+    limit: int | None = None
+    strict: bool | None = None
 
 
 def test_from_json_converts_numbers_enums_and_paths() -> None:
@@ -148,6 +134,18 @@ def test_from_json_converts_numbers_enums_and_paths() -> None:
 @pytest.mark.parametrize("empty", ["", None])
 def test_from_json_reads_an_empty_optional_as_none(empty) -> None:
     assert from_json(Typed, {"where": empty}).where is None
+
+
+@pytest.mark.parametrize("name, zero", [("limit", 0), ("strict", False)])
+def test_from_json_keeps_a_zero_optional(name, zero) -> None:
+    value = getattr(from_json(Typed, {name: zero}), name)
+    assert value == zero and type(value) is type(zero)
+
+
+def test_from_json_reads_a_list_as_the_container_its_field_names() -> None:
+    spec = from_json(RequirementSpec, {"id": "r", "body": ["a", "b"],
+                                       "kind": "project_description"})
+    assert spec == RequirementSpec("r", ("a", "b"), RequirementKind.PROJECT_DESCRIPTION)
 
 
 @pytest.mark.parametrize("data", [

@@ -48,7 +48,6 @@ def test_plan_tasks_from_fixtures(tmp_path, sample_req, sample_doc) -> None:
     })
     plan = plan_tasks(sample_req, sample_doc, gateway)
     assert [t.description for t in plan.tasks] == ["Update data access", "Update form helpers"]
-    assert plan.reflected
 
 
 def test_reflection_reorders_draft(tmp_path, sample_req, sample_doc) -> None:

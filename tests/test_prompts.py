@@ -234,7 +234,7 @@ def test_fence_scans_match_oracles(text: str) -> None:
 # --- baseline prompts ---
 
 def test_zsl_prompt_has_request_then_code_and_no_example(sample_doc) -> None:
-    out = build_baseline_prompt("update to version 4.5", sample_doc)
+    out = build_baseline_prompt("update to version 4.5", sample_doc, default_templates())
     assert "update to version 4.5" in out.text
     assert sample_doc.content.strip() in out.text
     assert "Example" not in out.text
@@ -242,7 +242,8 @@ def test_zsl_prompt_has_request_then_code_and_no_example(sample_doc) -> None:
 
 
 def test_osl_prompt_has_exactly_one_example_section(sample_doc) -> None:
-    out = build_baseline_prompt("update", sample_doc, example=("old()", "new()"))
+    out = build_baseline_prompt("update", sample_doc, default_templates(),
+                                example=("old()", "new()"))
     assert out.text.count("Example input:") == 1
     assert out.text.count("Example output:") == 1
     assert "old()" in out.text and "new()" in out.text

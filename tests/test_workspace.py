@@ -11,7 +11,7 @@ import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
 from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
-from vapu.models import AgentRole, RequirementSpec
+from vapu.models import AgentRole, RequirementSpec, from_json
 from vapu.pipeline import run_update
 from vapu.prompts import extract_code
 from vapu.workspace import (
@@ -105,11 +105,11 @@ optional_path = st.none() | st.builds(Path, st.from_regex(r"[a-z][a-z0-9_/]{0,15
 )
 def test_snapshot_round_trip(**values) -> None:
     config = RunConfig(**values)
-    assert RunConfig.from_snapshot(config.snapshot()) == config
+    assert from_json(RunConfig, config.snapshot()) == config
 
 
 def test_from_snapshot_ignores_unknown_keys_and_reads_empty_paths_as_none(tmp_path) -> None:
-    config = RunConfig.from_snapshot({
+    config = from_json(RunConfig, {
         "model": "m", "output_dir": str(tmp_path), "backend": "replay",
         "fixtures_dir": "", "templates_dir": None, "command": "update",
     })
@@ -117,14 +117,14 @@ def test_from_snapshot_ignores_unknown_keys_and_reads_empty_paths_as_none(tmp_pa
 
 
 def test_from_snapshot_reads_an_integer_temperature_as_a_float(tmp_path) -> None:
-    config = RunConfig.from_snapshot({"model": "m", "output_dir": str(tmp_path), "temperature": 1})
+    config = from_json(RunConfig, {"model": "m", "output_dir": str(tmp_path), "temperature": 1})
     assert type(config.temperature) is float and config.temperature == 1.0
 
 
 @pytest.mark.parametrize("key, value", [("repetitions", "2"), ("parallel", True), ("model", 4)])
 def test_from_snapshot_refuses_a_value_of_the_wrong_json_type(tmp_path, key, value) -> None:
     with pytest.raises(TypeError, match=f"RunConfig.{key} must be"):
-        RunConfig.from_snapshot({"model": "m", "output_dir": str(tmp_path), key: value})
+        from_json(RunConfig, {"model": "m", "output_dir": str(tmp_path), key: value})
 
 
 # --- codebase ingestion ---
@@ -371,12 +371,19 @@ def _final_code_at_next_index(records: list[dict]) -> None:
     _final_code_at_next_index,
     _final_code_reference(1.0),
     _final_code_reference(True),
+    lambda records: records[1].pop("role"),
+    lambda records: records[1].update(role="boss"),
+    lambda records: records[0].pop("run_id"),
+    lambda records: records[-1].update(outcome=[]),
+    lambda records: records[-1].pop("duration"),
 ], ids=["out-of-range", "negative", "defined-later", "float", "bool", "null", "list",
         "texts-string", "texts-int",
         "reply-out-of-range", "reply-negative", "reply-defined-later", "reply-float",
         "reply-bool",
         "final-code-out-of-range", "final-code-negative", "final-code-next-index",
-        "final-code-float", "final-code-bool"])
+        "final-code-float", "final-code-bool",
+        "exchange-without-role", "unknown-role", "header-without-run-id",
+        "outcome-not-an-object", "outcome-without-duration"])
 def test_bad_text_reference_is_corrupt(tmp_path, edit) -> None:
     path = demo_run(tmp_path, SendLog())
     records = records_of(path)
