@@ -20,17 +20,20 @@ Three benches run whole layers on the bundled demo instead: one
 verifier loop and the transcript write), ``score_transcript`` on that
 run's loaded transcript, and ``build_comparison_report`` on the
 synthetic scored records whose report ``tests/test_cli.py`` checks
-against the golden files.
+against the golden files.  One more runs the whole ``vapu evaluate``
+command over ``REPETITIONS`` replayed runs of one Python file that all
+end in the same 600-LOC module, as repeated runs at temperature 0 do.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from vapu.cli import demo_root
+from vapu.cli import demo_root, main
 from vapu.evaluation import (
     build_comparison_report,
     load_annotations,
@@ -226,3 +229,36 @@ def test_build_comparison_report(benchmark) -> None:
                        {**zsl_features, **vapu_features})
     golden = TESTS / "data" / "report" / "report.txt"
     assert report.to_text() == golden.read_text(encoding="utf-8")
+
+
+REPETITIONS = 8
+PY_MODULE = "".join(f"def field_{i}(row):\n    return row['Item']['field_{i % 37}']\n\n\n"
+                    for i in range(300))
+
+
+@pytest.fixture(scope="module")
+def python_runs(tmp_path_factory) -> Path:
+    """A runs directory of ``REPETITIONS`` zero-shot replay runs ending in ``PY_MODULE``."""
+    root = tmp_path_factory.mktemp("python-runs")
+    (root / "project").mkdir()
+    (root / "project" / "items.py").write_text("x = 1\n", encoding="utf-8")
+    (root / "fixtures").mkdir()
+    (root / "fixtures" / "baseline-0.txt").write_text(f"```python\n{PY_MODULE}```\n",
+                                                      encoding="utf-8")
+    assert main(["baseline", "--method", "zsl", "--backend", "replay",
+                 "--fixtures", str(root / "fixtures"),
+                 "--requirements", str(DEMO / "requirements.txt"),
+                 "--project", str(root / "project"), "--model", "gpt-4o",
+                 "--temperature", "0", "--runs", str(REPETITIONS),
+                 "--output-dir", str(root / "runs")]) == 0
+    return root / "runs"
+
+
+def test_evaluate_repeated_python_runs(benchmark, python_runs, tmp_path) -> None:
+    scored = tmp_path / "scored.json"
+    assert benchmark(main, ["evaluate", "--runs-dir", str(python_runs),
+                            "--annotations", str(DEMO / "annotations.json"),
+                            "--output", str(scored)]) == 0
+    records = json.loads(scored.read_text(encoding="utf-8"))["records"]
+    assert len(records) == REPETITIONS
+    assert all(r["loc_final"] == 600 and r["error_count"] == 0 for r in records)

@@ -22,6 +22,7 @@ from . import errors as err
 from .evaluation import (
     aggregate_records,
     build_comparison_report,
+    default_checkers,
     load_annotations,
     records_for_report,
     score_transcript,
@@ -34,7 +35,15 @@ from .pipeline import (
     run_baseline,
     run_update,
 )
-from .workspace import Backend, Method, RunConfig, load_codebase, load_transcript, make_run_id
+from .workspace import (
+    Backend,
+    Method,
+    RunConfig,
+    RunTranscript,
+    load_codebase,
+    load_transcript,
+    make_run_id,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +69,15 @@ _EXIT_CODES: list[tuple[type, int]] = [
     (err.EmptyScores, 17),
     (err.VapuError, 18),
 ]
+
+
+# The header and outcome fields that evaluate and replay read.  A transcript
+# can pass its checksum without one of them and still be unusable.
+_RUN_FIELDS = ("config.model", "config.method", "config.temperature", "config.output_dir",
+               "inputs.requirement.id", "inputs.requirement.body",
+               "inputs.code.path", "inputs.code.language_tag", "inputs.code.content")
+_FINAL_CODE_FIELDS = ("outcome.final_code.path", "outcome.final_code.language_tag",
+                      "outcome.final_code.content")
 
 
 def demo_root() -> Path:
@@ -118,13 +136,27 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _load_run(path: Path) -> RunTranscript:
+    """``load_transcript``; a missing or null run field is CorruptTranscript naming the file."""
+    transcript = load_transcript(path)
+    fields = _RUN_FIELDS + (_FINAL_CODE_FIELDS if transcript.status == "completed" else ())
+    for name in fields:
+        value = vars(transcript)
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+            if value is None:
+                raise err.CorruptTranscript(f"{path}: transcript has no {name}")
+    return transcript
+
+
 def cmd_evaluate(args) -> int:
     runs_dir = Path(args.runs_dir)
     paths = sorted(runs_dir.glob("*.jsonl"))
     if not paths:
         raise err.NoFilesMatched(f"no transcripts (*.jsonl) under {runs_dir}")
     annotations = load_annotations(Path(args.annotations))
-    records = [score_transcript(load_transcript(path), annotations) for path in paths]
+    checkers = default_checkers()  # one memo: an identical final file is checked once
+    records = [score_transcript(_load_run(path), annotations, checkers) for path in paths]
     aggregates = aggregate_records(records)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -141,7 +173,8 @@ def _load_scored(path: Path) -> tuple[list, dict]:
     """Check marks and features from the ``{"records": [...]}`` object ``evaluate`` writes."""
     try:
         return records_for_report(json.loads(Path(path).read_text(encoding="utf-8"))["records"])
-    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+    except (AttributeError, err.InvalidCCLetter, KeyError, OSError, TypeError,
+            ValueError) as exc:
         raise err.ConfigInvalid(f"scored file {path} is malformed: {exc!r}") from None
 
 
@@ -171,7 +204,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    transcript = load_transcript(Path(args.transcript))
+    transcript = _load_run(Path(args.transcript))
     with tempfile.TemporaryDirectory(prefix="vapu-replay-") as scratch:
         recorded, replayed = reexecute_transcript(transcript, Path(scratch))
     if recorded != replayed:

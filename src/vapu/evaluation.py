@@ -8,6 +8,7 @@ temperature selection, and the side-by-side comparison report.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import statistics
@@ -92,8 +93,32 @@ def python_syntax_checker(content: str) -> list[str]:
     return []
 
 
+def _once_per_content(hook: SyntaxCheckerHook) -> SyntaxCheckerHook:
+    """``hook``, run once per distinct content; later calls get a copy of its messages.
+
+    Repeated runs often end in the same file.  The memo is keyed by a
+    SHA-256 digest of the exact content, so it stays small however
+    large the files are, and it lives as long as the returned hook.
+    """
+    messages: dict[bytes, list[str]] = {}
+
+    def check(content: str) -> list[str]:
+        key = hashlib.sha256(content.encode("utf-8", "surrogatepass")).digest()
+        if key not in messages:
+            messages[key] = hook(content)
+        return list(messages[key])
+
+    return check
+
+
 def default_checkers() -> dict[str, SyntaxCheckerHook]:
-    return {"py": python_syntax_checker, "python": python_syntax_checker}
+    """The bundled checkers by language tag, sharing one memo (see ``_once_per_content``).
+
+    Call it once per command and pass the result to every
+    ``score_transcript`` call of that command.
+    """
+    python = _once_per_content(python_syntax_checker)
+    return {"py": python, "python": python}
 
 
 def check_fatal(code: CodeDocument,
@@ -174,6 +199,14 @@ class DifficultyScore:
         return self.loc_points + self.cc_points + self.task_points
 
 
+def _cc_grade(cc_letter: str) -> str:
+    """The complexity grade A..F a letter names, case and surrounding blanks aside."""
+    letter = cc_letter.strip().upper()
+    if letter not in CC_POINTS:
+        raise InvalidCCLetter(f"complexity grade must be A..F, got {cc_letter!r}")
+    return letter
+
+
 def score_difficulty(loc: int, cc_letter: str, task_count: int) -> DifficultyScore:
     """One point per rounded 100 LOC (never below 1), the complexity
     grade A..F as 1..6, and one point per task."""
@@ -181,9 +214,7 @@ def score_difficulty(loc: int, cc_letter: str, task_count: int) -> DifficultySco
         raise ValueError("loc must be positive")
     if task_count < 1:
         raise ValueError("task_count must be at least 1")
-    letter = cc_letter.strip().upper()
-    if letter not in CC_POINTS:
-        raise InvalidCCLetter(f"complexity grade must be A..F, got {cc_letter!r}")
+    letter = _cc_grade(cc_letter)
     loc_points = max(1, (loc + 50) // 100)  # round half up
     return DifficultyScore(
         loc_points=loc_points,
@@ -264,6 +295,9 @@ class FileFeatures:
     loc: int
     cc_letter: str
     task_count: int
+
+    def __post_init__(self) -> None:
+        _cc_grade(self.cc_letter)  # a file with no grade would drop out of the grade table
 
 
 @dataclass(frozen=True)
@@ -486,7 +520,7 @@ def build_comparison_report(
         return None
 
     def cc_group(file_id: str) -> str | None:
-        letter = features[file_id].cc_letter.upper()
+        letter = features[file_id].cc_letter.strip().upper()  # as _cc_grade reads it
         for label, letters in CC_GROUPS:
             if letter in letters:
                 return label
@@ -555,7 +589,7 @@ def load_annotations(path: Path) -> Annotations:
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
             annotations.features[entry["file_id"]] = from_json(FileFeatures, entry)
-    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+    except (AttributeError, InvalidCCLetter, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"annotations file {path} is malformed: {exc!r}") from None
     return annotations
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+import vapu.evaluation
 from vapu.models import CodeDocument, RequirementSpec
 from vapu.workspace import Backend, Method, RunConfig
 
@@ -19,6 +22,32 @@ def write_fixtures(directory: Path, entries: dict[str, str]) -> Path:
     for stem, text in entries.items():
         (directory / f"{stem}.txt").write_text(text, encoding="utf-8")
     return directory
+
+
+def records_of(path: Path) -> list[dict]:
+    """A transcript's records, all but the checksum."""
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()][:-1]
+
+
+def write_records(path: Path, records: list[dict]) -> None:
+    """Write records as persist_transcript does, with a valid checksum."""
+    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
+    trailer = {"record": "checksum", "sha256": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(body + (json.dumps(trailer, sort_keys=True) + "\n").encode("utf-8"))
+
+
+@pytest.fixture
+def checked(monkeypatch) -> list[str]:
+    """Every content the bundled Python syntax checker runs on, in order."""
+    contents: list[str] = []
+    check = vapu.evaluation.python_syntax_checker
+
+    def counting(content: str) -> list[str]:
+        contents.append(content)
+        return check(content)
+
+    monkeypatch.setattr(vapu.evaluation, "python_syntax_checker", counting)
+    return contents
 
 
 def fenced(code: str, tag: str = "php") -> str:

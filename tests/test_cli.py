@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fenced, write_fixtures
+from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.pipeline
 from vapu.cli import demo_root, main
+from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
 from vapu.workspace import load_transcript
 
 DEMO = demo_root()
@@ -502,6 +503,16 @@ def scored_record_with_a_text_flag(data: dict) -> dict:
     return data
 
 
+def annotation_with_an_unknown_grade(data: dict) -> dict:
+    data["files"][0]["cc_letter"] = "Z"
+    return data
+
+
+def scored_record_with_an_unknown_grade(data: dict) -> dict:
+    data["records"][0]["features"]["cc_letter"] = "Z"
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
@@ -511,6 +522,8 @@ def scored_record_with_a_text_flag(data: dict) -> dict:
     ("scored", scored_record_without_a_flag),
     ("scored", scored_records_as_a_list),
     ("scored", scored_record_with_a_text_flag),
+    ("annotations", annotation_with_an_unknown_grade),
+    ("scored", scored_record_with_an_unknown_grade),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:
@@ -569,6 +582,35 @@ def test_transcript_that_is_not_utf8_exits_14_naming_it(tmp_path, capsys, comman
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "replay"])
+@pytest.mark.parametrize("field", ["config.model", "config.method", "config.temperature",
+                                   "inputs.requirement", "inputs.code.path", "final_code.path"])
+@pytest.mark.parametrize("null", [False, True], ids=["missing", "null"])
+def test_transcript_without_a_run_field_exits_14_naming_it(tmp_path, capsys, null, field,
+                                                           command) -> None:
+    runs = run_demo_update(tmp_path)
+    [path] = runs.glob("*.jsonl")
+    records = records_of(path)
+    *parents, name = field.split(".")
+    holder = records[-1]["outcome"] if parents == ["final_code"] else records[0]
+    for key in parents:
+        holder = holder[key]
+    if null:
+        holder[name] = None
+    else:
+        del holder[name]
+    write_records(path, records)  # only the field is wrong: the checksum matches
+    if command == "evaluate":
+        args = ["evaluate", "--runs-dir", str(runs), "--annotations",
+                str(DEMO / "annotations.json"), "--output", str(tmp_path / "scored.json")]
+    else:
+        args = ["replay", "--transcript", str(path)]
+    capsys.readouterr()
+    assert main(args) == 14
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
 @pytest.mark.parametrize("flag", ["--requirements", "--registry"])
 def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag) -> None:
     # A requirements file that is not UTF-8, or a registry file that is missing.
@@ -617,3 +659,40 @@ def test_pipeline_warnings_name_their_own_run(tmp_path, caplog) -> None:
         "verdict still unparseable; treating as rejection",
     ]
     assert warnings == {"run a-vapu-gpt-4o-t0-r1": expected, "run 100%-vapu-gpt-4o-t0-r1": expected}
+
+
+# --- evaluate checks each distinct final file once ---
+
+def python_baseline_runs(runs: Path, fixtures: Path, name: str, code: str, reps: int) -> None:
+    """``reps`` zero-shot runs of a one-file Python project, each ending in ``code``."""
+    project = runs.parent / f"project-{name}"
+    project.mkdir()
+    (project / f"{name}.py").write_text("x = 1\n", encoding="utf-8")
+    write_fixtures(fixtures / name, {"baseline-0": fenced(code, "python")})
+    args = demo_update_args(project, runs, runs=reps)
+    args[0] = "baseline"
+    args[args.index(str(DEMO / "fixtures"))] = str(fixtures / name)
+    assert main([*args, "--method", "zsl"]) == 0
+
+
+def test_evaluate_checks_each_distinct_final_file_once_per_command(tmp_path, checked) -> None:
+    runs = tmp_path / "runs"
+    python_baseline_runs(runs, tmp_path / "fx", "broken", "def f(:\n    pass", reps=2)
+    python_baseline_runs(runs, tmp_path / "fx", "fine", "def f():\n    pass", reps=1)
+    scored = tmp_path / "scored.json"
+    args = ["evaluate", "--runs-dir", str(runs), "--annotations", str(DEMO / "annotations.json"),
+            "--output", str(scored)]
+    assert main(args) == 0
+    assert checked == ["def f(:\n    pass", "def f():\n    pass"]  # broken r1 and r2, fine r1
+    # A second command keeps nothing from the first.
+    assert main(args) == 0
+    assert len(checked) == 4
+
+    # The records are the ones an unmemoised checker gives, fatal findings included.
+    records = json.loads(scored.read_text(encoding="utf-8"))["records"]
+    annotations = load_annotations(DEMO / "annotations.json")
+    plain = {"py": python_syntax_checker, "python": python_syntax_checker}
+    expected = [score_transcript(load_transcript(path), annotations, plain)
+                for path in sorted(runs.glob("*.jsonl"))]
+    assert records == json.loads(json.dumps(expected))
+    assert [r["errors_by_category"]["fatal"] for r in records] == [1, 1, 0]

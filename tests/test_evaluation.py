@@ -97,6 +97,36 @@ def test_unregistered_language_signals_skip() -> None:
         check_fatal(doc, default_checkers())
 
 
+def test_one_set_of_checkers_checks_each_content_once(checked) -> None:
+    checkers = default_checkers()
+    broken = "def f(:\n  pass"
+    first = check_fatal(CodeDocument(path="a.py", language_tag="python", content=broken),
+                        checkers)
+    # "py" and "python" share the memo; the repeat gets equal findings, unchecked.
+    again = check_fatal(CodeDocument(path="b.py", language_tag="py", content=broken), checkers)
+    assert again == first and len(first) == 1
+    assert checked == [broken]
+    # Another set of checkers starts empty.
+    check_fatal(CodeDocument(path="a.py", language_tag="python", content=broken),
+                default_checkers())
+    assert checked == [broken, broken]
+
+
+def test_contents_one_character_apart_are_both_checked(checked) -> None:
+    checkers = default_checkers()
+    valid, broken = "x = [1]\n", "x = [1}\n"
+    assert check_fatal(CodeDocument("a.py", "python", valid), checkers) == []
+    assert len(check_fatal(CodeDocument("a.py", "python", broken), checkers)) == 1
+    assert checked == [valid, broken]
+
+
+def test_a_repeated_checks_messages_are_its_own_copy() -> None:
+    check = default_checkers()["python"]
+    messages = check("def f(:\n")
+    messages.append("changed by a caller")
+    assert check("def f(:\n") == messages[:1]
+
+
 # --- requirement scoring ---
 
 def test_score_requirements_sums_values() -> None:
@@ -342,6 +372,22 @@ def test_small_comparison_report() -> None:
     assert by_label[">=300"].delta == 0     # f2 tied
     text = report.to_text()
     assert "overall delta: +2" in text
+
+
+@pytest.mark.parametrize("letter", ["Z", "", "AB", "G"])
+def test_file_features_refuse_a_grade_outside_a_to_f(letter) -> None:
+    with pytest.raises(InvalidCCLetter):
+        FileFeatures(loc=10, cc_letter=letter, task_count=1)
+
+
+def test_report_groups_a_grade_as_score_difficulty_reads_it() -> None:
+    # Case and surrounding blanks aside, as score_difficulty reads the letter.
+    vapu = [CheckMarkRecord("f1", "m", marks(True, True, True))]
+    baseline = [CheckMarkRecord("f1", "m", marks(False, False, False))]
+    features = {"f1": FileFeatures(loc=10, cc_letter=" c ", task_count=1)}
+    assert score_difficulty(10, " c ", 1).cc_points == 3
+    report = build_comparison_report(vapu, baseline, features)
+    assert {b.label: b.delta for b in report.cc_groups} == {"A-B": 0, "C-D": 3, "E-F": 0}
 
 
 def test_report_rejects_mismatched_file_sets() -> None:

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import records_of, write_records
 import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
@@ -273,18 +273,6 @@ def demo_run(output_dir: Path, gateway: Gateway) -> Path:
                        backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
     result = run_update(req, code, config, gateway=gateway)
     return output_dir / f"{result.transcript_ref}.jsonl"
-
-
-def records_of(path: Path) -> list[dict]:
-    """Every record but the checksum."""
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()][:-1]
-
-
-def write_records(path: Path, records: list[dict]) -> None:
-    """Write records as persist_transcript does, with a valid checksum."""
-    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
-    trailer = {"record": "checksum", "sha256": hashlib.sha256(body).hexdigest()}
-    path.write_bytes(body + (json.dumps(trailer, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def test_demo_prompts_load_as_the_strings_sent(tmp_path) -> None:
