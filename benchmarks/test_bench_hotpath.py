@@ -36,6 +36,7 @@ import pytest
 from vapu.cli import demo_root, main
 from vapu.evaluation import (
     build_comparison_report,
+    default_checkers,
     load_annotations,
     records_for_report,
     score_transcript,
@@ -58,6 +59,7 @@ from vapu.workspace import (
     load_codebase,
     load_transcript,
     persist_transcript,
+    read_header,
 )
 
 # The golden-report records live with the test that checks their report.
@@ -215,8 +217,10 @@ def test_demo_run_update(benchmark, tmp_path) -> None:
 
 def test_score_demo_transcript(benchmark, tmp_path) -> None:
     result = _demo_update(tmp_path)()
-    transcript = load_transcript(tmp_path / f"{result.transcript_ref}.jsonl")
-    record = benchmark(score_transcript, transcript, load_annotations(DEMO / "annotations.json"))
+    path = tmp_path / f"{result.transcript_ref}.jsonl"
+    transcript = load_transcript(path)
+    record = benchmark(score_transcript, transcript, read_header(transcript, path),
+                       load_annotations(DEMO / "annotations.json"), default_checkers())
     assert record["run_id"] == result.transcript_ref and record["checkmarks"] is not None
 
 

@@ -39,10 +39,12 @@ from .workspace import (
     Backend,
     Method,
     RunConfig,
+    RunHeader,
     RunTranscript,
     load_codebase,
     load_transcript,
     make_run_id,
+    read_header,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,15 +71,6 @@ _EXIT_CODES: list[tuple[type, int]] = [
     (err.EmptyScores, 17),
     (err.VapuError, 18),
 ]
-
-
-# The header and outcome fields that evaluate and replay read.  A transcript
-# can pass its checksum without one of them and still be unusable.
-_RUN_FIELDS = ("config.model", "config.method", "config.temperature", "config.output_dir",
-               "inputs.requirement.id", "inputs.requirement.body",
-               "inputs.code.path", "inputs.code.language_tag", "inputs.code.content")
-_FINAL_CODE_FIELDS = ("outcome.final_code.path", "outcome.final_code.language_tag",
-                      "outcome.final_code.content")
 
 
 def demo_root() -> Path:
@@ -136,17 +129,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_run(path: Path) -> RunTranscript:
-    """``load_transcript``; a missing or null run field is CorruptTranscript naming the file."""
+def _load_run(path: Path) -> tuple[RunTranscript, RunHeader]:
+    """A transcript and the typed run its header records (see ``read_header``)."""
     transcript = load_transcript(path)
-    fields = _RUN_FIELDS + (_FINAL_CODE_FIELDS if transcript.status == "completed" else ())
-    for name in fields:
-        value = vars(transcript)
-        for key in name.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-            if value is None:
-                raise err.CorruptTranscript(f"{path}: transcript has no {name}")
-    return transcript
+    return transcript, read_header(transcript, path)
 
 
 def cmd_evaluate(args) -> int:
@@ -156,7 +142,7 @@ def cmd_evaluate(args) -> int:
         raise err.NoFilesMatched(f"no transcripts (*.jsonl) under {runs_dir}")
     annotations = load_annotations(Path(args.annotations))
     checkers = default_checkers()  # one memo: an identical final file is checked once
-    records = [score_transcript(_load_run(path), annotations, checkers) for path in paths]
+    records = [score_transcript(*_load_run(path), annotations, checkers) for path in paths]
     aggregates = aggregate_records(records)
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -204,9 +190,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    transcript = _load_run(Path(args.transcript))
+    transcript, header = _load_run(Path(args.transcript))
     with tempfile.TemporaryDirectory(prefix="vapu-replay-") as scratch:
-        recorded, replayed = reexecute_transcript(transcript, Path(scratch))
+        recorded, replayed = reexecute_transcript(transcript, header, Path(scratch))
     if recorded != replayed:
         print(f"{transcript.run_id}: MISMATCH - replayed final code differs "
               f"from the recorded output", file=sys.stderr)

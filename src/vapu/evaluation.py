@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import CheckerUnavailable, ConfigInvalid, EmptyScores, InvalidCCLetter
 from .models import CodeDocument, from_json
+from .workspace import RunHeader, RunTranscript
 
 
 class ErrorCategory(str, Enum):
@@ -90,6 +91,8 @@ def python_syntax_checker(content: str) -> list[str]:
         compile(content, "<update-candidate>", "exec")
     except SyntaxError as exc:
         return [exc.msg or "syntax error"]
+    except ValueError as exc:  # a lone surrogate, which no UTF-8 file holds; 3.10: a null byte
+        return [f"unreadable source: {getattr(exc, 'reason', exc)}"]
     return []
 
 
@@ -334,8 +337,19 @@ class BucketDelta:
         return self.vapu - self.baseline
 
 
-class _MarkTotals:
-    """Check marks earned (``total``) out of three per scored record."""
+@dataclass(frozen=True)
+class MarkTotals:
+    """Each check mark's count over ``records`` scored records (three marks possible each)."""
+
+    first: int
+    second: int
+    third: int
+    records: int
+    model: str = ""  # set on a per-model total
+
+    @property
+    def total(self) -> int:
+        return self.first + self.second + self.third
 
     @property
     def possible(self) -> int:
@@ -346,33 +360,14 @@ class _MarkTotals:
         return 100.0 * self.total / self.possible if self.possible else 0.0
 
 
-@dataclass(frozen=True)
-class MethodTotals(_MarkTotals):
-    first: int
-    second: int
-    third: int
-    records: int
-
-    @property
-    def total(self) -> int:
-        return self.first + self.second + self.third
-
-
-@dataclass(frozen=True)
-class ModelTotals(_MarkTotals):
-    model: str
-    total: int
-    records: int
-
-
 @dataclass
 class ComparisonReport:
     """Check-mark comparison between the pipeline and a baseline method."""
 
-    vapu_totals: MethodTotals
-    baseline_totals: MethodTotals
-    vapu_models: tuple[ModelTotals, ...]
-    baseline_models: tuple[ModelTotals, ...]
+    vapu_totals: MarkTotals
+    baseline_totals: MarkTotals
+    vapu_models: tuple[MarkTotals, ...]
+    baseline_models: tuple[MarkTotals, ...]
     loc_bands: tuple[BucketDelta, ...]
     cc_groups: tuple[BucketDelta, ...]
     task_counts: tuple[BucketDelta, ...]
@@ -389,13 +384,13 @@ class ComparisonReport:
             ("task_counts", "task_count", "By task count:", self.task_counts),
         )
 
-    def _model_pairs(self) -> list[tuple[ModelTotals, ModelTotals | None]]:
+    def _model_pairs(self) -> list[tuple[MarkTotals, MarkTotals | None]]:
         """Each pipeline model's totals beside the baseline's for that model, if it has any."""
         baseline_by_model = {m.model: m for m in self.baseline_models}
         return [(entry, baseline_by_model.get(entry.model)) for entry in self.vapu_models]
 
     def to_dict(self) -> dict:
-        def figures(totals: _MarkTotals, *names: str) -> dict:
+        def figures(totals: MarkTotals, *names: str) -> dict:
             return {name: getattr(totals, name) for name in (*names, "total", "possible", "pass_rate")}
 
         report = {
@@ -438,7 +433,7 @@ class ComparisonReport:
         return rows
 
     def to_text(self) -> str:
-        def method(name: str, t: MethodTotals) -> str:
+        def method(name: str, t: MarkTotals) -> str:
             return (f"  {name} : {t.total}/{t.possible} marks ({t.pass_rate:.1f}%) "
                     f"[{t.first}/{t.second}/{t.third}]")
 
@@ -467,28 +462,16 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _method_totals(records: Sequence[CheckMarkRecord]) -> MethodTotals:
+def _mark_totals(records: Sequence[CheckMarkRecord], model: str = "") -> MarkTotals:
     flags = [record.marks.flags() for record in records]
-    return MethodTotals(
-        first=sum(f[0] for f in flags),
-        second=sum(f[1] for f in flags),
-        third=sum(f[2] for f in flags),
-        records=len(records),
-    )
+    return MarkTotals(*(sum(f[mark] for f in flags) for mark in range(3)), len(records), model)
 
 
-def _model_totals(records: Sequence[CheckMarkRecord]) -> tuple[ModelTotals, ...]:
+def _model_totals(records: Sequence[CheckMarkRecord]) -> tuple[MarkTotals, ...]:
     by_model: dict[str, list[CheckMarkRecord]] = {}
     for record in records:
         by_model.setdefault(record.model, []).append(record)
-    return tuple(
-        ModelTotals(
-            model=model,
-            total=sum(score_checkmarks(r.marks) for r in group),
-            records=len(group),
-        )
-        for model, group in sorted(by_model.items())
-    )
+    return tuple(_mark_totals(group, model) for model, group in sorted(by_model.items()))
 
 
 def build_comparison_report(
@@ -541,8 +524,8 @@ def build_comparison_report(
         return tuple(BucketDelta(label, *sums[label]) for label in labels)
 
     return ComparisonReport(
-        vapu_totals=_method_totals(vapu_runs),
-        baseline_totals=_method_totals(baseline_runs),
+        vapu_totals=_mark_totals(vapu_runs),
+        baseline_totals=_mark_totals(baseline_runs),
         vapu_models=_model_totals(vapu_runs),
         baseline_models=_model_totals(baseline_runs),
         loc_bands=deltas(loc_band, [label for label, _, _ in LOC_BANDS]),
@@ -594,38 +577,35 @@ def load_annotations(path: Path) -> Annotations:
     return annotations
 
 
-def score_transcript(transcript, annotations: Annotations,
-                     checkers: Mapping[str, SyntaxCheckerHook] | None = None) -> dict:
-    """Merge one run transcript with annotations into a scored record.
+def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: Annotations,
+                     checkers: Mapping[str, SyntaxCheckerHook]) -> dict:
+    """Merge one run transcript, read as ``header``, with annotations into a scored record.
 
     The error count combines annotated findings with the automated
-    fatal check on the final code (skipped when no checker covers the
-    language); deduplication happens in the per-run ledger.
+    fatal check on the final code (by ``checkers``, see ``default_checkers``;
+    skipped when none covers the language); the per-run ledger deduplicates.
     """
-    checkers = checkers if checkers is not None else default_checkers()
-    config = transcript.config
-    file_id = Path(transcript.inputs["code"]["path"]).stem
+    config, final_code = header.config, header.final_code
+    file_id = Path(header.code.path).stem
     ledger = RunErrorLedger(run_id=transcript.run_id)
     for finding in annotations.findings.get(transcript.run_id, []):
         ledger.record(finding)
-    final_code = None
-    if transcript.status == "completed" and transcript.outcome.get("final_code"):
-        final_code = from_json(CodeDocument, transcript.outcome["final_code"])
+    if final_code is not None:
         try:
             for finding in check_fatal(final_code, checkers):
                 ledger.record(finding)
         except CheckerUnavailable:
             pass  # only annotatable categories for this language
     requirement_entries = annotations.requirements.get(transcript.run_id, [])
-    marks = annotations.checkmarks.get((file_id, config["model"], config["method"]))
+    marks = annotations.checkmarks.get((file_id, config.model, config.method.value))
     features = annotations.features.get(file_id)
-    record = {
+    return {
         "run_id": transcript.run_id,
         "file_id": file_id,
-        "model": config["model"],
-        "method": config["method"],
-        "temperature": config["temperature"],
-        "repetition": transcript.inputs.get("repetition", 1),
+        "model": config.model,
+        "method": config.method.value,
+        "temperature": config.temperature,
+        "repetition": header.repetition,
         "status": transcript.status,
         "duration": transcript.duration,
         "error_count": len(ledger),
@@ -639,7 +619,6 @@ def score_transcript(transcript, annotations: Annotations,
         "unverified": transcript.outcome.get("unverified"),
         "truncated": transcript.outcome.get("truncated"),
     }
-    return record
 
 
 def aggregate_records(records: Sequence[dict]) -> list[dict]:
@@ -648,20 +627,13 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
     Durations are z-scored within each group so long runs can be
     compared against their error and requirement outcomes.
     """
+    fields = ("file_id", "method", "model", "temperature")
     groups: dict[tuple, list[dict]] = {}
     for record in records:
-        key = (record["file_id"], record["method"], record["model"], record["temperature"])
-        groups.setdefault(key, []).append(record)
+        groups.setdefault(tuple(record[name] for name in fields), []).append(record)
     summaries = []
     for key, members in sorted(groups.items()):
-        file_id, method, model, temperature = key
-        summary = {
-            "file_id": file_id,
-            "method": method,
-            "model": model,
-            "temperature": temperature,
-            "n": len(members),
-        }
+        summary = {**dict(zip(fields, key)), "n": len(members)}
         durations = [m["duration"] for m in members]
         for name, values in (
             ("error", [m["error_count"] for m in members]),
@@ -685,11 +657,8 @@ def records_for_report(records: Sequence[dict]) -> tuple[list[CheckMarkRecord], 
     for record in records:
         if record.get("checkmarks") is None:
             continue
-        marks.append(CheckMarkRecord(
-            file_id=record["file_id"],
-            model=record["model"],
-            marks=from_json(CheckMarks, record["checkmarks"]),
-        ))
+        marks.append(CheckMarkRecord(record["file_id"], record["model"],
+                                     from_json(CheckMarks, record["checkmarks"])))
         if record.get("features"):
             features[record["file_id"]] = from_json(FileFeatures, record["features"])
     return marks, features

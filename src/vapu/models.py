@@ -41,47 +41,59 @@ def count_loc(code: str) -> int:
 
 
 @functools.cache
-def _read_plan(cls) -> tuple[tuple[str, type, bool], ...]:
-    """Each field's name, the type its value is read as, and whether it may be None.
-
-    Worked out once per class: get_type_hints evaluates the postponed
-    annotations on every call (~150 us).  A parameterized container
-    such as ``list[str]`` is read as its origin, ``list``.
-    """
+def _read_plan(cls) -> tuple[tuple[str, type, bool, object, str], ...]:
+    """Each field's name, the type its value is read as (``list[str]`` as ``list``),
+    whether it may be None, its item count if it holds text (``...``: any) and its
+    type's name; worked out once per class, as get_type_hints costs ~150 us a call."""
     plan = []
     for name, kind in get_type_hints(cls).items():
         args = get_args(kind)
         optional = type(None) in args
         if optional:
             kind = next(k for k in args if k is not type(None))
-        plan.append((name, get_origin(kind) or kind, optional))
+        items, origin = get_args(kind), get_origin(kind) or kind
+        count = None if not items or set(items) - {str, ...} else (
+            len(items) if origin is tuple and ... not in items else ...)
+        plan.append((name, origin, optional, count, str(kind) if items else kind.__name__))
     return tuple(plan)
 
 
-def from_json(cls, data: Mapping):
+def from_json(cls, data: Mapping, where: str | None = None, complete: bool = False):
     """``cls`` built from a JSON object, each value checked or converted to its field's type.
 
     Keys that are not fields are ignored and missing ones keep their
-    defaults; a None or empty-string optional reads as None.  Flags,
-    counts and text must be JSON booleans, integers and strings; other
-    values (numbers, enums, paths, containers) go through the field's
-    type, so ``1`` reads as ``1.0`` for a float and a list as a tuple.
+    defaults, unless ``complete`` asks for every field that is not optional;
+    a None or empty-string optional reads as None.  Flags, counts, text and
+    numbers take only their JSON type, and a container of text only a list of
+    strings, of a fixed-length tuple's length; enums, paths and other values go
+    through the field's type.  A value it cannot read raises TypeError naming
+    ``where.field``; ``where`` defaults to the class name.
     """
+    where = where or cls.__name__
     values = {}
-    for name, kind, optional in _read_plan(cls):
+    for name, kind, optional, count, type_name in _read_plan(cls):
         if name not in data:
+            if complete and not optional:
+                raise TypeError(f"{where}.{name} is missing")
             continue
         value = data[name]
         if optional and (value is None or value == ""):
             values[name] = None
             continue
         if kind in (bool, int, str):
-            # Exact type: bool is an int subclass, and no count.
-            if type(value) is not kind:
-                raise TypeError(f"{cls.__name__}.{name} must be {kind.__name__}, got {value!r}")
-        elif not isinstance(value, kind):
-            value = kind(value)
-        values[name] = value
+            readable = type(value) is kind  # exact: bool is an int subclass, and no count
+        elif kind is float:
+            readable = type(value) in (int, float)
+        else:
+            readable = count is None or (
+                type(value) in (list, tuple) and (count is ... or len(value) == count)
+                and all(type(item) is str for item in value))
+        try:
+            values[name] = value if isinstance(value, kind) or not readable else kind(value)
+        except (TypeError, ValueError):
+            readable = False
+        if not readable:
+            raise TypeError(f"{where}.{name} must be {type_name}, got {value!r}")
     return cls(**values)
 
 

@@ -8,6 +8,7 @@ recorded so runs replay deterministically from fixtures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -47,7 +48,6 @@ from .models import (
     TaskPlan,
     UpdateResult,
     Verdict,
-    from_json,
 )
 from .prompts import (
     PromptText,
@@ -66,6 +66,7 @@ from .workspace import (
     Backend,
     Method,
     RunConfig,
+    RunHeader,
     RunTranscript,
     make_run_id,
     persist_transcript,
@@ -396,14 +397,12 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                  example: tuple[str, str] | None = None) -> BaselineResult:
     """Execute one zero- or one-shot exchange over one file and persist it.
 
-    Without an ``example``, a one-shot run reads the example asset named
-    by the config (see :func:`load_example`).
+    A one-shot run shows ``example``, its input/output pair (see
+    :func:`load_example`); a zero-shot run ignores one.
     """
     config.validate()
-    if config.method is Method.VAPU:
-        raise ValueError("run_baseline requires a zsl or osl method")
-    if config.method is Method.OSL and example is None:
-        example = load_example(config.example_path)
+    if config.method is Method.VAPU or (config.method is Method.OSL and example is None):
+        raise ValueError("run_baseline requires a zsl method, or osl and its example pair")
     # A zero-shot prompt shows no example, not even one a caller passed.
     shown = example if config.method is Method.OSL else None
 
@@ -428,26 +427,19 @@ def fixtures_from_transcript(transcript: RunTranscript) -> dict[tuple[str, int],
     return {(e.role.value, next(cursors[e.role.value])): e.response for e in transcript.exchanges}
 
 
-def reexecute_transcript(transcript: RunTranscript, output_dir: Path) -> tuple[str, str]:
-    """Re-run a persisted run against its own recorded responses.
+def reexecute_transcript(transcript: RunTranscript, header: RunHeader,
+                         output_dir: Path) -> tuple[str | None, str]:
+    """Re-run a persisted run, read as ``header``, against its own recorded responses.
 
-    Returns (recorded_content, replayed_content); equality is the
-    caller's byte-identity check.
+    Returns (recorded_content or None for a run that did not complete,
+    replayed_content); equality is the caller's byte-identity check.
     """
-    inputs = transcript.inputs
-    req = from_json(RequirementSpec, inputs["requirement"])
-    code = from_json(CodeDocument, inputs["code"])
-    config = from_json(RunConfig, transcript.config)
     # The injected gateway supplies the responses; the fixtures directory is
     # only kept for provenance in the re-executed transcript.
-    config = replace(config, output_dir=Path(output_dir), backend=Backend.REPLAY,
-                     fixtures_dir=config.fixtures_dir or Path("."))
-    gateway = ReplayGateway(fixtures_from_transcript(transcript), model_id=config.model)
-    repetition = inputs.get("repetition", 1)
-    if config.method is Method.VAPU:
-        result = run_update(req, code, config, repetition=repetition, gateway=gateway)
-    else:
-        example = tuple(inputs["example"]) if inputs.get("example") else None
-        result = run_baseline(req, code, config, repetition=repetition,
-                              gateway=gateway, example=example)
-    return transcript.outcome["final_code"]["content"], result.final_code.content
+    config = replace(header.config, output_dir=Path(output_dir), backend=Backend.REPLAY,
+                     fixtures_dir=header.config.fixtures_dir or Path("."))
+    run = (run_update if config.method is Method.VAPU
+           else functools.partial(run_baseline, example=header.example))
+    result = run(header.requirement, header.code, config, repetition=header.repetition,
+                 gateway=ReplayGateway(fixtures_from_transcript(transcript), model_id=config.model))
+    return header.final_code and header.final_code.content, result.final_code.content

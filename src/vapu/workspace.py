@@ -31,9 +31,9 @@ from enum import Enum
 from pathlib import Path, PurePosixPath
 from typing import Sequence
 
-from .errors import ConfigInvalid, CorruptTranscript, NoFilesMatched, StorageFull
+from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument, from_json
+from .models import CodeDocument, RequirementSpec, from_json
 
 logger = logging.getLogger(__name__)
 
@@ -320,6 +320,47 @@ def _transcript_from_text(text: str, path: Path) -> RunTranscript:
         inputs=header.get("inputs", {}),
         status=outcome.get("status", "completed"),
     )
+
+
+@dataclass(frozen=True)
+class RunHeader:
+    """The typed run a transcript's JSON objects record; see :func:`read_header`."""
+
+    config: RunConfig
+    requirement: RequirementSpec
+    code: CodeDocument
+    repetition: int
+    example: tuple[str, str] | None = None  # a one-shot run's pair
+    final_code: CodeDocument | None = None  # a completed run's
+
+
+def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
+    """The typed run ``transcript``, loaded from ``path``, records: every field that
+    is not optional present with its JSON type, a one-shot run's example pair and
+    a completed run's final code, or CorruptTranscript naming the file and field."""
+    def read(cls, data: object, where: str):
+        try:  # a missing, null or non-object one reports its first field missing
+            return from_json(cls, data if isinstance(data, dict) else {}, where, complete=True)
+        except (TypeError, ValueError) as exc:
+            raise CorruptTranscript(f"{path}: {exc}") from None
+        except EmptyRequirements as exc:  # RequirementSpec's check of its body
+            raise CorruptTranscript(f"{path}: {where}.body: {exc}") from None
+
+    inputs = transcript.inputs if isinstance(transcript.inputs, dict) else {}  # likewise
+    config = read(RunConfig, transcript.config, "config")
+    final = transcript.outcome.get("final_code")
+    header = read(RunHeader, {
+        **inputs,
+        "config": config,
+        "requirement": read(RequirementSpec, inputs.get("requirement"), "inputs.requirement"),
+        "code": read(CodeDocument, inputs.get("code"), "inputs.code"),
+        "example": inputs.get("example") if config.method is Method.OSL else None,
+        "final_code": (read(CodeDocument, final, "outcome.final_code")
+                       if transcript.status == "completed" else None),
+    }, "inputs")
+    if config.method is Method.OSL and header.example is None:
+        raise CorruptTranscript(f"{path}: inputs.example is missing")
+    return header
 
 
 def language_tag_for(path: Path) -> str:

@@ -10,7 +10,7 @@ from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
-from vapu.workspace import load_transcript
+from vapu.workspace import load_transcript, read_header
 
 DEMO = demo_root()
 
@@ -611,6 +611,70 @@ def test_transcript_without_a_run_field_exits_14_naming_it(tmp_path, capsys, nul
     assert str(path) in err and field in err
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replay"])
+@pytest.mark.parametrize("method, field, value", [
+    ("vapu", "config.model", 5),
+    ("vapu", "config.method", "fsl"),
+    ("vapu", "config.temperature", "hot"),
+    ("vapu", "inputs.requirement.body", [1, 2]),
+    ("vapu", "inputs.requirement.body", []),
+    ("osl", "inputs.example", ["a"]),
+    ("osl", "inputs.example", 5),
+    ("osl", "inputs.example", MISSING),
+    ("vapu", "inputs.repetition", "2"),
+], ids=lambda v: "missing" if v is MISSING else repr(v) if not isinstance(v, str) else v)
+def test_transcript_with_a_mistyped_run_field_exits_14_naming_it(tmp_path, capsys, method,
+                                                                  field, value,
+                                                                  command) -> None:
+    runs = tmp_path / "runs"
+    if method == "osl":
+        example = tmp_path / "example.json"  # stays in place: replay must not read it
+        example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+        assert main(demo_osl_args(example, runs)) == 0
+    else:
+        assert main(demo_update_args(DEMO / "legacy", runs)) == 0
+    [path] = runs.glob("*.jsonl")
+    records = records_of(path)
+    *parents, name = field.split(".")
+    holder = records[0]
+    for key in parents:
+        holder = holder[key]
+    if value is MISSING:
+        del holder[name]
+    else:
+        holder[name] = value
+    write_records(path, records)  # only the field is wrong: the checksum matches
+    scored = tmp_path / "scored.json"
+    if command == "evaluate":
+        args = ["evaluate", "--runs-dir", str(runs), "--annotations",
+                str(DEMO / "annotations.json"), "--output", str(scored)]
+    else:
+        args = ["replay", "--transcript", str(path)]
+    capsys.readouterr()
+    assert main(args) == 14
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+    assert not scored.exists()
+
+
+def test_evaluate_records_a_lone_surrogate_in_a_final_file_as_one_fatal_finding(
+        tmp_path) -> None:
+    runs = tmp_path / "runs"
+    python_baseline_runs(runs, tmp_path / "fx", "odd", "x = 1", reps=1)
+    [path] = runs.glob("*.jsonl")
+    records = records_of(path)
+    records[-1]["outcome"]["final_code"]["content"] = 'x = "\ud800"\n'
+    write_records(path, records)
+    scored = tmp_path / "scored.json"
+    assert main(["evaluate", "--runs-dir", str(runs), "--annotations",
+                 str(DEMO / "annotations.json"), "--output", str(scored)]) == 0
+    [record] = json.loads(scored.read_text(encoding="utf-8"))["records"]
+    assert record["error_count"] == 1 and record["errors_by_category"]["fatal"] == 1
+
+
 @pytest.mark.parametrize("flag", ["--requirements", "--registry"])
 def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag) -> None:
     # A requirements file that is not UTF-8, or a registry file that is missing.
@@ -692,7 +756,8 @@ def test_evaluate_checks_each_distinct_final_file_once_per_command(tmp_path, che
     records = json.loads(scored.read_text(encoding="utf-8"))["records"]
     annotations = load_annotations(DEMO / "annotations.json")
     plain = {"py": python_syntax_checker, "python": python_syntax_checker}
-    expected = [score_transcript(load_transcript(path), annotations, plain)
-                for path in sorted(runs.glob("*.jsonl"))]
+    transcripts = [(load_transcript(path), path) for path in sorted(runs.glob("*.jsonl"))]
+    expected = [score_transcript(t, read_header(t, path), annotations, plain)
+                for t, path in transcripts]
     assert records == json.loads(json.dumps(expected))
     assert [r["errors_by_category"]["fatal"] for r in records] == [1, 1, 0]

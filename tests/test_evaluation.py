@@ -24,6 +24,7 @@ from vapu.evaluation import (
     in_selection_range,
     normalize_cause_key,
     normalize_durations,
+    python_syntax_checker,
     score_checkmarks,
     score_difficulty,
     score_requirements,
@@ -89,6 +90,11 @@ def test_python_syntax_error_yields_one_fatal_finding() -> None:
 def test_valid_python_yields_no_findings() -> None:
     doc = CodeDocument(path="x.py", language_tag="python", content="x = 1\n")
     assert check_fatal(doc, default_checkers()) == []
+
+
+def test_a_lone_surrogate_is_a_fatal_finding_not_an_encoding_error() -> None:
+    assert python_syntax_checker('x = "\ud800"\n') == [
+        "unreadable source: surrogates not allowed"]
 
 
 def test_unregistered_language_signals_skip() -> None:

@@ -123,6 +123,8 @@ class Typed:
     where: Path | None = None
     limit: int | None = None
     strict: bool | None = None
+    words: tuple[str, ...] = ()
+    pair: tuple[str, str] | None = None
 
 
 def test_from_json_converts_numbers_enums_and_paths() -> None:
@@ -157,3 +159,37 @@ def test_from_json_takes_flags_counts_and_text_only_as_their_json_type(data) -> 
     [name] = data
     with pytest.raises(TypeError, match=f"Typed.{name} must be"):
         from_json(Typed, data)
+
+
+@pytest.mark.parametrize("data", [
+    {"words": ["a", 1]}, {"words": "ab"}, {"pair": ["a"]}, {"pair": ["a", "b", "c"]},
+    {"pair": "ab"}, {"pair": 5},
+], ids=repr)
+def test_from_json_takes_a_container_of_text_only_as_a_list_of_strings(data) -> None:
+    [name] = data
+    with pytest.raises(TypeError, match=f"Typed.{name} must be tuple"):
+        from_json(Typed, data)
+
+
+def test_from_json_reads_a_list_of_strings_as_the_tuple_its_field_names() -> None:
+    typed = from_json(Typed, {"words": ["a", "b", "c"], "pair": ["old()", "new()"]})
+    assert (typed.words, typed.pair) == (("a", "b", "c"), ("old()", "new()"))
+
+
+@pytest.mark.parametrize("data", [{"ratio": "1"}, {"ratio": True}, {"role": "nobody"},
+                                  {"where": 5}], ids=repr)
+def test_from_json_refuses_a_number_enum_or_path_it_cannot_read(data) -> None:
+    [name] = data
+    with pytest.raises(TypeError, match=f"Typed.{name} must be"):
+        from_json(Typed, data)
+
+
+def test_from_json_names_fields_under_where_and_can_ask_for_every_one() -> None:
+    with pytest.raises(TypeError, match="header.count must be int, got '2'"):
+        from_json(Typed, {"count": "2"}, "header")
+    with pytest.raises(TypeError, match="Typed.flag is missing"):
+        from_json(Typed, {}, complete=True)
+    # Optional fields may be left out even then.
+    required = {"flag": True, "count": 1, "text": "t", "ratio": 0.5, "role": "executor",
+                "words": []}
+    assert from_json(Typed, required, complete=True).where is None

@@ -21,6 +21,7 @@ from vapu.pipeline import (
     Run,
     execute_task,
     finalize_code,
+    load_example,
     make_task_prompt,
     plan_tasks,
     reexecute_transcript,
@@ -29,7 +30,7 @@ from vapu.pipeline import (
     verify_task,
 )
 from vapu.prompts import PromptText, default_templates
-from vapu.workspace import Method, load_transcript
+from vapu.workspace import Method, load_transcript, read_header
 
 PARAMS = GenerationParams(temperature=0.0)
 
@@ -423,7 +424,7 @@ def test_osl_baseline_embeds_one_example(tmp_path, sample_req, sample_doc) -> No
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'osl';")})
     config = replay_config(tmp_path / "out", fixtures,
                            method=Method.OSL, example_path=example_path)
-    result = run_baseline(sample_req, sample_doc, config)
+    result = run_baseline(sample_req, sample_doc, config, example=load_example(example_path))
     transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
     prompt = transcript.exchanges[0].prompt
     assert prompt.count("Example input:") == 1
@@ -468,8 +469,10 @@ def test_reexecute_reproduces_update(tmp_path, sample_req, sample_doc) -> None:
         tasks=2, verifier_responses=["REJECT:\n- nope", "ACCEPT", "ACCEPT"], finalizer_count=1))
     config = replay_config(tmp_path / "out", fixtures)
     result = run_update(sample_req, sample_doc, config)
-    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
-    recorded, replayed = reexecute_transcript(transcript, tmp_path / "scratch")
+    path = Path(config.output_dir) / f"{result.transcript_ref}.jsonl"
+    transcript = load_transcript(path)
+    recorded, replayed = reexecute_transcript(transcript, read_header(transcript, path),
+                                              tmp_path / "scratch")
     assert recorded == replayed
 
 
@@ -477,20 +480,27 @@ def test_reexecute_reproduces_baseline(tmp_path, sample_req, sample_doc) -> None
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'b';")})
     config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
     result = run_baseline(sample_req, sample_doc, config)
-    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
-    recorded, replayed = reexecute_transcript(transcript, tmp_path / "scratch")
+    path = Path(config.output_dir) / f"{result.transcript_ref}.jsonl"
+    transcript = load_transcript(path)
+    recorded, replayed = reexecute_transcript(transcript, read_header(transcript, path),
+                                              tmp_path / "scratch")
     assert recorded == replayed
 
 
 @pytest.mark.parametrize("asset", [None, "[]", json.dumps({"output": "new()"})])
-def test_osl_baseline_with_a_bad_example_asset_is_a_config_error(
-        tmp_path, sample_req, sample_doc, asset) -> None:
+def test_a_bad_example_asset_is_a_config_error(tmp_path, asset) -> None:
     example_path = tmp_path / "example.json"
     if asset is not None:
         example_path.write_text(asset, encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="example"):
+        load_example(example_path)
+
+
+def test_osl_baseline_without_its_pair_is_refused_before_any_call(
+        tmp_path, sample_req, sample_doc) -> None:
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'x';")})
     config = replay_config(tmp_path / "out", fixtures,
-                           method=Method.OSL, example_path=example_path)
-    with pytest.raises(ConfigInvalid, match="example"):
+                           method=Method.OSL, example_path=tmp_path / "example.json")
+    with pytest.raises(ValueError, match="its example pair"):
         run_baseline(sample_req, sample_doc, config)
     assert not (tmp_path / "out").exists()

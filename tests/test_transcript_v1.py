@@ -1,10 +1,11 @@
-"""Format v1 and v2 transcripts still load, replay and score as before.
+"""Format v1, v2 and v3 transcripts still load, replay and score as before.
 
-``data/v1/`` and ``data/v2/`` hold the demo ``update`` and ``baseline
---method zsl`` transcripts as the v1 and v2 writers made them (run from
-a directory holding a copy of the demo, so the config paths are
-relative).  The v1 files keep the test ids they had before v2 files
-joined them.
+``data/v1/``, ``data/v2/`` and ``data/v3/`` hold the demo ``update`` and
+``baseline --method zsl`` transcripts as the v1, v2 and v3 writers made
+them (run from a directory holding a copy of the demo, so the config
+paths are relative); ``data/v3/`` also holds a ``baseline --method osl
+--example demo/example.json`` transcript.  The v1 files keep the test
+ids they had before the others joined them.
 """
 
 from __future__ import annotations
@@ -18,25 +19,28 @@ import pytest
 from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
 from vapu.models import AgentRole, from_json
-from vapu.workspace import RunConfig, RunTranscript, load_transcript
+from vapu.workspace import Method, RunConfig, RunTranscript, load_transcript, read_header
 
 DATA = Path(__file__).parent / "data"
 DEMO = demo_root()
 VAPU_NAME = "reference_list-vapu-gpt-4o-t0-r1.jsonl"
 ZSL_NAME = "reference_list-zsl-gpt-4o-t0-r1.jsonl"
-OLD_FORMATS = ("v1", "v2")
+OSL_NAME = "reference_list-osl-gpt-4o-t0-r1.jsonl"
+OLD_FORMATS = ("v1", "v2", "v3")
 
 OLD_TRANSCRIPTS = [
     pytest.param(DATA / version / name, method,
                  id=kind if version == "v1" else f"{version}-{kind}")
     for version in OLD_FORMATS
-    for name, method, kind in ((VAPU_NAME, "vapu", "update"), (ZSL_NAME, "zsl", "zsl"))
+    for name, method, kind in ((VAPU_NAME, "vapu", "update"), (ZSL_NAME, "zsl", "zsl"),
+                               *([(OSL_NAME, "osl", "osl")] if version == "v3" else []))
 ]
 
 
 def as_written(path: Path) -> RunTranscript:
-    """What the reader of the file's own format built: v2 list prompts
-    joined through the text table, every other field taken as written."""
+    """What the reader of the file's own format built: v2 list prompts, v3
+    list replies and a v3 final code reference resolved through the text
+    table, every other field taken as written."""
     header, *middle, outcome, _ = [
         json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert header["format"] == f"vapu-transcript-{path.parent.name}"
@@ -44,10 +48,14 @@ def as_written(path: Path) -> RunTranscript:
     exchanges = []
     for record in middle:
         table += record.pop("texts", [])
-        if isinstance(record["prompt"], list):
-            record["prompt"] = "".join(
-                table[piece] if isinstance(piece, int) else piece for piece in record["prompt"])
+        for key in ("prompt", "response"):
+            if isinstance(record[key], list):
+                record[key] = "".join(
+                    table[piece] if isinstance(piece, int) else piece for piece in record[key])
         exchanges.append(exchange_as_written(record))
+    final_code = outcome["outcome"].get("final_code")
+    if final_code and isinstance(final_code["content"], int):
+        final_code["content"] = table[final_code["content"]]
     return RunTranscript(
         run_id=header["run_id"],
         config=header["config"],
@@ -68,16 +76,23 @@ def exchange_as_written(record: dict) -> ChatExchange:
 
 
 def remake(tmp_path: Path) -> Path:
-    """The same two demo runs, written now; returns the runs directory."""
+    """The same three demo runs, written now; returns the runs directory.
+
+    The one-shot run shows the pair the v3 fixture recorded.
+    """
     runs = tmp_path / "now"
     common = ["--backend", "replay", "--requirements", str(DEMO / "requirements.txt"),
               "--project", str(DEMO / "legacy"), "--model", "gpt-4o",
               "--temperature", "0", "--runs", "1"]
     assert main(["update", *common, "--fixtures", str(DEMO / "fixtures"),
                  "--output-dir", str(runs / "vapu")]) == 0
-    assert main(["baseline", "--method", "zsl", *common,
-                 "--fixtures", str(DEMO / "fixtures-baseline"),
-                 "--output-dir", str(runs / "zsl")]) == 0
+    baseline = ["baseline", *common, "--fixtures", str(DEMO / "fixtures-baseline")]
+    assert main([*baseline, "--method", "zsl", "--output-dir", str(runs / "zsl")]) == 0
+    pair = load_transcript(DATA / "v3" / OSL_NAME).inputs["example"]
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps(dict(zip(("input", "output"), pair))), encoding="utf-8")
+    assert main([*baseline, "--method", "osl", "--example", str(example),
+                 "--output-dir", str(runs / "osl")]) == 0
     return runs
 
 
@@ -103,7 +118,21 @@ def test_v1_header_reads_back_through_the_typed_reader(path, method) -> None:
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
-def test_v1_replays_byte_identically(path, method, capsys) -> None:
+def test_old_header_reads_as_a_typed_run(path, method) -> None:
+    transcript = load_transcript(path)
+    header = read_header(transcript, path)
+    assert header.config.method is Method(method)
+    assert (header.requirement.id, header.code.path, header.repetition) == \
+        ("requirements", "reference_list.php", 1)
+    assert header.final_code.content == transcript.outcome["final_code"]["content"]
+    assert (header.example is not None) == (method == "osl")
+
+
+@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+def test_v1_replays_byte_identically(path, method, capsys, tmp_path, monkeypatch) -> None:
+    # From a directory without the demo copy: the one-shot pair comes from the header.
+    monkeypatch.chdir(tmp_path)
+    assert not Path("demo").exists()
     assert main(["replay", "--transcript", str(path)]) == 0
     assert "byte-identically" in capsys.readouterr().out
 
