@@ -23,6 +23,8 @@ synthetic scored records whose report ``tests/test_cli.py`` checks
 against the golden files.  One more runs the whole ``vapu evaluate``
 command over ``REPETITIONS`` replayed runs of one Python file that all
 end in the same 600-LOC module, as repeated runs at temperature 0 do.
+The last times a new interpreter importing ``vapu.cli``, the start-up
+cost every command pays, and checks that the HTTP stack stays unloaded.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from vapu.workspace import (
 # The golden-report records live with the test that checks their report.
 TESTS = Path(__file__).parents[1] / "tests"
 sys.path.insert(0, str(TESTS))
-from test_cli import synthetic_scored  # noqa: E402
+from test_cli import fresh_python, synthetic_scored  # noqa: E402
 
 DEMO = demo_root()
 
@@ -266,3 +268,9 @@ def test_evaluate_repeated_python_runs(benchmark, python_runs, tmp_path) -> None
     records = json.loads(scored.read_text(encoding="utf-8"))["records"]
     assert len(records) == REPETITIONS
     assert all(r["loc_final"] == 600 and r["error_count"] == 0 for r in records)
+
+
+def test_cold_import(benchmark) -> None:
+    child = benchmark.pedantic(
+        fresh_python, ("import sys, vapu.cli; print('requests' in sys.modules)",), rounds=5)
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr

@@ -556,6 +556,11 @@ def load_annotations(path: Path) -> Annotations:
     Sections (all optional): findings per run, requirement results per
     run, check marks per (file, model, method), and per-file features.
     """
+    def text(entry: dict, name: str) -> str:  # a key of another type would match no run
+        if type(entry[name]) is not str:
+            raise TypeError(f"{name} must be str, got {entry[name]!r}")
+        return entry[name]
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         annotations = Annotations()
@@ -563,15 +568,15 @@ def load_annotations(path: Path) -> Annotations:
             # Annotated findings come from human inspection, whatever the entry says.
             finding = from_json(Finding, {"description": "", **entry,
                                           "source": FindingSource.HUMAN_ANNOTATION})
-            annotations.findings.setdefault(entry["run_id"], []).append(finding)
+            annotations.findings.setdefault(text(entry, "run_id"), []).append(finding)
         for entry in data.get("requirements", []):
             result = from_json(RequirementResult, entry)
-            annotations.requirements.setdefault(entry["run_id"], []).append(result)
+            annotations.requirements.setdefault(text(entry, "run_id"), []).append(result)
         for entry in data.get("checkmarks", []):
-            key = (entry["file_id"], entry["model"], entry["method"])
+            key = (text(entry, "file_id"), text(entry, "model"), text(entry, "method"))
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
-            annotations.features[entry["file_id"]] = from_json(FileFeatures, entry)
+            annotations.features[text(entry, "file_id")] = from_json(FileFeatures, entry)
     except (AttributeError, InvalidCCLetter, KeyError, OSError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"annotations file {path} is malformed: {exc!r}") from None
     return annotations

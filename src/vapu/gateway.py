@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
-
-import requests
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     BackendRefused,
@@ -31,6 +29,9 @@ from .errors import (
     UnknownModel,
 )
 from .models import AgentRole, from_json
+
+if TYPE_CHECKING:  # requests is imported only when a live gateway is built
+    import requests
 
 # Rough prompt-size estimate used for the context pre-check.
 CHARS_PER_TOKEN = 4
@@ -271,6 +272,8 @@ class LiveGateway(Gateway):
 
     def __init__(self, profile: ModelProfile, session: requests.Session | None = None):
         super().__init__(model_id=profile.profile_id, context_length=profile.context_length)
+        import requests  # only the live backend loads the HTTP stack
+
         self.profile = profile
         self.session = session or requests.Session()
         provider = provider_slug(profile.company).upper()
@@ -294,6 +297,8 @@ class LiveGateway(Gateway):
             "temperature": params.temperature,
             "max_tokens": params.max_output_tokens,
         }
+        import requests
+
         try:
             response = self.session.post(
                 f"{self.api_base.rstrip('/')}/chat/completions",

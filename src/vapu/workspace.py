@@ -179,9 +179,9 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     return path
 
 
-def _input_texts(inputs: object) -> list[str]:
+def _input_texts(inputs: dict) -> list[str]:
     """The start of a transcript's text table: the input file, when the header has one."""
-    code = inputs.get("code") if isinstance(inputs, dict) else None
+    code = inputs.get("code")
     content = code.get("content") if isinstance(code, dict) else None
     return [content] if isinstance(content, str) else []
 
@@ -305,7 +305,10 @@ def _transcript_from_text(text: str, path: Path) -> RunTranscript:
         raise CorruptTranscript(f"{path}: bad header record")
     if outcome.get("record") != "outcome" or not isinstance(outcome.get("outcome"), dict):
         raise CorruptTranscript(f"{path}: bad outcome record")
-    table = _input_texts(header.get("inputs", {}))
+    inputs = header.get("inputs", {})  # absent from partial headers
+    if not isinstance(inputs, dict):
+        raise CorruptTranscript(f"{path}: header inputs is not an object")
+    table = _input_texts(inputs)
     exchanges = []
     for record in middle:
         if record.get("record") != "exchange":
@@ -317,7 +320,7 @@ def _transcript_from_text(text: str, path: Path) -> RunTranscript:
         exchanges=exchanges,
         outcome=_outcome_from_record(outcome["outcome"], table, path),
         duration=outcome["duration"],
-        inputs=header.get("inputs", {}),
+        inputs=inputs,
         status=outcome.get("status", "completed"),
     )
 
@@ -346,7 +349,7 @@ def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
         except EmptyRequirements as exc:  # RequirementSpec's check of its body
             raise CorruptTranscript(f"{path}: {where}.body: {exc}") from None
 
-    inputs = transcript.inputs if isinstance(transcript.inputs, dict) else {}  # likewise
+    inputs = transcript.inputs
     config = read(RunConfig, transcript.config, "config")
     final = transcript.outcome.get("final_code")
     header = read(RunHeader, {

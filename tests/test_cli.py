@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.pipeline
 from vapu.cli import demo_root, main
+from vapu.errors import ConfigInvalid
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
 from vapu.workspace import load_transcript, read_header
 
@@ -386,6 +391,51 @@ def test_example_asset_is_read_once_per_command(tmp_path, monkeypatch) -> None:
         assert load_transcript(path).inputs["example"] == ["old()", "new()"]
 
 
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's vapu."""
+    package_root = str(Path(vapu.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+# Every command but a live run must work where requests cannot be imported.
+WITHOUT_REQUESTS = """
+import json, sys
+sys.modules["requests"] = None  # makes any import of it fail
+from vapu.cli import main
+for argv in json.loads(sys.argv[1]):
+    status = main(argv)
+    if status:
+        sys.exit(f"{argv[0]} exited {status}")
+"""
+
+
+def test_offline_commands_never_import_requests(tmp_path) -> None:
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    zsl = demo_osl_args(example, tmp_path / "zsl")
+    zsl[zsl.index("osl")] = "zsl"
+    del zsl[zsl.index("--example"):zsl.index("--example") + 2]
+    scored = [str(tmp_path / f"{method}-scored.json") for method in ("vapu", "zsl")]
+    commands = [
+        demo_update_args(DEMO / "legacy", tmp_path / "vapu"),
+        zsl,
+        demo_osl_args(example, tmp_path / "osl"),
+        *(["evaluate", "--runs-dir", str(tmp_path / method), "--annotations",
+           str(DEMO / "annotations.json"), "--output", path]
+          for method, path in zip(("vapu", "zsl"), scored)),
+        ["report", "--compare", *scored, "--output-dir", str(tmp_path / "report")],
+        ["replay", "--transcript",
+         str(tmp_path / "vapu" / "reference_list-vapu-gpt-4o-t0-r1.jsonl")],
+    ]
+    child = fresh_python(WITHOUT_REQUESTS, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "report" / "report.txt").exists()
+    child = fresh_python("import sys, vapu.cli; print('requests' in sys.modules)")
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
 def test_demo_update_and_baseline_summary_lines(tmp_path, capsys) -> None:
     out = tmp_path / "vapu-runs"
     assert main(demo_update_args(DEMO / "legacy", out, runs=2)) == 0
@@ -513,6 +563,16 @@ def scored_record_with_an_unknown_grade(data: dict) -> dict:
     return data
 
 
+def annotation_with_a_numeric_run_id(data: dict) -> dict:
+    data["requirements"][0]["run_id"] = 5
+    return data
+
+
+def annotation_with_a_numeric_model(data: dict) -> dict:
+    data["checkmarks"][0]["model"] = 4
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
@@ -524,6 +584,8 @@ def scored_record_with_an_unknown_grade(data: dict) -> dict:
     ("scored", scored_record_with_a_text_flag),
     ("annotations", annotation_with_an_unknown_grade),
     ("scored", scored_record_with_an_unknown_grade),
+    ("annotations", annotation_with_a_numeric_run_id),
+    ("annotations", annotation_with_a_numeric_model),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:
@@ -545,6 +607,24 @@ def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
                        "--output-dir", str(tmp_path / "report")])
     assert status == 2
     assert str(tmp_path / f"{target}.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("findings", "run_id", None),
+    ("requirements", "run_id", 5),
+    ("checkmarks", "file_id", ["reference_list"]),
+    ("checkmarks", "model", 4),
+    ("checkmarks", "method", True),
+    ("files", "file_id", 7),
+])
+def test_annotation_key_that_is_not_text_is_refused_by_name(tmp_path, section, field,
+                                                            value) -> None:
+    data = json.loads((DEMO / "annotations.json").read_text(encoding="utf-8"))
+    data[section][0][field] = value
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=f"{re.escape(str(path))}.*{field} must be str"):
+        load_annotations(path)
 
 
 @pytest.mark.parametrize("command", ["update", "evaluate", "report", "replay"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from conftest import write_fixtures
 from vapu.errors import (
@@ -275,7 +276,9 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Stands in for requests.Session; answers every post from a script."""
+    """Stands in for requests.Session; answers every post from a script.
+
+    A scripted exception is raised, as a failed connection would be."""
 
     def __init__(self, payloads: list):
         self.payloads = list(payloads)
@@ -283,7 +286,10 @@ class FakeSession:
 
     def post(self, url, **kwargs):
         self.posts.append({"url": url, **kwargs})
-        return FakeResponse(self.payloads.pop(0))
+        payload = self.payloads.pop(0)
+        if isinstance(payload, Exception):
+            raise payload
+        return FakeResponse(payload)
 
 
 def _reply(content) -> dict:
@@ -302,6 +308,29 @@ def test_live_gateway_returns_message_content(monkeypatch) -> None:
     assert gateway.complete(AgentRole.MANAGER, "p", PARAMS).response == "1. do it"
     assert session.posts[0]["url"] == "https://api.openai.com/v1/chat/completions"
     assert session.posts[0]["headers"] == {"Authorization": "Bearer test-key"}
+
+
+def test_live_gateway_opens_its_own_session_by_default() -> None:
+    profile = ModelRegistry.default().resolve("gpt-4o")
+    assert isinstance(LiveGateway(profile).session, requests.Session)
+
+
+def test_connection_error_is_a_transient_failure(monkeypatch) -> None:
+    gateway, _ = live_gateway(monkeypatch, [requests.ConnectionError("connection refused")])
+    with pytest.raises(TransientBackendError, match="connection refused"):
+        gateway._send(AgentRole.MANAGER, "p", PARAMS)
+
+
+def test_connection_errors_are_retried_until_the_budget_runs_out(monkeypatch) -> None:
+    monkeypatch.setattr(LiveGateway, "backoff_base", 0.0)
+    refused = requests.ConnectionError("connection refused")
+    params = GenerationParams(temperature=0.0, max_retries=1)
+    gateway, _ = live_gateway(monkeypatch, [refused, _reply("ok")])
+    assert gateway.complete(AgentRole.MANAGER, "p", params).retries == 1
+    gateway, session = live_gateway(monkeypatch, [refused, refused])
+    with pytest.raises(TransientExhausted):
+        gateway.complete(AgentRole.MANAGER, "p", params)
+    assert len(session.posts) == 2
 
 
 @pytest.mark.parametrize("payload", [

@@ -332,6 +332,11 @@ def _final_code_reference(value: object):
     return lambda records: records[-1]["outcome"]["final_code"].update(content=value)
 
 
+def _inputs_as_a_list(records: list[dict]) -> None:
+    # The text table starts from the header's inputs, so its error names them.
+    records[0]["inputs"] = [1]
+
+
 def _final_code_at_next_index(records: list[dict]) -> None:
     # No record follows the outcome, so the closest it comes to a text
     # defined later is the index the next new text would take.
@@ -364,6 +369,7 @@ def _final_code_at_next_index(records: list[dict]) -> None:
     lambda records: records[0].pop("run_id"),
     lambda records: records[-1].update(outcome=[]),
     lambda records: records[-1].pop("duration"),
+    _inputs_as_a_list,
 ], ids=["out-of-range", "negative", "defined-later", "float", "bool", "null", "list",
         "texts-string", "texts-int",
         "reply-out-of-range", "reply-negative", "reply-defined-later", "reply-float",
@@ -371,14 +377,16 @@ def _final_code_at_next_index(records: list[dict]) -> None:
         "final-code-out-of-range", "final-code-negative", "final-code-next-index",
         "final-code-float", "final-code-bool",
         "exchange-without-role", "unknown-role", "header-without-run-id",
-        "outcome-not-an-object", "outcome-without-duration"])
+        "outcome-not-an-object", "outcome-without-duration", "inputs-not-an-object"])
 def test_bad_text_reference_is_corrupt(tmp_path, edit) -> None:
     path = demo_run(tmp_path, SendLog())
     records = records_of(path)
     edit(records)
     write_records(path, records)
-    with pytest.raises(CorruptTranscript):
+    with pytest.raises(CorruptTranscript) as excinfo:
         load_transcript(path)
+    if edit is _inputs_as_a_list:
+        assert "inputs" in str(excinfo.value)
 
 
 def test_rewritten_records_still_load(tmp_path) -> None:
