@@ -11,7 +11,11 @@ whose prompts embed the file: as literal strings (stored inline), or
 rendered through the default templates (stored as template pieces plus
 references to the transcript's text table), optionally with the
 executor's and finalizer's replies split around their code as the
-pipeline splits them (the code stored as a reference too).  The prompt
+pipeline splits them (the code stored as a reference too).  The fence
+scans also run on two replies dense in backticks, where stepping from
+backtick to backtick gains nothing: a ~40 KB JavaScript module with a
+template literal on every line, and Markdown prose with inline code on
+every line before a short fenced block.  The prompt
 benches render the executor and baseline templates around that file,
 and the verdict bench parses a rejection with eight change bullets.
 
@@ -79,6 +83,17 @@ CODE = "".join(
 REPLY = f"Here is the updated view:\n```php\n{CODE}```\nAll tasks applied.\n"
 VERDICT = "REJECT: the view still uses CakePHP 1.2 conventions\n" + "".join(
     f"- read field_{i} through an entity getter, not array access\n" for i in range(8))
+JS_CODE = "".join(f"  const label{i} = `${{row.field_{i % 37}}} of ${{rows.length}} rows`;\n"
+                  for i in range(660))
+PROSE = "".join(f"- Read `field_{i % 37}` through `$row->get()`, not `$row[...]`; keep `h()`.\n"
+                for i in range(2000))
+# Each reply with the code extract_code takes from it.
+REPLIES = {
+    "php": (REPLY, CODE.strip("\r\n")),
+    "js": (f"Here is the updated module:\n```js\n{JS_CODE}```\nAll tasks applied.\n",
+           JS_CODE.strip("\r\n")),
+    "prose": (f"{PROSE}```php\n<?php ?>\n```\n", "<?php ?>"),
+}
 EXAMPLE = ("<?php echo $html->link($row['Item']['title'], '/items/view/' . $row['Item']['id']);",
            "<?php echo $this->Html->link($row->title, ['action' => 'view', $row->id]);")
 
@@ -138,13 +153,16 @@ def _transcript(exchanges: list[ChatExchange]) -> RunTranscript:
     )
 
 
-def test_extract_code(benchmark) -> None:
-    code, fenced = benchmark(extract_code, REPLY)
-    assert fenced and code == CODE.strip("\r\n")
+@pytest.mark.parametrize("reply", REPLIES)
+def test_extract_code(benchmark, reply) -> None:
+    text, expected = REPLIES[reply]
+    code, fenced = benchmark(extract_code, text)
+    assert fenced and code == expected
 
 
-def test_has_unbalanced_fences(benchmark) -> None:
-    assert benchmark(has_unbalanced_fences, REPLY) is False
+@pytest.mark.parametrize("reply", REPLIES)
+def test_has_unbalanced_fences(benchmark, reply) -> None:
+    assert benchmark(has_unbalanced_fences, REPLIES[reply][0]) is False
 
 
 def test_render_template(benchmark) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import logging
 import sys
@@ -45,6 +46,7 @@ from .workspace import (
     load_transcript,
     make_run_id,
     read_header,
+    write_file,
 )
 
 logger = logging.getLogger(__name__)
@@ -110,9 +112,7 @@ def cmd_run(args) -> int:
         doc, rep = job
         result = run(req, doc, config, repetition=rep, gateway=new_gateway())
         target = Path(config.output_dir) / result.transcript_ref / result.final_code.path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(result.final_code.content, encoding="utf-8")
-        return result, target
+        return result, write_file(target, result.final_code.content)
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -144,12 +144,8 @@ def cmd_evaluate(args) -> int:
     checkers = default_checkers()  # one memo: an identical final file is checked once
     records = [score_transcript(*_load_run(path), annotations, checkers) for path in paths]
     aggregates = aggregate_records(records)
-    output = Path(args.output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(
-        json.dumps({"records": records, "aggregates": aggregates}, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
+    output = write_file(Path(args.output), json.dumps(
+        {"records": records, "aggregates": aggregates}, indent=2, sort_keys=True))
     print(f"scored {len(records)} run(s) into {output} "
           f"({len(aggregates)} aggregate group(s))")
     return 0
@@ -176,14 +172,13 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise err.ConfigInvalid(str(exc)) from exc
     output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8",
-    )
-    with (output_dir / "report.tsv").open("w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, delimiter="\t").writerows(report.to_rows())
+    write_file(output_dir / "report.json",
+               json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    rows = io.StringIO()
+    csv.writer(rows, delimiter="\t").writerows(report.to_rows())
+    write_file(output_dir / "report.tsv", rows.getvalue())
     text = report.to_text()
-    (output_dir / "report.txt").write_text(text, encoding="utf-8")
+    write_file(output_dir / "report.txt", text)
     print(text, end="")
     print(f"report written to {output_dir}")
     return 0

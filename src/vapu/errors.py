@@ -127,7 +127,7 @@ class NoFilesMatched(VapuError):
 
 
 class StorageFull(VapuError):
-    """Transcript persistence failed because the device is full."""
+    """An output (transcript, updated file, scored records, report) hit a full device."""
 
 
 class CorruptTranscript(VapuError):

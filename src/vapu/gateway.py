@@ -188,7 +188,7 @@ class Gateway:
         self.context_length = context_length
 
     def complete(self, role: AgentRole, prompt: str, params: GenerationParams) -> ChatExchange:
-        if not prompt.strip():
+        if not prompt or prompt.isspace():
             raise ValueError("prompt must be non-empty")
         if self.context_length is not None:
             estimated = math.ceil(len(prompt) / CHARS_PER_TOKEN)

@@ -134,6 +134,10 @@ def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
     registry = (ModelRegistry.from_file(config.registry_path)
                 if config.registry_path else ModelRegistry.default())
     profile = registry.resolve(config.model)
+    try:
+        import requests  # noqa: F401  (each LiveGateway imports it again, from the cache)
+    except ImportError as exc:
+        raise ConfigInvalid(f"the live backend needs the requests package: {exc}") from None
     return lambda: LiveGateway(profile)
 
 
@@ -144,7 +148,8 @@ def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
     An unbalanced fence means the output was cut off mid-block, so the
     call is retried once; the exchange keeps a truncated flag either way
     so the run records it.  A retry that is cut off too raises
-    NoCodeInResponse, because a file that was cut off is not an update.
+    NoCodeInResponse, because a file that was cut off is not an update;
+    so does code that UTF-8 cannot encode, because it cannot be written.
     When the code is one slice of the reply, the exchange keeps the
     reply split around it, so the transcript stores the code once.
     """
@@ -163,8 +168,14 @@ def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
         raise NoCodeInResponse(f"{role.value} returned a blank response") from None
     if not fenced:
         exchange.flags.append(NO_FENCE_FLAG)
-    if not content.strip():
+    if not content or content.isspace():
         raise NoCodeInResponse(f"{role.value} response contained no code")
+    if not content.isascii():  # an O(1) flag: ASCII code pays nothing
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate from a JSON escape
+            raise NoCodeInResponse(f"{role.value} code cannot be written as UTF-8: "
+                                   f"{exc.reason} at {exc.start}") from None
     if span is not None:
         exchange.response_parts = [response[:span[0]], content, response[span[1]:]]
     return code.with_content(content), exchange

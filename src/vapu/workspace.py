@@ -144,12 +144,33 @@ class RunTranscript:
             previous = exchange.started_at
 
 
+def write_file(path: Path, data: str | bytes) -> Path:
+    """Write ``data`` (text as UTF-8) over ``path``, making its directory if missing.
+
+    Text is encoded before the file is opened, so text that cannot be
+    encoded leaves no file behind.  A full device raises StorageFull.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        try:
+            handle = open(path, "wb")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = open(path, "wb")
+        with handle:
+            handle.write(data)
+    except OSError as exc:
+        if exc.errno == errno.ENOSPC:
+            raise StorageFull(f"cannot write {path}: the device is full") from exc
+        raise
+    return path
+
+
 def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     """Write a transcript as checksummed JSON lines; returns the file path."""
     transcript.validate()
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{transcript.run_id}.jsonl"
+    path = Path(directory) / f"{transcript.run_id}.jsonl"
     records: list[dict] = [{
         "record": "header",
         "format": TRANSCRIPT_FORMAT,
@@ -168,15 +189,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
     digest = hashlib.sha256(body).hexdigest()
     trailer = json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True) + "\n"
-    try:
-        with path.open("wb") as handle:
-            handle.write(body)
-            handle.write(trailer.encode("utf-8"))
-    except OSError as exc:
-        if exc.errno == errno.ENOSPC:
-            raise StorageFull(f"cannot persist transcript to {path}") from exc
-        raise
-    return path
+    return write_file(path, body + trailer.encode("utf-8"))
 
 
 def _input_texts(inputs: dict) -> list[str]:

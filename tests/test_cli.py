@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import errno
+import io
 import json
 import logging
 import os
@@ -11,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from conftest import fenced, records_of, write_fixtures, write_records
+import vapu.cli
 import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid
+from vapu.gateway import ReplayGateway
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
 from vapu.workspace import load_transcript, read_header
 
@@ -434,6 +439,78 @@ def test_offline_commands_never_import_requests(tmp_path) -> None:
     assert (tmp_path / "report" / "report.txt").exists()
     child = fresh_python("import sys, vapu.cli; print('requests' in sys.modules)")
     assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
+def test_live_backend_without_requests_exits_2_before_any_run(tmp_path) -> None:
+    args = demo_update_args(DEMO / "legacy", tmp_path / "out")
+    args[args.index("replay")] = "live"
+    child = fresh_python('import sys; sys.modules["requests"] = None\n'
+                         'from vapu.cli import main; sys.exit(main(sys.argv[1:]))', *args)
+    assert child.returncode == 2, child.stderr
+    assert "requests package" in child.stderr and "Traceback" not in child.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Call with a file name: from then on, opening a file of that name to write fails
+    with ENOSPC, however the program opens it."""
+    real_open = io.open
+
+    def fill(name: str) -> None:
+        def open_(file, mode="r", *args, **kwargs):
+            if "w" in mode and isinstance(file, (str, os.PathLike)) and Path(file).name == name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.setattr(io, "open", open_)
+
+    return fill
+
+
+def command_writing_outputs(tmp_path: Path, command: str) -> list[str]:
+    """Arguments for ``command`` on the demo; what it reads is made here."""
+    if command == "update":
+        return demo_update_args(DEMO / "legacy", tmp_path / "out")
+    if command == "evaluate":
+        return ["evaluate", "--runs-dir", str(run_demo_update(tmp_path)),
+                "--annotations", str(DEMO / "annotations.json"),
+                "--output", str(tmp_path / "scored" / "scored.json")]
+    scored = write_synthetic_report_inputs(tmp_path / "scored")
+    return ["report", "--compare", *map(str, scored), "--output-dir", str(tmp_path / "report")]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("update", "reference_list-vapu-gpt-4o-t0-r1.jsonl"),
+    ("update", "reference_list.php"),
+    ("evaluate", "scored.json"),
+    ("report", "report.json"),
+    ("report", "report.tsv"),
+    ("report", "report.txt"),
+])
+def test_a_full_disk_exits_15_naming_the_output(tmp_path, capsys, full_disk, command,
+                                                 name) -> None:
+    args = command_writing_outputs(tmp_path, command)
+    full_disk(name)
+    assert main(args) == 15
+    err = capsys.readouterr().err
+    assert name in err and "device is full" in err
+
+
+def test_code_reply_utf8_cannot_encode_aborts_the_run(tmp_path, capsys, monkeypatch) -> None:
+    reply = "```php\n<?php echo '\ud800'; ?>\n```\n"  # a JSON "\ud800" escape, decoded
+    monkeypatch.setattr(vapu.cli, "gateway_factory", lambda config: lambda: ReplayGateway(
+        {("baseline", 0): reply}, model_id=config.model))
+    out = tmp_path / "zsl-runs"
+    args = demo_update_args(DEMO / "legacy", out)
+    args[0:1] = ["baseline", "--method", "zsl"]
+    assert main(args) == 9
+    assert "UTF-8" in capsys.readouterr().err
+    transcript = load_transcript(out / "reference_list-zsl-gpt-4o-t0-r1.jsonl")
+    assert transcript.status == "aborted"
+    assert [e.response for e in transcript.exchanges] == [reply]
+    assert not (out / "reference_list-zsl-gpt-4o-t0-r1").exists()
 
 
 def test_demo_update_and_baseline_summary_lines(tmp_path, capsys) -> None:

@@ -373,6 +373,21 @@ def test_code_reply_still_truncated_after_its_retry_aborts_the_run(
     assert [e.flags for e in replies] == [["truncated"], ["truncated"]]
 
 
+def test_code_utf8_cannot_encode_aborts_the_run(tmp_path, sample_req, sample_doc) -> None:
+    entries = multi_task_fixtures(tasks=1, verifier_responses=["ACCEPT"], finalizer_count=0)
+    entries["executor-0"] = fenced("echo '\ud800';")  # a JSON "\ud800" escape, decoded
+    fixtures = {(stem.rpartition("-")[0], int(stem.rpartition("-")[2])): text
+                for stem, text in entries.items()}
+    config = replay_config(tmp_path / "out", tmp_path / "fx")
+    with pytest.raises(AbortedRun, match="UTF-8") as excinfo:
+        run_update(sample_req, sample_doc, config, gateway=ReplayGateway(fixtures))
+    assert excinfo.value.task_index == 1
+    assert isinstance(excinfo.value.__cause__, NoCodeInResponse)
+    transcript = load_transcript(Path(config.output_dir) / f"{excinfo.value.run_id}.jsonl")
+    assert transcript.status == "aborted"
+    assert transcript.exchanges[-1].response == entries["executor-0"]
+
+
 def test_replay_runs_are_deterministic(tmp_path, sample_req, sample_doc) -> None:
     entries = multi_task_fixtures(
         tasks=2, verifier_responses=["REJECT:\n- more", "ACCEPT", "ACCEPT"], finalizer_count=1)

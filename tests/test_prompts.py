@@ -15,8 +15,10 @@ from vapu.errors import (
 )
 from vapu.models import AgentRole, ChangeRequest, TaskPlan, Verdict
 from vapu.prompts import (
+    _FENCE_BUDGET,
     PLACEHOLDERS,
     PromptTemplate,
+    _find_fence,
     build_baseline_prompt,
     default_templates,
     extract_code,
@@ -229,6 +231,35 @@ def test_fence_scans_match_oracles_on_edge_cases(text: str) -> None:
 @given(fence_texts)
 def test_fence_scans_match_oracles(text: str) -> None:
     assert_matches_oracles(text)
+
+
+# Backtick runs of 1-5, line breaks, inline whitespace and letters; a prefix
+# of lone backticks (each starts no fence) can use up the whole budget.
+fence_search_texts = st.tuples(
+    st.integers(0, 2 * _FENCE_BUDGET).map(lambda n: "`x" * n),
+    st.lists(st.sampled_from(["`", "``", "```", "````", "`````", " ", "\t", "\n", "\r",
+                              "a", "Z"]), max_size=40).map("".join),
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(fence_search_texts)
+def test_find_fence_is_find_of_three_backticks(text: str) -> None:
+    for start in range(len(text) + 2):
+        assert _find_fence(text, start) == text.find("```", start), start
+
+
+# Every character str.isspace accepts (none lies above U+3000), a few it does
+# not, and lone surrogates.
+SPACE_CHARS = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+blank_candidates = st.text(st.sampled_from([*SPACE_CHARS, "\u200b", "\ufeff", "x",
+                                             "\ud800", "\udfff"]), max_size=8)
+
+
+@settings(max_examples=400)
+@given(blank_candidates)
+def test_isspace_test_is_the_strip_test(text: str) -> None:
+    assert (not text or text.isspace()) == (not text.strip())
 
 
 # --- baseline prompts ---

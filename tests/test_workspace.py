@@ -24,6 +24,7 @@ from vapu.workspace import (
     load_transcript,
     make_run_id,
     persist_transcript,
+    write_file,
 )
 
 
@@ -212,6 +213,31 @@ def test_garbage_file_detected(tmp_path) -> None:
     path.write_text("not json\nat all\nreally\n", encoding="utf-8")
     with pytest.raises(CorruptTranscript):
         load_transcript(path)
+
+
+def test_write_file_makes_a_missing_directory_only(tmp_path, monkeypatch) -> None:
+    made = []
+    real_mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    target = tmp_path / "a" / "b" / "out.php"
+    assert write_file(target, "<?php echo 'é';\n") == target
+    assert made[0] == target.parent
+    made.clear()
+    assert write_file(target, b"<?php") == target  # truncates and rewrites in place
+    assert target.read_bytes() == b"<?php"
+    assert made == []
+
+
+def test_write_file_encodes_before_it_opens(tmp_path) -> None:
+    target = tmp_path / "out.php"
+    with pytest.raises(UnicodeEncodeError):
+        write_file(target, "x = '\ud800'")
+    assert not target.exists()
 
 
 def test_unordered_exchanges_rejected(tmp_path) -> None:
