@@ -21,24 +21,34 @@ and the verdict bench parses a rejection with eight change bullets.
 
 Three benches run whole layers on the bundled demo instead: one
 ``run_update`` through a replay gateway (planning, two tasks, the
-verifier loop and the transcript write), ``score_transcript`` on that
-run's loaded transcript, and ``build_comparison_report`` on the
-synthetic scored records whose report ``tests/test_cli.py`` checks
-against the golden files.  One more runs the whole ``vapu evaluate``
-command over ``REPETITIONS`` replayed runs of one Python file that all
-end in the same 600-LOC module, as repeated runs at temperature 0 do.
-The last times a new interpreter importing ``vapu.cli``, the start-up
-cost every command pays, and checks that the HTTP stack stays unloaded.
+verifier loop, and the updated-file and transcript writes),
+``score_transcript`` on that run's loaded transcript, and
+``build_comparison_report`` on the synthetic scored records whose
+report ``tests/test_cli.py`` checks against the golden files.  One more
+runs the whole ``vapu evaluate`` command over ``REPETITIONS`` replayed
+runs of one Python file that all end in the same 600-LOC module, as
+repeated runs at temperature 0 do.
+``test_cli_report_call`` times a whole in-process ``vapu report`` call on
+those synthetic records: the fixed cost each ``main`` call pays (argument
+parsing included) on top of the report itself.  The batch benches run the
+demo update ``BATCH_RUNS`` times through one command at ``--parallel`` 1,
+8 and 32, through a replay gateway that waits ``CALL_LATENCY_S`` before
+each reply as an endpoint would, so they measure how far the worker pool
+overlaps model latency.  The last times a new interpreter importing
+``vapu.cli``, the start-up cost every command pays, and checks that the
+HTTP stack stays unloaded.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import vapu.cli
 from vapu.cli import demo_root, main
 from vapu.evaluation import (
     build_comparison_report,
@@ -71,7 +81,12 @@ from vapu.workspace import (
 # The golden-report records live with the test that checks their report.
 TESTS = Path(__file__).parents[1] / "tests"
 sys.path.insert(0, str(TESTS))
-from test_cli import fresh_python, synthetic_scored  # noqa: E402
+from test_cli import (  # noqa: E402
+    demo_update_args,
+    fresh_python,
+    synthetic_scored,
+    write_synthetic_report_inputs,
+)
 
 DEMO = demo_root()
 
@@ -286,6 +301,38 @@ def test_evaluate_repeated_python_runs(benchmark, python_runs, tmp_path) -> None
     records = json.loads(scored.read_text(encoding="utf-8"))["records"]
     assert len(records) == REPETITIONS
     assert all(r["loc_final"] == 600 and r["error_count"] == 0 for r in records)
+
+
+def test_cli_report_call(benchmark, tmp_path) -> None:
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
+    out = tmp_path / "report"
+    assert benchmark(main, ["report", "--compare", str(vapu_scored), str(zsl_scored),
+                            "--output-dir", str(out)]) == 0
+    golden = TESTS / "data" / "report" / "report.txt"
+    assert (out / "report.txt").read_bytes() == golden.read_bytes()
+
+
+BATCH_RUNS = 32
+CALL_LATENCY_S = 0.003
+
+
+class SlowReplayGateway(ReplayGateway):
+    """A replay gateway that waits ``CALL_LATENCY_S`` before each reply."""
+
+    def _send(self, role, prompt, params):
+        time.sleep(CALL_LATENCY_S)
+        return super()._send(role, prompt, params)
+
+
+@pytest.mark.parametrize("parallel", [1, 8, 32])
+def test_demo_batch_throughput(benchmark, monkeypatch, tmp_path, parallel) -> None:
+    fixtures = load_replay_fixtures(DEMO / "fixtures")
+    monkeypatch.setattr(vapu.cli, "gateway_factory", lambda config: lambda: SlowReplayGateway(
+        fixtures, model_id=config.model))
+    out = tmp_path / "runs"
+    argv = [*demo_update_args(DEMO / "legacy", out, runs=BATCH_RUNS), "--parallel", str(parallel)]
+    assert benchmark.pedantic(main, (argv,), rounds=3) == 0
+    assert len(list(out.glob("*.jsonl"))) == BATCH_RUNS
 
 
 def test_cold_import(benchmark) -> None:

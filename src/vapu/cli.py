@@ -35,6 +35,7 @@ from .pipeline import (
     reexecute_transcript,
     run_baseline,
     run_update,
+    updated_file_path,
 )
 from .workspace import (
     Backend,
@@ -110,16 +111,15 @@ def cmd_run(args) -> int:
 
     def worker(job):
         doc, rep = job
-        result = run(req, doc, config, repetition=rep, gateway=new_gateway())
-        target = Path(config.output_dir) / result.transcript_ref / result.final_code.path
-        return result, write_file(target, result.final_code.content)
+        return run(req, doc, config, repetition=rep, gateway=new_gateway())
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
             finished = list(pool.map(worker, jobs))
     else:
         finished = [worker(job) for job in jobs]
-    for result, target in finished:
+    for result in finished:
+        target = updated_file_path(config, result.transcript_ref, result.final_code.path)
         if config.method is Method.VAPU:
             state = "unverified" if result.unverified else "verified"
             print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
@@ -225,7 +225,18 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="prompt template directory (default: bundled)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``vapu`` parser, built on the first call and shared by every later one.
+
+    Each ``parse_args`` call returns a fresh Namespace, so one parse leaves
+    no trace in the next. ``set_defaults(func=cmd_*)`` binds the command
+    functions once per process: patching a ``cmd_*`` after the first
+    :func:`main` call does not reach it. Patch the functions ``cmd_run``
+    and the other commands look up on this module instead (``run_update``,
+    ``load_transcript``, ``gateway_factory``, ...), as the tests do; perfbench
+    wraps ``main`` and those functions.
+    """
     parser = argparse.ArgumentParser(
         prog="vapu",
         description="Multi-agent legacy code updater with a replayable evaluation harness",
@@ -265,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig acts only while the root logger has no handler, so -v sets
+    # the package logger's level on every call instead.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("vapu").setLevel(logging.INFO if args.verbose else logging.NOTSET)
     try:
         return args.func(args)
     except err.VapuError as exc:

@@ -25,6 +25,7 @@ from .errors import (
     EmptyInstruction,
     EmptyResponse,
     NoCodeInResponse,
+    StorageFull,
     UnparseableTaskList,
     UnparseableVerdict,
     VapuError,
@@ -70,6 +71,7 @@ from .workspace import (
     RunTranscript,
     make_run_id,
     persist_transcript,
+    write_file,
 )
 
 logger = logging.getLogger(__name__)
@@ -289,16 +291,23 @@ def _verify_with_reask(req, task, before, after, run: Run) -> Verdict:
         return Verdict(accepted=False, changes=(ChangeRequest(GENERIC_CHANGE),))
 
 
+def updated_file_path(config: RunConfig, run_id: str, path: str) -> Path:
+    """Where run ``run_id`` writes its updated ``path``: a directory named after the run."""
+    return Path(config.output_dir) / run_id / path
+
+
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                 repetition: int, gateway: Gateway | None,
                 steps: Callable[[Run], tuple[R, dict]],
                 example: tuple[str, str] | None = None) -> R:
-    """Record one run of ``steps`` over one file and persist its transcript.
+    """Record one run of ``steps`` over one file, write its updated file, persist its transcript.
 
     ``steps`` makes the method's calls and returns (result, outcome record).
+    The updated file is written before the transcript says completed.
     Whatever happens, the transcript is persisted exactly once: an agent
-    error marks it aborted and raises AbortedRun; any other exception
-    (including KeyboardInterrupt) marks it aborted and propagates unchanged.
+    error marks it aborted and raises AbortedRun; a full disk, or any other
+    exception (including KeyboardInterrupt), marks it aborted and
+    propagates unchanged.
     """
     run = Run(gateway or gateway_factory(config)(),
               GenerationParams(temperature=config.temperature),
@@ -316,10 +325,14 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     clock_start = time.perf_counter()
     try:
         result, transcript.outcome = steps(run)
+        write_file(updated_file_path(config, run.run_id, result.final_code.path),
+                   result.final_code.content)
         transcript.status = "completed"
         return result
     except VapuError as exc:
         transcript.outcome = {"error": str(exc), "failed_task_index": run.task_index}
+        if isinstance(exc, StorageFull):  # the updated file: its own exit code names it
+            raise
         raise AbortedRun(
             f"run {run.run_id} aborted at task {run.task_index}: {exc}",
             task_index=run.task_index,
@@ -336,7 +349,7 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
 
 def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                repetition: int = 1, gateway: Gateway | None = None) -> UpdateResult:
-    """Execute the full pipeline over one file and persist its transcript.
+    """Execute the full pipeline over one file, write the updated file, persist the transcript.
 
     On budget exhaustion the last finalizer output is carried forward
     and the result is flagged unverified.  Any agent error persists the
@@ -406,7 +419,7 @@ def load_example(path: Path) -> tuple[str, str]:
 def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                  repetition: int = 1, gateway: Gateway | None = None,
                  example: tuple[str, str] | None = None) -> BaselineResult:
-    """Execute one zero- or one-shot exchange over one file and persist it.
+    """Execute one zero- or one-shot exchange over one file, write its result, persist it.
 
     A one-shot run shows ``example``, its input/output pair (see
     :func:`load_example`); a zero-shot run ignores one.

@@ -498,6 +498,19 @@ def test_a_full_disk_exits_15_naming_the_output(tmp_path, capsys, full_disk, com
     assert name in err and "device is full" in err
 
 
+def test_an_updated_file_that_cannot_be_written_leaves_its_run_aborted(
+        tmp_path, capsys, full_disk) -> None:
+    full_disk("reference_list.php")
+    assert main(demo_update_args(DEMO / "legacy", tmp_path / "out", runs=2)) == 15
+    assert "reference_list.php" in capsys.readouterr().err
+    run = tmp_path / "out" / "reference_list-vapu-gpt-4o-t0-r1"
+    transcript = load_transcript(run.with_suffix(".jsonl"))
+    assert transcript.status == "aborted" and transcript.exchanges
+    assert "reference_list.php" in transcript.outcome["error"]
+    assert "device is full" in transcript.outcome["error"]
+    assert not (run / "reference_list.php").exists()
+
+
 def test_code_reply_utf8_cannot_encode_aborts_the_run(tmp_path, capsys, monkeypatch) -> None:
     reply = "```php\n<?php echo '\ud800'; ?>\n```\n"  # a JSON "\ud800" escape, decoded
     monkeypatch.setattr(vapu.cli, "gateway_factory", lambda config: lambda: ReplayGateway(
@@ -534,6 +547,75 @@ def test_demo_update_and_baseline_summary_lines(tmp_path, capsys) -> None:
             f"{tmp_path / f'{method}-runs' / f'reference_list-{method}-gpt-4o-t0-r{rep}' / 'reference_list.php'}"
             for rep in (1, 2)
         ]
+
+
+# --- one parser per process ---
+
+GOLDEN_HELP = Path(__file__).parent / "data" / "help"
+
+
+@pytest.mark.parametrize("command", ["vapu", "update", "baseline", "evaluate", "report",
+                                     "replay"])
+def test_help_bytes_match_the_golden_files(capsys, monkeypatch, command) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"] if command == "vapu" else [command, "--help"])
+    assert excinfo.value.code == 0
+    golden = GOLDEN_HELP / f"{command}.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def test_the_parser_is_built_once_per_process() -> None:
+    assert vapu.cli.build_parser() is vapu.cli.build_parser()
+
+
+def test_consecutive_calls_leave_no_trace_of_each_other(tmp_path) -> None:
+    def transcripts(out: Path) -> list[str]:
+        return sorted(p.name for p in out.glob("*.jsonl"))
+
+    project = demo_project(tmp_path / "project", "a.php", "b.php")
+    # --include appends to a list; the next call starts from all files again.
+    assert main([*demo_update_args(project, tmp_path / "one"), "--include", "a.php"]) == 0
+    assert transcripts(tmp_path / "one") == ["a-vapu-gpt-4o-t0-r1.jsonl"]
+    assert main(demo_update_args(project, tmp_path / "all")) == 0
+    assert transcripts(tmp_path / "all") == ["a-vapu-gpt-4o-t0-r1.jsonl",
+                                             "b-vapu-gpt-4o-t0-r1.jsonl"]
+    # A one-shot baseline's --method and --example do not become the next call's defaults.
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    assert main(demo_osl_args(example, tmp_path / "osl")) == 0
+    zsl = demo_osl_args(example, tmp_path / "zsl")
+    del zsl[zsl.index("--method"):zsl.index("--example") + 2]
+    assert main(zsl) == 0
+    [path] = (tmp_path / "zsl").glob("*.jsonl")
+    transcript = load_transcript(path)
+    assert transcript.config["method"] == "zsl" and "example" not in transcript.inputs
+    # update's method comes from its own defaults, not from the baseline before it.
+    assert main(demo_update_args(DEMO / "legacy", tmp_path / "vapu")) == 0
+    assert transcripts(tmp_path / "vapu") == ["reference_list-vapu-gpt-4o-t0-r1.jsonl"]
+
+
+# Runs each argv in turn in one process; a marker on stderr starts each call's output.
+CALLS_IN_ONE_PROCESS = """
+import json, sys
+from vapu.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("--- call", file=sys.stderr)
+    if main(argv):
+        sys.exit(f"{argv} failed")
+"""
+
+
+def test_verbose_applies_to_each_call_in_a_process(tmp_path) -> None:
+    calls = [demo_update_args(DEMO / "legacy", tmp_path / name) for name in ("a", "b", "c")]
+    calls[1].insert(0, "-v")
+    child = fresh_python(CALLS_IN_ONE_PROCESS, json.dumps(calls))
+    assert child.returncode == 0, child.stderr
+    assert child.stderr.split("--- call\n")[1:] == [
+        "",
+        "INFO vapu.pipeline: run reference_list-vapu-gpt-4o-t0-r1: plan of 2 task(s)\n",
+        "",
+    ]
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "report"
