@@ -277,14 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # basicConfig acts only while the root logger has no handler, so -v sets
-    # the package logger's level on every call instead.
+    # the package logger's level for this call and puts the caller's back after.
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("vapu").setLevel(logging.INFO if args.verbose else logging.NOTSET)
+    package_logger = logging.getLogger("vapu")
+    level = package_logger.level
+    if args.verbose:
+        package_logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except err.VapuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for klass, code in _EXIT_CODES if isinstance(exc, klass))
+    finally:
+        package_logger.setLevel(level)
 
 
 if __name__ == "__main__":

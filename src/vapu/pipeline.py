@@ -69,6 +69,7 @@ from .workspace import (
     RunConfig,
     RunHeader,
     RunTranscript,
+    is_project_relative,
     make_run_id,
     persist_transcript,
     write_file,
@@ -303,12 +304,17 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     """Record one run of ``steps`` over one file, write its updated file, persist its transcript.
 
     ``steps`` makes the method's calls and returns (result, outcome record).
-    The updated file is written before the transcript says completed.
-    Whatever happens, the transcript is persisted exactly once: an agent
-    error marks it aborted and raises AbortedRun; a full disk, or any other
-    exception (including KeyboardInterrupt), marks it aborted and
-    propagates unchanged.
+    The updated file is written before the transcript says completed; the
+    transcript's duration covers the calls, not that write.  Whatever
+    happens, the transcript is persisted exactly once: an agent error marks
+    it aborted and raises AbortedRun; a full disk marks it aborted without a
+    failed task and propagates; any other exception (including
+    KeyboardInterrupt) marks it aborted and propagates unchanged.  A
+    ``code.path`` outside its project raises ConfigInvalid before any call.
     """
+    if not is_project_relative(code.path):
+        raise ConfigInvalid(f"file path {code.path!r} is not inside a project: its updated "
+                            f"file would be written outside {config.output_dir}")
     run = Run(gateway or gateway_factory(config)(),
               GenerationParams(temperature=config.temperature),
               load_templates(config.templates_dir) if config.templates_dir else default_templates(),
@@ -323,16 +329,19 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     transcript = RunTranscript(run_id=run.run_id, config=config.snapshot(), inputs=inputs,
                                status="aborted")
     clock_start = time.perf_counter()
+    steps_end = None
     try:
         result, transcript.outcome = steps(run)
+        steps_end = time.perf_counter()
         write_file(updated_file_path(config, run.run_id, result.final_code.path),
                    result.final_code.content)
         transcript.status = "completed"
         return result
+    except StorageFull as exc:  # every task finished; its own exit code names the file
+        transcript.outcome = {"error": str(exc)}
+        raise
     except VapuError as exc:
         transcript.outcome = {"error": str(exc), "failed_task_index": run.task_index}
-        if isinstance(exc, StorageFull):  # the updated file: its own exit code names it
-            raise
         raise AbortedRun(
             f"run {run.run_id} aborted at task {run.task_index}: {exc}",
             task_index=run.task_index,
@@ -343,7 +352,8 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         raise
     finally:
         transcript.exchanges = run.exchanges
-        transcript.duration = time.perf_counter() - clock_start
+        end = time.perf_counter() if steps_end is None else steps_end
+        transcript.duration = end - clock_start
         persist_transcript(transcript, config.output_dir)
 
 

@@ -28,7 +28,7 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path, PurePosixPath
+from pathlib import Path, PurePath, PurePosixPath
 from typing import Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
@@ -111,6 +111,13 @@ def _plain(value):
     if isinstance(value, Enum):
         return value.value
     return str(value) if isinstance(value, Path) else value
+
+
+def is_project_relative(path: str) -> bool:
+    """Whether ``path`` names a file under a project root: not empty, with no
+    root or drive, and no ".." part that climbs out of the root."""
+    pure = PurePath(path)
+    return bool(pure.parts) and not pure.anchor and ".." not in pure.parts
 
 
 def make_run_id(file_path: str, method: Method, model: str,
@@ -376,6 +383,9 @@ def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
     }, "inputs")
     if config.method is Method.OSL and header.example is None:
         raise CorruptTranscript(f"{path}: inputs.example is missing")
+    if not is_project_relative(header.code.path):  # a replay writes its updated file there
+        raise CorruptTranscript(f"{path}: inputs.code.path {header.code.path!r} "
+                                f"is not a path inside a project")
     return header
 
 

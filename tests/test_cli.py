@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,30 @@ def test_replay_subcommand_round_trip(tmp_path, capsys) -> None:
     transcript = next(out.glob("*.jsonl"))
     assert main(["replay", "--transcript", str(transcript)]) == 0
     assert "byte-identically" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code_path", ["ABSOLUTE", "../../../victim.php", "a/../../b.php",
+                                       ".", ""])
+def test_replay_refuses_a_code_path_outside_the_project(tmp_path, monkeypatch, capsys,
+                                                        code_path) -> None:
+    out = run_demo_update(tmp_path)
+    [path] = out.glob("*.jsonl")
+    victim = tmp_path / "victim.php"
+    if code_path == "ABSOLUTE":
+        code_path = str(victim)
+    records = records_of(path)
+    records[0]["inputs"]["code"]["path"] = code_path
+    write_records(path, records)
+    # Replay's scratch directory is tmp/vapu-replay-*/: "../../../victim.php" from
+    # the run's directory under it is the victim.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["replay", "--transcript", str(path)]) == 14
+    err = capsys.readouterr().err
+    assert str(path) in err and "inputs.code.path" in err
+    assert sorted(tmp_path.rglob("*")) == before and not victim.exists()
 
 
 def test_replay_detects_mismatch(tmp_path) -> None:
@@ -506,9 +532,24 @@ def test_an_updated_file_that_cannot_be_written_leaves_its_run_aborted(
     run = tmp_path / "out" / "reference_list-vapu-gpt-4o-t0-r1"
     transcript = load_transcript(run.with_suffix(".jsonl"))
     assert transcript.status == "aborted" and transcript.exchanges
+    assert transcript.outcome == {"error": transcript.outcome["error"]}  # no task failed
     assert "reference_list.php" in transcript.outcome["error"]
     assert "device is full" in transcript.outcome["error"]
     assert not (run / "reference_list.php").exists()
+
+
+def test_a_transcripts_duration_leaves_out_writing_the_updated_file(tmp_path,
+                                                                   monkeypatch) -> None:
+    write_file = vapu.pipeline.write_file
+
+    def slow_write(path, data):
+        time.sleep(0.5)
+        return write_file(path, data)
+
+    monkeypatch.setattr(vapu.pipeline, "write_file", slow_write)
+    [path] = run_demo_update(tmp_path).glob("*.jsonl")
+    transcript = load_transcript(path)
+    assert transcript.status == "completed" and transcript.duration < 0.5
 
 
 def test_code_reply_utf8_cannot_encode_aborts_the_run(tmp_path, capsys, monkeypatch) -> None:
@@ -616,6 +657,16 @@ def test_verbose_applies_to_each_call_in_a_process(tmp_path) -> None:
         "INFO vapu.pipeline: run reference_list-vapu-gpt-4o-t0-r1: plan of 2 task(s)\n",
         "",
     ]
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_a_level_the_caller_set_on_the_package_logger_survives_a_call(
+        tmp_path, monkeypatch, verbose) -> None:
+    package_logger = logging.getLogger("vapu")
+    monkeypatch.setattr(package_logger, "level", logging.ERROR)
+    args = demo_update_args(DEMO / "legacy", tmp_path / "out")
+    assert main(["-v", *args] if verbose else args) == 0
+    assert package_logger.level == logging.ERROR
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "report"

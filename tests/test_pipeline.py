@@ -16,7 +16,7 @@ from vapu.errors import (
     UnparseableVerdict,
 )
 from vapu.gateway import GenerationParams, ReplayGateway, load_replay_fixtures
-from vapu.models import AgentRole, ChangeRequest, Task
+from vapu.models import AgentRole, ChangeRequest, CodeDocument, Task
 from vapu.pipeline import (
     Run,
     execute_task,
@@ -475,6 +475,19 @@ def test_baseline_refuses_pipeline_method(tmp_path, sample_req, sample_doc) -> N
     config = replay_config(tmp_path / "out", fixtures)  # method defaults to vapu
     with pytest.raises(ValueError):
         run_baseline(sample_req, sample_doc, config)
+
+
+@pytest.mark.parametrize("code_path", ["ABSOLUTE", "../../escaped.php", ""])
+def test_a_code_path_outside_its_project_is_refused_before_any_call(
+        tmp_path, sample_req, code_path) -> None:
+    fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'b';")})
+    config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
+    if code_path == "ABSOLUTE":
+        code_path = str(tmp_path / "escaped.php")
+    document = CodeDocument(path=code_path, language_tag="php", content="<?php ?>\n")
+    with pytest.raises(ConfigInvalid, match="not inside a project"):
+        run_baseline(sample_req, document, config)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "escaped.php").exists()
 
 
 # --- transcript re-execution ---
