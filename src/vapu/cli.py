@@ -1,8 +1,8 @@
 """Command-line surface: update, baseline, evaluate, report, replay.
 
-Each module error family maps to its own nonzero exit code so scripted
-callers can tell a config mistake from a backend failure or a replay
-mismatch.
+A command ends with the ``exit_code`` of the error that stops it (see
+``vapu.errors``), so scripted callers can tell a config mistake (2) from a
+run that failed once it had started (9) or a replay mismatch (19).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .evaluation import (
     records_for_report,
     score_transcript,
 )
-from .models import RequirementKind, RequirementSpec, from_json
+from .models import RequirementKind, RequirementSpec, from_json, read_input
 from .pipeline import (
     gateway_factory,
     load_example,
@@ -54,28 +54,6 @@ logger = logging.getLogger(__name__)
 
 REPLAY_MISMATCH_EXIT = 19
 
-# Most specific class first; the first isinstance match wins.
-_EXIT_CODES: list[tuple[type, int]] = [
-    (err.ConfigInvalid, 2),
-    (err.UnknownModel, 3),
-    (err.TransientExhausted, 4),
-    (err.ContextOverflow, 5),
-    (err.BackendRefused, 6),
-    (err.MalformedFixtureName, 7),
-    (err.GapInIndices, 8),
-    (err.AbortedRun, 9),
-    (err.UnparseableTaskList, 10),
-    (err.UnparseableVerdict, 11),
-    (err.EmptyRequirements, 12),
-    (err.NoFilesMatched, 13),
-    (err.CorruptTranscript, 14),
-    (err.StorageFull, 15),
-    (err.CheckerUnavailable, 16),
-    (err.EmptyScores, 17),
-    (err.VapuError, 18),
-]
-
-
 def demo_root() -> Path:
     """Directory of the bundled offline demo assets."""
     return Path(str(resources.files("vapu").joinpath("demo")))
@@ -86,10 +64,7 @@ def cmd_run(args) -> int:
     path = Path(args.requirements)
     kind = (RequirementKind.PROJECT_DESCRIPTION if args.kind == "description"
             else RequirementKind.REQUIREMENT_LIST)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8
-        raise err.ConfigInvalid(f"cannot read requirements file {path}: {exc}") from None
+    text = read_input(path, "requirements file")  # parsed apart: a blank one exits 12, not 2
     req = RequirementSpec.from_text(id=path.stem, text=text, kind=kind)
     config = from_json(RunConfig, vars(args))
     if config.method is Method.ZSL and config.example_path:
@@ -153,11 +128,8 @@ def cmd_evaluate(args) -> int:
 
 def _load_scored(path: Path) -> tuple[list, dict]:
     """Check marks and features from the ``{"records": [...]}`` object ``evaluate`` writes."""
-    try:
-        return records_for_report(json.loads(Path(path).read_text(encoding="utf-8"))["records"])
-    except (AttributeError, err.InvalidCCLetter, KeyError, OSError, TypeError,
-            ValueError) as exc:
-        raise err.ConfigInvalid(f"scored file {path} is malformed: {exc!r}") from None
+    return read_input(path, "scored file",
+                      lambda text: records_for_report(json.loads(text)["records"]))
 
 
 def cmd_report(args) -> int:
@@ -287,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except err.VapuError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for klass, code in _EXIT_CODES if isinstance(exc, klass))
+        return exc.exit_code
     finally:
         package_logger.setLevel(level)
 

@@ -1,24 +1,28 @@
 """Exception hierarchy shared by every vapu module.
 
 All errors derive from VapuError so callers can catch the whole family;
-gateway transport problems additionally derive from GatewayError.
+gateway transport problems additionally derive from GatewayError.  ``vapu``
+exits with the ``exit_code`` of the error that stops it (18, a defect, by default).
 """
 
 
 class VapuError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 18
 
 
 # --- configuration / CLI ---
 
 class ConfigInvalid(VapuError):
     """Run configuration or asset file violates its contract."""
+    exit_code = 2
 
 
 # --- pipeline ---
 
 class EmptyRequirements(VapuError):
     """Requirement body is blank after trimming."""
+    exit_code = 12
 
 
 class UnparseableTaskList(VapuError):
@@ -47,6 +51,7 @@ class AbortedRun(VapuError):
     task_index is 0 while still planning, and for a baseline's single
     call; otherwise the 1-based index of the task that was in flight.
     """
+    exit_code = 9
 
     def __init__(self, message: str, task_index: int, run_id: str):
         super().__init__(message)
@@ -62,6 +67,7 @@ class GatewayError(VapuError):
 
 class UnknownModel(GatewayError):
     """profile_id not present in the model registry."""
+    exit_code = 3
 
 
 class TransientExhausted(GatewayError):
@@ -82,10 +88,12 @@ class FixtureMiss(BackendRefused):
 
 class MalformedFixtureName(GatewayError):
     """Fixture file name does not follow <role>-<index>.txt."""
+    exit_code = 7
 
 
 class GapInIndices(GatewayError):
     """Per-role fixture indices are not contiguous from 0."""
+    exit_code = 8
 
 
 # --- prompt library ---
@@ -124,11 +132,14 @@ class EmptyScores(VapuError):
 
 class NoFilesMatched(VapuError):
     """Codebase ingestion globs matched no files."""
+    exit_code = 13
 
 
 class StorageFull(VapuError):
-    """An output (transcript, updated file, scored records, report) hit a full device."""
+    """An output (transcript, updated file, scored records, report) cannot be written."""
+    exit_code = 15
 
 
 class CorruptTranscript(VapuError):
     """Persisted transcript failed its checksum or structural checks."""
+    exit_code = 14

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import CheckerUnavailable, ConfigInvalid, EmptyScores, InvalidCCLetter
-from .models import CodeDocument, from_json
+from .errors import CheckerUnavailable, EmptyScores, InvalidCCLetter
+from .models import CodeDocument, from_json, read_input
 from .workspace import RunHeader, RunTranscript
 
 
@@ -561,8 +561,8 @@ def load_annotations(path: Path) -> Annotations:
             raise TypeError(f"{name} must be str, got {entry[name]!r}")
         return entry[name]
 
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    def parse(content: str) -> Annotations:
+        data = json.loads(content)
         annotations = Annotations()
         for entry in data.get("findings", []):
             # Annotated findings come from human inspection, whatever the entry says.
@@ -577,9 +577,9 @@ def load_annotations(path: Path) -> Annotations:
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
             annotations.features[text(entry, "file_id")] = from_json(FileFeatures, entry)
-    except (AttributeError, InvalidCCLetter, KeyError, OSError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"annotations file {path} is malformed: {exc!r}") from None
-    return annotations
+        return annotations
+
+    return read_input(path, "annotations file", parse)
 
 
 def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: Annotations,

@@ -28,7 +28,7 @@ from .errors import (
     TransientExhausted,
     UnknownModel,
 )
-from .models import AgentRole, from_json
+from .models import AgentRole, from_json, read_input
 
 if TYPE_CHECKING:  # requests is imported only when a live gateway is built
     import requests
@@ -93,16 +93,16 @@ class ModelRegistry:
     @classmethod
     def from_file(cls, path: Path) -> "ModelRegistry":
         """Read a ``{"profiles": [...]}`` file; a missing or malformed one is a ConfigInvalid."""
-        profiles = {}
-        try:
-            for entry in json.loads(Path(path).read_text(encoding="utf-8"))["profiles"]:
+        def parse(text: str) -> dict[str, ModelProfile]:
+            profiles = {}
+            for entry in json.loads(text)["profiles"]:
                 profile = from_json(ModelProfile, entry)
                 if profile.profile_id in profiles:
                     raise ValueError(f"duplicate profile_id {profile.profile_id!r}")
                 profiles[profile.profile_id] = profile
-        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"cannot read model registry {path}: {exc!r}") from None
-        return cls(profiles)
+            return profiles
+
+        return cls(read_input(path, "model registry", parse))
 
     @classmethod
     def default(cls) -> "ModelRegistry":
@@ -147,9 +147,12 @@ def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
     """Load ``<role>-<index>.txt`` files from a directory, keyed by (role, index).
 
     Indices must be contiguous from 0 within each role; other .txt files
-    are rejected so a typoed fixture never silently disappears.
+    are rejected so a typoed fixture never silently disappears.  A missing
+    directory is a ConfigInvalid; an empty one loads.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigInvalid(f"cannot read replay fixture directory {directory}: not a directory")
     entries: dict[tuple[str, int], str] = {}
     roles = {r.value for r in AgentRole}
     for path in sorted(directory.glob("*.txt")):
@@ -160,7 +163,7 @@ def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
                 f"fixture file {path.name!r} must be named <role>-<index>.txt "
                 f"with role in {sorted(roles)}"
             )
-        entries[(role, int(index_text))] = path.read_text(encoding="utf-8")
+        entries[(role, int(index_text))] = read_input(path, "replay fixture")
     for role in {key[0] for key in entries}:
         indices = sorted(i for r, i in entries if r == role)
         if indices != list(range(len(indices))):

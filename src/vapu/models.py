@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
-from .errors import EmptyRequirements
+from .errors import ConfigInvalid, EmptyRequirements, VapuError
 
 
 class AgentRole(str, Enum):
@@ -95,6 +96,16 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
         if not readable:
             raise TypeError(f"{where}.{name} must be {type_name}, got {value!r}")
     return cls(**values)
+
+
+def read_input(path: Path, what: str, parse: Callable[[str], object] | None = None):
+    """The UTF-8 text of input file ``path``, or what ``parse`` makes of it.  Any failure,
+    from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming both."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return text if parse is None else parse(text)
+    except (AttributeError, LookupError, OSError, TypeError, ValueError, VapuError) as exc:
+        raise ConfigInvalid(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .models import (
     TaskPlan,
     UpdateResult,
     Verdict,
+    read_input,
 )
 from .prompts import (
     PromptText,
@@ -415,15 +416,14 @@ class BaselineResult:
 
 def load_example(path: Path) -> tuple[str, str]:
     """Read a one-shot example asset: a JSON object with "input" and "output" excerpts."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
-        raise ConfigInvalid(f"cannot read example asset {path}: {exc}") from None
-    if not (isinstance(data, dict) and isinstance(data.get("input"), str)
-            and isinstance(data.get("output"), str)):
-        raise ConfigInvalid(f"example asset {path} must be a JSON object with "
-                            f"string \"input\" and \"output\" fields")
-    return data["input"], data["output"]
+    def parse(text: str) -> tuple[str, str]:
+        data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("input"), str)
+                and isinstance(data.get("output"), str)):
+            raise TypeError('must be a JSON object with string "input" and "output" fields')
+        return data["input"], data["output"]
+
+    return read_input(path, "example asset", parse)
 
 
 def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -24,7 +24,7 @@ from .errors import (
     UnparseableTaskList,
     UnparseableVerdict,
 )
-from .models import AgentRole, ChangeRequest, CodeDocument, TaskPlan, Verdict
+from .models import AgentRole, ChangeRequest, CodeDocument, TaskPlan, Verdict, read_input
 
 PLACEHOLDERS = frozenset(
     {"requirements", "task", "code", "code_before", "code_after", "changes", "example"}
@@ -294,9 +294,9 @@ def parse_template_file(name: str, text: str) -> PromptTemplate:
 def load_templates(directory: Path) -> TemplateSet:
     """Load every ``*.txt`` template asset in a directory, keyed by file stem."""
     directory = Path(directory)
-    templates: TemplateSet = {}
-    for path in sorted(directory.glob("*.txt")):
-        templates[path.stem] = parse_template_file(path.name, path.read_text(encoding="utf-8"))
+    templates: TemplateSet = {
+        path.stem: read_input(path, "template asset", partial(parse_template_file, path.name))
+        for path in sorted(directory.glob("*.txt"))}
     missing = [name for name in REQUIRED_TEMPLATES if name not in templates]
     if missing:
         raise ConfigInvalid(f"template directory {directory} is missing: {missing}")

@@ -155,7 +155,7 @@ def write_file(path: Path, data: str | bytes) -> Path:
     """Write ``data`` (text as UTF-8) over ``path``, making its directory if missing.
 
     Text is encoded before the file is opened, so text that cannot be
-    encoded leaves no file behind.  A full device raises StorageFull.
+    encoded leaves no file behind.  Any OSError raises StorageFull.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -168,9 +168,8 @@ def write_file(path: Path, data: str | bytes) -> Path:
         with handle:
             handle.write(data)
     except OSError as exc:
-        if exc.errno == errno.ENOSPC:
-            raise StorageFull(f"cannot write {path}: the device is full") from exc
-        raise
+        reason = "the device is full" if exc.errno == errno.ENOSPC else exc.strerror or exc
+        raise StorageFull(f"cannot write {path}: {reason}") from exc
     return path
 
 
@@ -394,7 +393,8 @@ def language_tag_for(path: Path) -> str:
 
 
 def load_codebase(root: Path, include_globs: Sequence[str]) -> list[CodeDocument]:
-    """Read matching files under root as documents, in lexicographic path order."""
+    """Read matching files under root as documents, in lexicographic path order;
+    a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes."""
     root = Path(root)
     if not root.exists():
         raise NoFilesMatched(f"codebase root {root} does not exist")
@@ -405,9 +405,11 @@ def load_codebase(root: Path, include_globs: Sequence[str]) -> list[CodeDocument
         raise NoFilesMatched(f"no files under {root} match {list(include_globs)}")
     documents = []
     for path in sorted(matched, key=lambda p: p.relative_to(root).as_posix()):
-        documents.append(CodeDocument(
-            path=path.relative_to(root).as_posix(),
-            language_tag=language_tag_for(path),
-            content=path.read_text(encoding="utf-8", errors="replace"),
-        ))
+        try:
+            content = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            logger.warning("%s is not UTF-8 (%s); its bad bytes read as U+FFFD", path, exc)
+            content = path.read_text(encoding="utf-8", errors="replace")
+        documents.append(CodeDocument(path.relative_to(root).as_posix(),
+                                      language_tag_for(path), content))
     return documents

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,8 @@ import pytest
 from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.cli
 import vapu.pipeline
-from vapu.cli import demo_root, main
-from vapu.errors import ConfigInvalid
+from vapu.cli import REPLAY_MISMATCH_EXIT, demo_root, main
+from vapu.errors import ConfigInvalid, VapuError
 from vapu.gateway import ReplayGateway
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
 from vapu.workspace import load_transcript, read_header
@@ -965,22 +966,67 @@ def test_evaluate_records_a_lone_surrogate_in_a_final_file_as_one_fatal_finding(
     assert record["error_count"] == 1 and record["errors_by_category"]["fatal"] == 1
 
 
-@pytest.mark.parametrize("flag", ["--requirements", "--registry"])
+@pytest.mark.parametrize("flag", ["--requirements", "--registry", "--templates placeholder",
+                                  "--templates bytes", "--fixtures bytes", "--fixtures missing"])
 def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag) -> None:
-    # A requirements file that is not UTF-8, or a registry file that is missing.
     bad = tmp_path / "bad.txt"
     out = tmp_path / "out"
     args = demo_update_args(DEMO / "legacy", out)
-    if flag == "--requirements":
+    if flag == "--requirements":  # not UTF-8
         bad.write_bytes(b"Update the view \xff to the current version.\n")
         args[args.index(str(DEMO / "requirements.txt"))] = str(bad)
-    else:  # only a live backend reads the registry, before any call
+    elif flag == "--registry":  # missing; only a live backend reads it, before any call
         args[args.index("replay")] = "live"
         args += ["--registry", str(bad)]
+    elif flag.startswith("--templates"):  # an undocumented placeholder, or not UTF-8
+        templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
+        bad = templates / "verifier.txt"
+        tail = b"x {{bogus}}\n" if flag.endswith("placeholder") else b"\xff\n"
+        bad.write_bytes(bad.read_bytes() + tail)
+        args += ["--templates", str(templates)]
+    elif flag == "--fixtures bytes":  # a UTF-16 byte-order mark: not UTF-8
+        fixtures = shutil.copytree(DEMO / "fixtures", tmp_path / "fixtures")
+        bad = fixtures / "manager-0.txt"
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        args[args.index(str(DEMO / "fixtures"))] = str(fixtures)
+    else:  # a directory that does not exist is not an empty fixture set
+        bad = tmp_path / "no-such-dir"
+        args[args.index(str(DEMO / "fixtures"))] = str(bad)
     capsys.readouterr()
     assert main(args) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["update", "evaluate", "report"])
+def test_an_output_that_cannot_be_written_exits_15_naming_it(tmp_path, capsys,
+                                                             command) -> None:
+    afile = tmp_path / "afile"  # a regular file where a directory belongs
+    afile.write_text("", encoding="utf-8")
+    if command == "update":
+        args = demo_update_args(DEMO / "legacy", afile / "out")
+    elif command == "evaluate":
+        args = ["evaluate", "--runs-dir", str(run_demo_update(tmp_path)),
+                "--annotations", str(DEMO / "annotations.json"),
+                "--output", str(afile / "scored.json")]
+    else:
+        scored = write_synthetic_report_inputs(tmp_path / "scored")
+        args = ["report", "--compare", *map(str, scored), "--output-dir", str(afile / "report")]
+    capsys.readouterr()
+    assert main(args) == 15
+    err = capsys.readouterr().err
+    assert str(afile) in err and os.strerror(errno.ENOTDIR) in err
+
+
+def test_every_exit_code_is_in_the_readme_table() -> None:
+    def family(cls: type) -> list[type]:
+        return [cls, *(sub for child in cls.__subclasses__() for sub in family(child))]
+
+    codes = {cls.exit_code for cls in family(VapuError)} | {0, REPLAY_MISMATCH_EXIT}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {int(code) for code in re.findall(r"^\| (\d+) \|", readme, re.MULTILINE)}
+    assert codes == table
 
 
 def test_pipeline_warnings_name_their_own_run(tmp_path, caplog) -> None:

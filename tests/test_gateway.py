@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 import requests
@@ -156,6 +157,11 @@ def test_empty_fixture_dir_is_valid_but_always_misses(tmp_path) -> None:
     gateway = ReplayGateway(fixtures)
     with pytest.raises(BackendRefused):
         gateway.complete(AgentRole.EXECUTOR, "prompt", PARAMS)
+
+
+def test_a_missing_fixture_dir_is_a_config_error_naming_it(tmp_path) -> None:
+    with pytest.raises(ConfigInvalid, match=re.escape(str(tmp_path / "absent"))):
+        load_replay_fixtures(tmp_path / "absent")
 
 
 def test_non_txt_files_are_ignored(tmp_path) -> None:

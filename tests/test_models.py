@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from vapu.errors import EmptyRequirements
+from vapu.errors import ConfigInvalid, EmptyRequirements
 from vapu.models import (
     AgentRole,
     ChangeRequest,
@@ -19,6 +21,7 @@ from vapu.models import (
     Verdict,
     count_loc,
     from_json,
+    read_input,
 )
 
 
@@ -193,3 +196,28 @@ def test_from_json_names_fields_under_where_and_can_ask_for_every_one() -> None:
     required = {"flag": True, "count": 1, "text": "t", "ratio": 0.5, "role": "executor",
                 "words": []}
     assert from_json(Typed, required, complete=True).where is None
+
+
+def test_read_input_returns_the_text_or_what_parse_makes_of_it(tmp_path) -> None:
+    path = tmp_path / "input.json"
+    path.write_text('{"key": "caf\u00e9"}', encoding="utf-8")
+    assert read_input(path, "input") == '{"key": "caf\u00e9"}'
+    assert read_input(path, "input", lambda text: json.loads(text)["key"]) == "caf\u00e9"
+
+
+@pytest.mark.parametrize("content, parse", [
+    (None, None),  # missing
+    (b"caf\xe9", None),  # not UTF-8
+    (b"{", json.loads),  # not JSON
+    (b"{}", lambda text: json.loads(text)["key"]),  # a missing key
+    (b"[]", lambda text: json.loads(text).get("key")),  # a list for an object
+    (b"{}", lambda text: from_json(Typed, json.loads(text), complete=True)),  # a missing field
+    (b" ", lambda text: RequirementSpec.from_text("r", text)),  # a VapuError
+], ids=["missing", "bytes", "json", "key", "list", "field", "vapu-error"])
+def test_read_input_turns_every_failure_into_a_config_error_naming_the_file(
+        tmp_path, content, parse) -> None:
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigInvalid, match=f"cannot read test input {re.escape(str(path))}: "):
+        read_input(path, "test input", parse)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,19 @@ def test_lexicographic_order_regardless_of_glob_order(tmp_path) -> None:
     (tmp_path / "sub" / "c.php").write_text("c", encoding="utf-8")
     docs = load_codebase(tmp_path, ["sub/*.php", "b.php", "a.php"])
     assert [d.path for d in docs] == ["a.php", "b.php", "sub/c.php"]
+
+
+def test_a_file_that_is_not_utf8_is_read_with_a_warning_naming_it(tmp_path, caplog) -> None:
+    latin1 = tmp_path / "reference_list.php"
+    latin1.write_bytes(b"<p>Caf\xe9 list</p>\r\n")
+    (tmp_path / "clean.php").write_text("<p>Caf\u00e9 list</p>\r\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="vapu"):
+        clean, replaced = load_codebase(tmp_path, ["*.php"])
+    # Decoded as before: each undecodable byte is U+FFFD, and line ends are translated.
+    assert replaced.content == "<p>Caf\ufffd list</p>\n"
+    assert clean.content == "<p>Caf\u00e9 list</p>\n"
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and str(latin1) in record.getMessage()
 
 
 def test_language_tags() -> None:
