@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,7 @@ from vapu.evaluation import (
 )
 from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, CodeDocument, RequirementSpec
-from vapu.pipeline import run_update
+from vapu.pipeline import RunContext, run_update
 from vapu.prompts import (
     build_baseline_prompt,
     default_templates,
@@ -235,13 +236,13 @@ def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) 
 
 def _demo_update(output_dir: Path):
     """A call that runs the bundled demo update into ``output_dir``; its inputs are read here."""
-    fixtures = load_replay_fixtures(DEMO / "fixtures")
     req = RequirementSpec.from_text(
         id="requirements", text=(DEMO / "requirements.txt").read_text(encoding="utf-8"))
     [doc] = load_codebase(DEMO / "legacy", ["**/*"])
     config = RunConfig(model="gpt-4o", output_dir=output_dir, temperature=0.0, repetitions=1,
                        backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
-    return lambda: run_update(req, doc, config, gateway=ReplayGateway(fixtures, model_id="gpt-4o"))
+    context = RunContext.from_config(config)
+    return lambda: run_update(req, doc, config, context=context)
 
 
 def test_demo_run_update(benchmark, tmp_path) -> None:
@@ -327,8 +328,10 @@ class SlowReplayGateway(ReplayGateway):
 @pytest.mark.parametrize("parallel", [1, 8, 32])
 def test_demo_batch_throughput(benchmark, monkeypatch, tmp_path, parallel) -> None:
     fixtures = load_replay_fixtures(DEMO / "fixtures")
-    monkeypatch.setattr(vapu.cli, "gateway_factory", lambda config: lambda: SlowReplayGateway(
-        fixtures, model_id=config.model))
+    from_config = RunContext.from_config
+    monkeypatch.setattr(vapu.cli.RunContext, "from_config", lambda config: replace(
+        from_config(config),
+        new_gateway=lambda: SlowReplayGateway(fixtures, model_id=config.model)))
     out = tmp_path / "runs"
     argv = [*demo_update_args(DEMO / "legacy", out, runs=BATCH_RUNS), "--parallel", str(parallel)]
     assert benchmark.pedantic(main, (argv,), rounds=3) == 0

@@ -30,8 +30,7 @@ from .evaluation import (
 )
 from .models import RequirementKind, RequirementSpec, from_json, read_input
 from .pipeline import (
-    gateway_factory,
-    load_example,
+    RunContext,
     reexecute_transcript,
     run_baseline,
     run_update,
@@ -70,11 +69,8 @@ def cmd_run(args) -> int:
     if config.method is Method.ZSL and config.example_path:
         # RunConfig.validate accepts this, so older transcripts with the pair still replay.
         raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
-    # Read once for every run; a missing --example fails config validation.
-    example = load_example(config.example_path) if config.example_path else None
-    run = (run_update if config.method is Method.VAPU
-           else functools.partial(run_baseline, example=example))
-    config.validate()
+    context = RunContext.from_config(config)  # every run of the batch shares what it read
+    run = run_update if config.method is Method.VAPU else run_baseline
     documents = load_codebase(Path(args.project), args.include or ["**/*"])
     jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
     owners: dict[str, str] = {}
@@ -82,11 +78,10 @@ def cmd_run(args) -> int:
         run_id = make_run_id(doc.path, config.method, config.model, config.temperature, rep)
         if owners.setdefault(run_id, doc.path) != doc.path:
             raise err.ConfigInvalid(f"{owners[run_id]} and {doc.path} would both be run {run_id}")
-    new_gateway = gateway_factory(config)
 
     def worker(job):
         doc, rep = job
-        return run(req, doc, config, repetition=rep, gateway=new_gateway())
+        return run(req, doc, config, repetition=rep, context=context)
 
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -206,8 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     functions once per process: patching a ``cmd_*`` after the first
     :func:`main` call does not reach it. Patch the functions ``cmd_run``
     and the other commands look up on this module instead (``run_update``,
-    ``load_transcript``, ``gateway_factory``, ...), as the tests do; perfbench
-    wraps ``main`` and those functions.
+    ``load_transcript``, ...), as the tests do; perfbench wraps ``main`` and
+    those functions. To substitute a backend, patch
+    ``RunContext.from_config`` to return a context with another
+    ``new_gateway``.
     """
     parser = argparse.ArgumentParser(
         prog="vapu",

@@ -8,7 +8,6 @@ recorded so runs replay deterministically from fixtures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -55,7 +54,6 @@ from .prompts import (
     PromptText,
     TemplateSet,
     build_baseline_prompt,
-    default_templates,
     extract_code,
     has_unbalanced_fences,
     load_templates,
@@ -91,16 +89,17 @@ R = TypeVar("R")
 class Run:
     """One run in flight: what its steps send through, and every exchange it made.
 
-    Each step of a method takes the run, renders its prompt from the
-    run's templates and sends it with :meth:`complete`.  started_at
-    stamps are bumped by a microsecond when the clock did not advance,
-    so transcript ordering stays strict even on fast replays.
+    Each step of a method takes the run, renders its prompt from the run's
+    templates (and a one-shot run's ``example``) and sends it with
+    :meth:`complete`.  started_at stamps are bumped by a microsecond when the
+    clock did not advance, so transcript ordering stays strict on fast replays.
     """
 
     gateway: Gateway
     params: GenerationParams
     templates: TemplateSet
     run_id: str
+    example: tuple[str, str] | None = None
     exchanges: list[ChatExchange] = field(default_factory=list, init=False)
     # Reported as failed_task_index on abort: 0 while planning or in a baseline's one call.
     task_index: int = field(default=0, init=False)
@@ -127,22 +126,46 @@ class Run:
         return any(TRUNCATED_FLAG in e.flags for e in self.exchanges)
 
 
-def gateway_factory(config: RunConfig) -> Callable[[], Gateway]:
-    """Set up the configured backend once; each call makes one run's own gateway.
+def load_example(path: Path) -> tuple[str, str]:
+    """Read a one-shot example asset: a JSON object with "input" and "output" excerpts."""
+    def parse(text: str) -> tuple[str, str]:
+        data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("input"), str)
+                and isinstance(data.get("output"), str)):
+            raise TypeError('must be a JSON object with string "input" and "output" fields')
+        return data["input"], data["output"]
 
-    Replay gateways share the read-only fixtures, each starting at index 0.
+    return read_input(path, "example asset", parse)
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """What every run of one command shares, read once before its first run.
+
+    ``new_gateway`` makes a run's own gateway from the backend set up once
+    (replay gateways share the fixtures); only an osl run shows ``example``.
     """
-    if config.backend is Backend.REPLAY:
-        fixtures = load_replay_fixtures(config.fixtures_dir)
-        return lambda: ReplayGateway(fixtures, model_id=config.model)
-    registry = (ModelRegistry.from_file(config.registry_path)
-                if config.registry_path else ModelRegistry.default())
-    profile = registry.resolve(config.model)
-    try:
-        import requests  # noqa: F401  (each LiveGateway imports it again, from the cache)
-    except ImportError as exc:
-        raise ConfigInvalid(f"the live backend needs the requests package: {exc}") from None
-    return lambda: LiveGateway(profile)
+
+    templates: TemplateSet
+    new_gateway: Callable[[], Gateway]
+    example: tuple[str, str] | None = None
+
+    @classmethod
+    def from_config(cls, config: RunConfig) -> RunContext:
+        """Validate ``config``, then read its templates, backend and example once each."""
+        config.validate()
+        templates = load_templates(config.templates_dir)
+        example = load_example(config.example_path) if config.method is Method.OSL else None
+        if config.backend is Backend.REPLAY:
+            fixtures = load_replay_fixtures(config.fixtures_dir)
+            return cls(templates, lambda: ReplayGateway(fixtures, model_id=config.model), example)
+        profile = (ModelRegistry.from_file(config.registry_path) if config.registry_path
+                   else ModelRegistry.default()).resolve(config.model)
+        try:
+            import requests  # noqa: F401  (each LiveGateway imports it again, from the cache)
+        except ImportError as exc:
+            raise ConfigInvalid(f"the live backend needs the requests package: {exc}") from None
+        return cls(templates, lambda: LiveGateway(profile), example)
 
 
 def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
@@ -299,34 +322,31 @@ def updated_file_path(config: RunConfig, run_id: str, path: str) -> Path:
 
 
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
-                repetition: int, gateway: Gateway | None,
-                steps: Callable[[Run], tuple[R, dict]],
-                example: tuple[str, str] | None = None) -> R:
+                repetition: int, context: RunContext | None,
+                steps: Callable[[Run], tuple[R, dict]]) -> R:
     """Record one run of ``steps`` over one file, write its updated file, persist its transcript.
 
-    ``steps`` makes the method's calls and returns (result, outcome record).
-    The updated file is written before the transcript says completed; the
-    transcript's duration covers the calls, not that write.  Whatever
-    happens, the transcript is persisted exactly once: an agent error marks
-    it aborted and raises AbortedRun; a full disk marks it aborted without a
-    failed task and propagates; any other exception (including
-    KeyboardInterrupt) marks it aborted and propagates unchanged.  A
-    ``code.path`` outside its project raises ConfigInvalid before any call.
+    ``steps`` makes the method's calls and returns (result, outcome record); without a
+    ``context`` the run builds one from ``config``.  The updated file is written before
+    the transcript says completed; the transcript's duration covers the calls, not that
+    write.  Whatever happens, the transcript is persisted exactly once: an agent error
+    marks it aborted and raises AbortedRun; a full disk marks it aborted without a
+    failed task and propagates; any other exception (including KeyboardInterrupt) marks
+    it aborted and propagates unchanged.  A ``code.path`` outside its project raises
+    ConfigInvalid before any call.
     """
     if not is_project_relative(code.path):
         raise ConfigInvalid(f"file path {code.path!r} is not inside a project: its updated "
                             f"file would be written outside {config.output_dir}")
-    run = Run(gateway or gateway_factory(config)(),
-              GenerationParams(temperature=config.temperature),
-              load_templates(config.templates_dir) if config.templates_dir else default_templates(),
-              make_run_id(code.path, config.method, config.model, config.temperature, repetition))
-    inputs = {
-        "requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
-        "code": code.to_dict(),
-        "repetition": repetition,
-    }
-    if example is not None:
-        inputs["example"] = list(example)
+    context = context or RunContext.from_config(config)
+    run = Run(context.new_gateway(), GenerationParams(temperature=config.temperature),
+              context.templates,
+              make_run_id(code.path, config.method, config.model, config.temperature, repetition),
+              context.example if config.method is Method.OSL else None)  # zsl shows none
+    inputs = {"requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
+              "code": code.to_dict(), "repetition": repetition}
+    if run.example is not None:
+        inputs["example"] = list(run.example)
     transcript = RunTranscript(run_id=run.run_id, config=config.snapshot(), inputs=inputs,
                                status="aborted")
     clock_start = time.perf_counter()
@@ -359,15 +379,13 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
 
 
 def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
-               repetition: int = 1, gateway: Gateway | None = None) -> UpdateResult:
+               repetition: int = 1, context: RunContext | None = None) -> UpdateResult:
     """Execute the full pipeline over one file, write the updated file, persist the transcript.
 
     On budget exhaustion the last finalizer output is carried forward
     and the result is flagged unverified.  Any agent error persists the
     partial transcript and aborts with the failing task index.
     """
-    config.validate()
-
     def steps(run: Run) -> tuple[UpdateResult, dict]:
         plan = plan_tasks(req, code, run)
         logger.info("run %s: plan of %d task(s)", run.run_id, len(plan.tasks))
@@ -401,7 +419,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         )
         return result, result.to_dict()
 
-    return _record_run(req, code, config, repetition, gateway, steps)
+    return _record_run(req, code, config, repetition, context, steps)
 
 
 @dataclass
@@ -414,34 +432,18 @@ class BaselineResult:
     truncated: bool
 
 
-def load_example(path: Path) -> tuple[str, str]:
-    """Read a one-shot example asset: a JSON object with "input" and "output" excerpts."""
-    def parse(text: str) -> tuple[str, str]:
-        data = json.loads(text)
-        if not (isinstance(data, dict) and isinstance(data.get("input"), str)
-                and isinstance(data.get("output"), str)):
-            raise TypeError('must be a JSON object with string "input" and "output" fields')
-        return data["input"], data["output"]
-
-    return read_input(path, "example asset", parse)
-
-
 def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
-                 repetition: int = 1, gateway: Gateway | None = None,
-                 example: tuple[str, str] | None = None) -> BaselineResult:
+                 repetition: int = 1, context: RunContext | None = None) -> BaselineResult:
     """Execute one zero- or one-shot exchange over one file, write its result, persist it.
 
-    A one-shot run shows ``example``, its input/output pair (see
-    :func:`load_example`); a zero-shot run ignores one.
+    A one-shot run shows the context's input/output pair (see
+    :func:`load_example`); a zero-shot run never shows one.
     """
-    config.validate()
-    if config.method is Method.VAPU or (config.method is Method.OSL and example is None):
-        raise ValueError("run_baseline requires a zsl method, or osl and its example pair")
-    # A zero-shot prompt shows no example, not even one a caller passed.
-    shown = example if config.method is Method.OSL else None
+    if config.method is Method.VAPU:
+        raise ValueError("run_baseline requires the zsl or osl method")
 
     def steps(run: Run) -> tuple[BaselineResult, dict]:
-        prompt = build_baseline_prompt(req.as_text(), code, run.templates, shown)
+        prompt = build_baseline_prompt(req.as_text(), code, run.templates, run.example)
         updated, exchange = _code_reply(run, AgentRole.BASELINE, prompt, code)
         result = BaselineResult(
             final_code=updated,
@@ -452,13 +454,7 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
         return result, {"final_code": updated.to_dict(), "fenced": result.fenced,
                         "truncated": result.truncated}
 
-    return _record_run(req, code, config, repetition, gateway, steps, example=example)
-
-
-def fixtures_from_transcript(transcript: RunTranscript) -> dict[tuple[str, int], str]:
-    """Rebuild replay fixtures, keyed by (role, index), from a transcript's exchanges."""
-    cursors = defaultdict(itertools.count)  # the next index per role
-    return {(e.role.value, next(cursors[e.role.value])): e.response for e in transcript.exchanges}
+    return _record_run(req, code, config, repetition, context, steps)
 
 
 def reexecute_transcript(transcript: RunTranscript, header: RunHeader,
@@ -466,14 +462,17 @@ def reexecute_transcript(transcript: RunTranscript, header: RunHeader,
     """Re-run a persisted run, read as ``header``, against its own recorded responses.
 
     Returns (recorded_content or None for a run that did not complete,
-    replayed_content); equality is the caller's byte-identity check.
+    replayed_content); equality is the caller's byte-identity check.  The
+    responses and the example pair come from the transcript, not from files.
     """
-    # The injected gateway supplies the responses; the fixtures directory is
-    # only kept for provenance in the re-executed transcript.
-    config = replace(header.config, output_dir=Path(output_dir), backend=Backend.REPLAY,
-                     fixtures_dir=header.config.fixtures_dir or Path("."))
-    run = (run_update if config.method is Method.VAPU
-           else functools.partial(run_baseline, example=header.example))
+    config = replace(header.config, output_dir=Path(output_dir))
+    config.validate()
+    cursors = defaultdict(itertools.count)  # the next index per role
+    fixtures = {(e.role.value, next(cursors[e.role.value])): e.response
+                for e in transcript.exchanges}
+    context = RunContext(load_templates(config.templates_dir),
+                         lambda: ReplayGateway(fixtures, model_id=config.model), header.example)
+    run = run_update if config.method is Method.VAPU else run_baseline
     result = run(header.requirement, header.code, config, repetition=header.repetition,
-                 gateway=ReplayGateway(fixtures_from_transcript(transcript), model_id=config.model))
+                 context=context)
     return header.final_code and header.final_code.content, result.final_code.content

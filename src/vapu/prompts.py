@@ -291,9 +291,13 @@ def parse_template_file(name: str, text: str) -> PromptTemplate:
     return PromptTemplate(template_id=template_id, role=role, body=body)
 
 
-def load_templates(directory: Path) -> TemplateSet:
-    """Load every ``*.txt`` template asset in a directory, keyed by file stem."""
+def load_templates(directory: Path | None) -> TemplateSet:
+    """Every ``*.txt`` template asset in ``directory`` by file stem; None: the bundled set."""
+    if directory is None:
+        return default_templates()
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigInvalid(f"cannot read template directory {directory}: not a directory")
     templates: TemplateSet = {
         path.stem: read_input(path, "template asset", partial(parse_template_file, path.name))
         for path in sorted(directory.glob("*.txt"))}

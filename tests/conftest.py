@@ -8,6 +8,8 @@ import pytest
 
 import vapu.evaluation
 from vapu.models import CodeDocument, RequirementSpec
+from vapu.pipeline import RunContext
+from vapu.prompts import default_templates
 from vapu.workspace import Backend, Method, RunConfig
 
 LEGACY_VIEW = """<?php foreach ($rows as $row): ?>
@@ -95,3 +97,8 @@ def replay_config(output_dir: Path, fixtures_dir: Path, **overrides) -> RunConfi
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def one_gateway(gateway) -> RunContext:
+    """A context with the bundled templates whose every run sends through ``gateway``."""
+    return RunContext(default_templates(), lambda: gateway)

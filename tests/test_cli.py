@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.cli
 import vapu.pipeline
+import vapu.prompts
 from vapu.cli import REPLAY_MISMATCH_EXIT, demo_root, main
 from vapu.errors import ConfigInvalid, VapuError
 from vapu.gateway import ReplayGateway
@@ -555,8 +557,10 @@ def test_a_transcripts_duration_leaves_out_writing_the_updated_file(tmp_path,
 
 def test_code_reply_utf8_cannot_encode_aborts_the_run(tmp_path, capsys, monkeypatch) -> None:
     reply = "```php\n<?php echo '\ud800'; ?>\n```\n"  # a JSON "\ud800" escape, decoded
-    monkeypatch.setattr(vapu.cli, "gateway_factory", lambda config: lambda: ReplayGateway(
-        {("baseline", 0): reply}, model_id=config.model))
+    from_config = vapu.cli.RunContext.from_config
+    monkeypatch.setattr(vapu.cli.RunContext, "from_config", lambda config: replace(
+        from_config(config), new_gateway=lambda: ReplayGateway(
+            {("baseline", 0): reply}, model_id=config.model)))
     out = tmp_path / "zsl-runs"
     args = demo_update_args(DEMO / "legacy", out)
     args[0:1] = ["baseline", "--method", "zsl"]
@@ -997,6 +1001,58 @@ def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["update", "replay"])
+def test_a_template_directory_that_is_gone_exits_2_naming_it(tmp_path, capsys,
+                                                             command) -> None:
+    templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
+    out = tmp_path / "out"
+    args = [*demo_update_args(DEMO / "legacy", out), "--templates", str(templates)]
+    if command == "replay":  # a transcript whose template directory was deleted since
+        assert main(args) == 0
+        [transcript] = out.glob("*.jsonl")
+        args = ["replay", "--transcript", str(transcript)]
+    shutil.rmtree(templates)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read template directory {templates}: not a directory" in err
+    assert "is missing" not in err and "Traceback" not in err
+    assert command == "replay" or not out.exists()
+
+
+@pytest.mark.parametrize("parallel", ["1", "3"])
+def test_a_batch_reads_its_templates_once_so_an_edit_reaches_no_later_run(
+        tmp_path, monkeypatch, parallel) -> None:
+    templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
+    reads = []
+    read_input = vapu.prompts.read_input
+
+    def counted_read(path, what, *args):
+        if what == "template asset":
+            reads.append(path)
+        return read_input(path, what, *args)
+
+    persist = vapu.pipeline.persist_transcript
+
+    def persist_then_edit(transcript, output_dir):
+        path = persist(transcript, output_dir)
+        if transcript.run_id.endswith("-r1"):
+            with (templates / "verifier.txt").open("a", encoding="utf-8") as handle:
+                handle.write("Edited after the first run.\n")
+        return path
+
+    monkeypatch.setattr(vapu.prompts, "read_input", counted_read)
+    monkeypatch.setattr(vapu.pipeline, "persist_transcript", persist_then_edit)
+    out = tmp_path / "out"
+    assert main([*demo_update_args(DEMO / "legacy", out, runs=3),
+                 "--templates", str(templates), "--parallel", parallel]) == 0
+    assert len(reads) == 8  # the eight templates, once for the three runs
+    assert "Edited" in (templates / "verifier.txt").read_text(encoding="utf-8")
+    prompts = [[e.prompt for e in load_transcript(
+        out / f"reference_list-vapu-gpt-4o-t0-r{rep}.jsonl").exchanges] for rep in (1, 2, 3)]
+    assert prompts[1] == prompts[0] and prompts[2] == prompts[0]
 
 
 @pytest.mark.parametrize("command", ["update", "evaluate", "report"])

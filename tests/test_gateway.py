@@ -6,7 +6,7 @@ import re
 import pytest
 import requests
 
-from conftest import write_fixtures
+from conftest import one_gateway, write_fixtures
 from vapu.errors import (
     AbortedRun,
     BackendRefused,
@@ -356,7 +356,7 @@ def test_null_content_aborts_run_with_partial_transcript(monkeypatch, tmp_path) 
     req = RequirementSpec.from_text(id="r", text="Update the view.")
     config = RunConfig(model="gpt-4o", output_dir=tmp_path, repetitions=1)
     with pytest.raises(AbortedRun) as excinfo:
-        run_update(req, doc, config, gateway=gateway)
+        run_update(req, doc, config, context=one_gateway(gateway))
     assert isinstance(excinfo.value.__cause__, BackendRefused)
     transcript = load_transcript(tmp_path / f"{excinfo.value.run_id}.jsonl")
     assert transcript.status == "aborted"

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import fenced, multi_task_fixtures, replay_config, write_fixtures
+from conftest import fenced, multi_task_fixtures, one_gateway, replay_config, write_fixtures
 from vapu.errors import (
     AbortedRun,
     ConfigInvalid,
@@ -19,6 +20,7 @@ from vapu.gateway import GenerationParams, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, ChangeRequest, CodeDocument, Task
 from vapu.pipeline import (
     Run,
+    RunContext,
     execute_task,
     finalize_code,
     load_example,
@@ -327,7 +329,7 @@ def test_unexpected_exception_persists_transcript_and_propagates(
     config = replay_config(tmp_path / "out", fixtures)
     gateway = CrashingGateway(load_replay_fixtures(fixtures), error)
     with pytest.raises(type(error)) as excinfo:
-        run_update(sample_req, sample_doc, config, gateway=gateway)
+        run_update(sample_req, sample_doc, config, context=one_gateway(gateway))
     assert excinfo.value is error  # re-raised as is, not wrapped in AbortedRun
     [path] = Path(config.output_dir).glob("*.jsonl")
     transcript = load_transcript(path)
@@ -380,7 +382,7 @@ def test_code_utf8_cannot_encode_aborts_the_run(tmp_path, sample_req, sample_doc
                 for stem, text in entries.items()}
     config = replay_config(tmp_path / "out", tmp_path / "fx")
     with pytest.raises(AbortedRun, match="UTF-8") as excinfo:
-        run_update(sample_req, sample_doc, config, gateway=ReplayGateway(fixtures))
+        run_update(sample_req, sample_doc, config, context=one_gateway(ReplayGateway(fixtures)))
     assert excinfo.value.task_index == 1
     assert isinstance(excinfo.value.__cause__, NoCodeInResponse)
     transcript = load_transcript(Path(config.output_dir) / f"{excinfo.value.run_id}.jsonl")
@@ -439,7 +441,7 @@ def test_osl_baseline_embeds_one_example(tmp_path, sample_req, sample_doc) -> No
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'osl';")})
     config = replay_config(tmp_path / "out", fixtures,
                            method=Method.OSL, example_path=example_path)
-    result = run_baseline(sample_req, sample_doc, config, example=load_example(example_path))
+    result = run_baseline(sample_req, sample_doc, config, context=RunContext.from_config(config))
     transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
     prompt = transcript.exchanges[0].prompt
     assert prompt.count("Example input:") == 1
@@ -450,7 +452,8 @@ def test_zsl_baseline_shows_no_example_even_when_passed_one(
         tmp_path, sample_req, sample_doc) -> None:
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'zsl';")})
     config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
-    result = run_baseline(sample_req, sample_doc, config, example=("old()", "new()"))
+    context = replace(RunContext.from_config(config), example=("old()", "new()"))
+    result = run_baseline(sample_req, sample_doc, config, context=context)
     transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
     assert "Example" not in transcript.exchanges[0].prompt
 
@@ -529,6 +532,8 @@ def test_osl_baseline_without_its_pair_is_refused_before_any_call(
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'x';")})
     config = replay_config(tmp_path / "out", fixtures,
                            method=Method.OSL, example_path=tmp_path / "example.json")
-    with pytest.raises(ValueError, match="its example pair"):
+    with pytest.raises(ConfigInvalid, match="example asset") as excinfo:
         run_baseline(sample_req, sample_doc, config)
+    assert str(tmp_path / "example.json") in str(excinfo.value)
+    # A run that made a call would have persisted its transcript under out/.
     assert not (tmp_path / "out").exists()

@@ -408,3 +408,13 @@ def test_load_templates_requires_full_set(tmp_path) -> None:
     (tmp_path / "manager.txt").write_text("m manager\n{{requirements}}", encoding="utf-8")
     with pytest.raises(ConfigInvalid, match="missing"):
         load_templates(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_load_templates_refuses_what_is_not_a_directory(tmp_path, kind) -> None:
+    path = tmp_path / "templates"
+    if kind == "file":
+        path.write_text("manager manager\n{{requirements}}", encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="not a directory") as excinfo:
+        load_templates(path)
+    assert str(path) in str(excinfo.value) and "is missing" not in str(excinfo.value)

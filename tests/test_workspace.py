@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import records_of, write_records
+from conftest import one_gateway, records_of, write_records
 import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
@@ -311,7 +311,7 @@ def demo_run(output_dir: Path, gateway: Gateway) -> Path:
     code = load_codebase(DEMO / "legacy", ["*.php"])[0]
     config = RunConfig(model="gpt-4o", output_dir=output_dir, repetitions=1,
                        backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
-    result = run_update(req, code, config, gateway=gateway)
+    result = run_update(req, code, config, context=one_gateway(gateway))
     return output_dir / f"{result.transcript_ref}.jsonl"
 
 
