@@ -112,14 +112,6 @@ class EmptyResponse(VapuError):
 
 # --- evaluation harness ---
 
-class CheckerUnavailable(VapuError):
-    """No syntax checker registered for the document's language tag.
-
-    Signals that the automated fatal-error check should be skipped,
-    not that evaluation failed.
-    """
-
-
 class InvalidCCLetter(VapuError):
     """Cyclomatic-complexity grade outside A..F."""
 

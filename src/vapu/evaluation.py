@@ -1,9 +1,11 @@
 """Measurement apparatus for comparing update methods.
 
-Covers the error ledger with per-cause deduplication, 0/1 requirement
-scoring, the three per-file check marks, difficulty scoring from
-LOC/complexity/task count, duration normalization, mean/SD statistics,
-temperature selection, and the side-by-side comparison report.
+A run is scored from plain data: its errors counted once per cause
+(annotated findings plus the automated fatal check), its requirements
+as the count of 0/1 results, and its three check marks as the count of
+true flags.  Also here: difficulty scoring from LOC/complexity/task
+count, duration normalization, mean/SD statistics, temperature
+selection, and the side-by-side comparison report.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import hashlib
 import json
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import CheckerUnavailable, EmptyScores, InvalidCCLetter
+from .errors import EmptyScores, InvalidCCLetter
 from .models import CodeDocument, from_json, read_input
 from .workspace import RunHeader, RunTranscript
 
@@ -27,11 +30,6 @@ class ErrorCategory(str, Enum):
     RUNTIME = "runtime"
     CONTENT = "content"
     MISSING_ADDITIONAL = "missing_additional"
-
-
-class FindingSource(str, Enum):
-    HUMAN_ANNOTATION = "human_annotation"
-    AUTOMATED_CHECK = "automated_check"
 
 
 _DIGITS_RE = re.compile(r"\d+")
@@ -54,32 +52,10 @@ class Finding:
 
     category: ErrorCategory
     cause_key: str
-    description: str
-    source: FindingSource
 
     def __post_init__(self) -> None:
         if not self.cause_key.strip():
             raise ValueError("finding cause_key must be non-empty")
-
-
-@dataclass
-class RunErrorLedger:
-    """Per-run error set, deduplicated by cause key (first record wins)."""
-
-    run_id: str
-    findings: dict[str, Finding] = field(default_factory=dict)
-
-    def record(self, finding: Finding) -> None:
-        self.findings.setdefault(finding.cause_key, finding)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def by_category(self) -> dict[ErrorCategory, int]:
-        counts = {category: 0 for category in ErrorCategory}
-        for finding in self.findings.values():
-            counts[finding.category] += 1
-        return counts
 
 
 # A checker takes file content and returns diagnostic messages (empty = clean).
@@ -126,24 +102,16 @@ def default_checkers() -> dict[str, SyntaxCheckerHook]:
 
 def check_fatal(code: CodeDocument,
                 checkers: Mapping[str, SyntaxCheckerHook]) -> list[Finding]:
-    """Run the registered syntax checker for the document's language.
+    """Fatal findings from the registered syntax checker for the document's language.
 
-    Only fatal errors are automatable; the other categories enter the
-    ledger through annotations.  Raises CheckerUnavailable when no hook
-    covers the language tag, which callers treat as a skip.
+    Only fatal errors are automatable; the other categories come from
+    annotations.  A language no hook covers has no automated findings.
     """
     hook = checkers.get(code.language_tag.lower())
     if hook is None:
-        raise CheckerUnavailable(f"no syntax checker registered for {code.language_tag!r}")
-    return [
-        Finding(
-            category=ErrorCategory.FATAL,
-            cause_key=normalize_cause_key(message),
-            description=message,
-            source=FindingSource.AUTOMATED_CHECK,
-        )
-        for message in hook(code.content)
-    ]
+        return []
+    return [Finding(ErrorCategory.FATAL, normalize_cause_key(message))
+            for message in hook(code.content)]
 
 
 @dataclass(frozen=True)
@@ -156,13 +124,6 @@ class RequirementResult:
     def __post_init__(self) -> None:
         if self.value not in (0, 1):
             raise ValueError(f"requirement value must be 0 or 1, got {self.value}")
-
-
-def score_requirements(results: Sequence[RequirementResult]) -> int:
-    """Sum of fulfilled requirements."""
-    if not results:
-        raise ValueError("cannot score an empty requirement list")
-    return sum(result.value for result in results)
 
 
 @dataclass(frozen=True)
@@ -179,10 +140,6 @@ class CheckMarks:
             self.basic_functions_ok,
             self.all_requirements_correct,
         )
-
-
-def score_checkmarks(marks: CheckMarks) -> int:
-    return sum(marks.flags())
 
 
 CC_POINTS = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 5, "F": 6}
@@ -300,7 +257,8 @@ class FileFeatures:
     task_count: int
 
     def __post_init__(self) -> None:
-        _cc_grade(self.cc_letter)  # a file with no grade would drop out of the grade table
+        # A file score_difficulty refuses would drop out of the LOC or grade table.
+        score_difficulty(self.loc, self.cc_letter, self.task_count)
 
 
 @dataclass(frozen=True)
@@ -495,32 +453,24 @@ def build_comparison_report(
     if missing:
         raise ValueError(f"missing difficulty features for files: {missing}")
 
-    def loc_band(file_id: str) -> str | None:
-        loc = features[file_id].loc
-        for label, low, high in LOC_BANDS:
-            if loc >= low and (high is None or loc < high):
-                return label
-        return None
+    def loc_band(file_id: str) -> str:
+        loc = features[file_id].loc  # at least 1, so in a band
+        return next(label for label, _, high in LOC_BANDS if high is None or loc < high)
 
-    def cc_group(file_id: str) -> str | None:
+    def cc_group(file_id: str) -> str:
         letter = features[file_id].cc_letter.strip().upper()  # as _cc_grade reads it
-        for label, letters in CC_GROUPS:
-            if letter in letters:
-                return label
-        return None
+        return next(label for label, letters in CC_GROUPS if letter in letters)
 
     task_labels = sorted({str(f.task_count) for f in features.values()}, key=int)
 
     def task_bucket(file_id: str) -> str:
         return str(features[file_id].task_count)
 
-    def deltas(bucket_of: Callable[[str], str | None], labels: list[str]) -> tuple[BucketDelta, ...]:
+    def deltas(bucket_of: Callable[[str], str], labels: list[str]) -> tuple[BucketDelta, ...]:
         sums = {label: [0, 0] for label in labels}  # [pipeline, baseline]
         for side, runs in enumerate((vapu_runs, baseline_runs)):
             for record in runs:
-                label = bucket_of(record.file_id)
-                if label is not None:
-                    sums[label][side] += score_checkmarks(record.marks)
+                sums[bucket_of(record.file_id)][side] += sum(record.marks.flags())
         return tuple(BucketDelta(label, *sums[label]) for label in labels)
 
     return ComparisonReport(
@@ -554,7 +504,8 @@ def load_annotations(path: Path) -> Annotations:
     """Read the JSON annotations file.
 
     Sections (all optional): findings per run, requirement results per
-    run, check marks per (file, model, method), and per-file features.
+    run (each requirement once), check marks per (file, model, method),
+    and per-file features.  A finding's ``description`` is ignored.
     """
     def text(entry: dict, name: str) -> str:  # a key of another type would match no run
         if type(entry[name]) is not str:
@@ -565,13 +516,15 @@ def load_annotations(path: Path) -> Annotations:
         data = json.loads(content)
         annotations = Annotations()
         for entry in data.get("findings", []):
-            # Annotated findings come from human inspection, whatever the entry says.
-            finding = from_json(Finding, {"description": "", **entry,
-                                          "source": FindingSource.HUMAN_ANNOTATION})
+            finding = from_json(Finding, entry)
             annotations.findings.setdefault(text(entry, "run_id"), []).append(finding)
         for entry in data.get("requirements", []):
-            result = from_json(RequirementResult, entry)
-            annotations.requirements.setdefault(text(entry, "run_id"), []).append(result)
+            result, run_id = from_json(RequirementResult, entry), text(entry, "run_id")
+            results = annotations.requirements.setdefault(run_id, [])
+            if any(r.requirement_id == result.requirement_id for r in results):
+                raise ValueError(f"requirement {result.requirement_id!r} is listed twice "
+                                 f"for run {run_id!r}")
+            results.append(result)
         for entry in data.get("checkmarks", []):
             key = (text(entry, "file_id"), text(entry, "model"), text(entry, "method"))
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
@@ -587,20 +540,16 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
     """Merge one run transcript, read as ``header``, with annotations into a scored record.
 
     The error count combines annotated findings with the automated
-    fatal check on the final code (by ``checkers``, see ``default_checkers``;
-    skipped when none covers the language); the per-run ledger deduplicates.
+    fatal check on the final code (by ``checkers``, see ``default_checkers``),
+    one error per cause key; the first finding of a cause sets its category.
     """
     config, final_code = header.config, header.final_code
     file_id = Path(header.code.path).stem
-    ledger = RunErrorLedger(run_id=transcript.run_id)
-    for finding in annotations.findings.get(transcript.run_id, []):
-        ledger.record(finding)
-    if final_code is not None:
-        try:
-            for finding in check_fatal(final_code, checkers):
-                ledger.record(finding)
-        except CheckerUnavailable:
-            pass  # only annotatable categories for this language
+    automated = check_fatal(final_code, checkers) if final_code is not None else []
+    causes: dict[str, ErrorCategory] = {}
+    for finding in [*annotations.findings.get(transcript.run_id, []), *automated]:
+        causes.setdefault(finding.cause_key, finding.category)
+    per_category = Counter(causes.values())
     requirement_entries = annotations.requirements.get(transcript.run_id, [])
     marks = annotations.checkmarks.get((file_id, config.model, config.method.value))
     features = annotations.features.get(file_id)
@@ -613,12 +562,12 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
         "repetition": header.repetition,
         "status": transcript.status,
         "duration": transcript.duration,
-        "error_count": len(ledger),
-        "errors_by_category": {cat.value: n for cat, n in ledger.by_category().items()},
-        "requirement_score": (score_requirements(requirement_entries)
+        "error_count": len(causes),
+        "errors_by_category": {cat.value: per_category[cat] for cat in ErrorCategory},
+        "requirement_score": (sum(r.value for r in requirement_entries)
                               if requirement_entries else None),
         "requirement_total": len(requirement_entries) or None,
-        "checkmarks": {**vars(marks), "score": score_checkmarks(marks)} if marks else None,
+        "checkmarks": {**vars(marks), "score": sum(marks.flags())} if marks else None,
         "features": dict(vars(features)) if features else None,
         "loc_final": final_code.loc if final_code else None,
         "unverified": transcript.outcome.get("unverified"),

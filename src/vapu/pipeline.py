@@ -332,13 +332,15 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     write.  Whatever happens, the transcript is persisted exactly once: an agent error
     marks it aborted and raises AbortedRun; a full disk marks it aborted without a
     failed task and propagates; any other exception (including KeyboardInterrupt) marks
-    it aborted and propagates unchanged.  A ``code.path`` outside its project raises
-    ConfigInvalid before any call.
+    it aborted and propagates unchanged.  A ``code.path`` outside its project, or an
+    osl run whose context holds no example pair, raises ConfigInvalid before any call.
     """
     if not is_project_relative(code.path):
         raise ConfigInvalid(f"file path {code.path!r} is not inside a project: its updated "
                             f"file would be written outside {config.output_dir}")
     context = context or RunContext.from_config(config)
+    if config.method is Method.OSL and context.example is None:
+        raise ConfigInvalid("a one-shot run needs an example pair; its run context has none")
     run = Run(context.new_gateway(), GenerationParams(temperature=config.temperature),
               context.templates,
               make_run_id(code.path, config.method, config.model, config.temperature, repetition),

@@ -260,6 +260,22 @@ def test_report_with_mismatched_files(tmp_path) -> None:
     assert status == 2
 
 
+def test_report_without_check_marks_on_one_side_exits_2(tmp_path, capsys) -> None:
+    marked, unmarked = synthetic_scored("vapu", ("m",)), synthetic_scored("zsl", ("m",))
+    for record in unmarked["records"]:
+        record["checkmarks"] = None
+    paths = []
+    for name, payload in (("marked", marked), ("unmarked", unmarked)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(payload), encoding="utf-8")
+    for pair in (paths, paths[::-1]):
+        capsys.readouterr()
+        assert main(["report", "--compare", *map(str, pair),
+                     "--output-dir", str(tmp_path / "report")]) == 2
+        assert "both scored files need records with check marks" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_parallel_repetitions(tmp_path) -> None:
     out = tmp_path / "runs"
     status = main([
@@ -788,6 +804,16 @@ def annotation_with_a_numeric_model(data: dict) -> dict:
     return data
 
 
+def annotation_with_a_negative_loc(data: dict) -> dict:
+    data["files"][0]["loc"] = -5  # would count in the totals but in no LOC band
+    return data
+
+
+def annotation_with_a_requirement_listed_twice(data: dict) -> dict:
+    data["requirements"].append(dict(data["requirements"][0]))
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
@@ -801,6 +827,8 @@ def annotation_with_a_numeric_model(data: dict) -> dict:
     ("scored", scored_record_with_an_unknown_grade),
     ("annotations", annotation_with_a_numeric_run_id),
     ("annotations", annotation_with_a_numeric_model),
+    ("annotations", annotation_with_a_negative_loc),
+    ("annotations", annotation_with_a_requirement_listed_twice),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:
@@ -822,6 +850,16 @@ def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
                        "--output-dir", str(tmp_path / "report")])
     assert status == 2
     assert str(tmp_path / f"{target}.json") in capsys.readouterr().err
+
+
+def test_a_requirement_listed_twice_for_a_run_is_refused_by_name(tmp_path) -> None:
+    data = json.loads((DEMO / "annotations.json").read_text(encoding="utf-8"))
+    data["requirements"].insert(1, dict(data["requirements"][0]))
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match=f"{re.escape(str(path))}.*'entity-access' is listed "
+                                            f"twice for run 'reference_list-vapu-gpt-4o-t0-r1'"):
+        load_annotations(path)
 
 
 @pytest.mark.parametrize("section, field, value", [

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from vapu.errors import CheckerUnavailable, EmptyScores, InvalidCCLetter
+from vapu.errors import EmptyScores, InvalidCCLetter
 from vapu.evaluation import (
+    Annotations,
     CheckMarkRecord,
     CheckMarks,
     ErrorCategory,
     FileFeatures,
     Finding,
-    FindingSource,
     RequirementResult,
-    RunErrorLedger,
     TemperatureScore,
     aggregate_runs,
     build_comparison_report,
@@ -25,50 +26,73 @@ from vapu.evaluation import (
     normalize_cause_key,
     normalize_durations,
     python_syntax_checker,
-    score_checkmarks,
     score_difficulty,
-    score_requirements,
+    score_transcript,
     select_temperature,
 )
-from vapu.models import CodeDocument, count_loc
+from vapu.models import CodeDocument, RequirementSpec, count_loc
+from vapu.workspace import RunConfig, RunHeader, RunTranscript
+
+BROKEN_PYTHON = "def f(:\n  pass"
 
 
 def finding(cause: str, category: ErrorCategory = ErrorCategory.FATAL) -> Finding:
-    return Finding(category=category, cause_key=cause, description=cause,
-                   source=FindingSource.HUMAN_ANNOTATION)
+    return Finding(category=category, cause_key=cause)
 
 
-# --- error ledger ---
+def scored(findings: Sequence[Finding] = (), requirements: Sequence[RequirementResult] = (),
+           marks: CheckMarks | None = None, final: str | None = None,
+           language_tag: str = "python", checkers=None) -> dict:
+    """The record score_transcript gives run "r" of file f (model m, vapu) with these
+    annotations; ``final`` is its final code, None for a run that did not complete."""
+    code = CodeDocument(path="f.py", language_tag=language_tag, content="x = 1\n")
+    header = RunHeader(config=RunConfig(model="m", output_dir=Path("out")),
+                       requirement=RequirementSpec.from_text("req", "update it"), code=code,
+                       repetition=1, final_code=None if final is None else code.with_content(final))
+    annotations = Annotations(findings={"r": list(findings)},
+                              requirements={"r": list(requirements)},
+                              checkmarks={("f", "m", "vapu"): marks} if marks else {})
+    return score_transcript(RunTranscript(run_id="r", config={}), header, annotations,
+                            default_checkers() if checkers is None else checkers)
+
+
+# --- errors, one per cause ---
 
 def test_same_cause_counted_once() -> None:
-    ledger = RunErrorLedger(run_id="r")
-    ledger.record(finding("missing helper"))
-    ledger.record(finding("missing helper"))
-    assert len(ledger) == 1
+    assert scored([finding("missing helper"), finding("missing helper")])["error_count"] == 1
 
 
 def test_distinct_causes_both_counted() -> None:
-    ledger = RunErrorLedger(run_id="r")
-    ledger.record(finding("cause a"))
-    ledger.record(finding("cause b"))
-    assert len(ledger) == 2
+    assert scored([finding("cause a"), finding("cause b")])["error_count"] == 2
 
 
 def test_dedup_spans_categories_first_wins() -> None:
-    ledger = RunErrorLedger(run_id="r")
-    ledger.record(finding("same mistake", ErrorCategory.FATAL))
-    ledger.record(finding("same mistake", ErrorCategory.RUNTIME))
-    assert len(ledger) == 1
-    assert next(iter(ledger.findings.values())).category is ErrorCategory.FATAL
+    record = scored([finding("same mistake", ErrorCategory.FATAL),
+                     finding("same mistake", ErrorCategory.RUNTIME)])
+    assert record["error_count"] == 1
+    assert record["errors_by_category"] == {"fatal": 1, "runtime": 0, "content": 0,
+                                            "missing_additional": 0}
 
 
-@given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=30))
-def test_ledger_size_never_exceeds_distinct_causes(causes: list[str]) -> None:
-    ledger = RunErrorLedger(run_id="r")
-    for cause in causes:
-        ledger.record(finding(cause))
-        ledger.record(finding(cause))  # idempotent per cause
-    assert len(ledger) == len(set(causes))
+def test_an_automated_finding_of_an_annotated_cause_counts_once_as_annotated() -> None:
+    [message] = python_syntax_checker(BROKEN_PYTHON)
+    annotated = finding(normalize_cause_key(message), ErrorCategory.RUNTIME)
+    record = scored([annotated, finding("other mistake", ErrorCategory.CONTENT)],
+                    final=BROKEN_PYTHON)
+    assert record["error_count"] == 2
+    assert record["errors_by_category"] == {"fatal": 0, "runtime": 1, "content": 1,
+                                            "missing_additional": 0}
+    # Without the annotation the same final code counts one fatal error.
+    assert scored(final=BROKEN_PYTHON)["errors_by_category"]["fatal"] == 1
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=30),
+       st.booleans())
+def test_error_count_is_the_number_of_distinct_causes(causes: list[str], broken: bool) -> None:
+    findings = [finding(cause) for cause in causes for _ in range(2)]  # each cause twice
+    record = scored(findings, final=BROKEN_PYTHON if broken else "x = 2\n")
+    assert record["error_count"] == len(set(causes)) + broken
+    assert sum(record["errors_by_category"].values()) == record["error_count"]
 
 
 def test_normalize_cause_key_strips_positions() -> None:
@@ -84,7 +108,6 @@ def test_python_syntax_error_yields_one_fatal_finding() -> None:
     findings = check_fatal(doc, default_checkers())
     assert len(findings) == 1
     assert findings[0].category is ErrorCategory.FATAL
-    assert findings[0].source is FindingSource.AUTOMATED_CHECK
 
 
 def test_valid_python_yields_no_findings() -> None:
@@ -97,10 +120,18 @@ def test_a_lone_surrogate_is_a_fatal_finding_not_an_encoding_error() -> None:
         "unreadable source: surrogates not allowed"]
 
 
-def test_unregistered_language_signals_skip() -> None:
+def test_unregistered_language_has_no_automated_findings() -> None:
     doc = CodeDocument(path="x.php", language_tag="php", content="<?php ?>")
-    with pytest.raises(CheckerUnavailable):
-        check_fatal(doc, default_checkers())
+    assert check_fatal(doc, default_checkers()) == []
+
+
+def test_a_language_with_no_checker_scores_its_annotated_findings_only() -> None:
+    flag_everything = {"python": lambda content: ["always wrong"]}
+    record = scored([finding("annotated", ErrorCategory.CONTENT)], final="<?php ?>",
+                    language_tag="php", checkers=flag_everything)
+    assert record["error_count"] == 1
+    assert record["errors_by_category"]["content"] == 1
+    assert scored(final="x = 1\n", checkers=flag_everything)["error_count"] == 1
 
 
 def test_one_set_of_checkers_checks_each_content_once(checked) -> None:
@@ -135,18 +166,20 @@ def test_a_repeated_checks_messages_are_its_own_copy() -> None:
 
 # --- requirement scoring ---
 
-def test_score_requirements_sums_values() -> None:
+def test_requirement_score_sums_values() -> None:
     results = [RequirementResult("a", 1), RequirementResult("b", 0), RequirementResult("c", 1)]
-    assert score_requirements(results) == 2
+    record = scored(requirements=results)
+    assert (record["requirement_score"], record["requirement_total"]) == (2, 3)
 
 
-def test_score_requirements_all_zero() -> None:
-    assert score_requirements([RequirementResult(str(i), 0) for i in range(3)]) == 0
+def test_requirement_score_all_zero() -> None:
+    assert scored(requirements=[RequirementResult(str(i), 0)
+                                for i in range(3)])["requirement_score"] == 0
 
 
-def test_score_requirements_rejects_empty() -> None:
-    with pytest.raises(ValueError):
-        score_requirements([])
+def test_a_run_without_requirement_results_has_no_requirement_score() -> None:
+    record = scored()
+    assert (record["requirement_score"], record["requirement_total"]) == (None, None)
 
 
 def test_requirement_values_are_binary() -> None:
@@ -156,15 +189,17 @@ def test_requirement_values_are_binary() -> None:
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
 def test_score_bounded_and_monotone_in_flips(values: list[int]) -> None:
-    results = [RequirementResult(str(i), v) for i, v in enumerate(values)]
-    score = score_requirements(results)
-    assert 0 <= score <= len(results)
+    def requirement_score(values: list[int]) -> int:
+        return scored(requirements=[RequirementResult(str(i), v)
+                                    for i, v in enumerate(values)])["requirement_score"]
+
+    score = requirement_score(values)
+    assert 0 <= score <= len(values)
     for i, value in enumerate(values):
         if value == 0:
             flipped = list(values)
             flipped[i] = 1
-            flipped_results = [RequirementResult(str(j), v) for j, v in enumerate(flipped)]
-            assert score_requirements(flipped_results) == score + 1
+            assert requirement_score(flipped) == score + 1
 
 
 def test_requirement_means_match_published_aggregates() -> None:
@@ -179,10 +214,14 @@ def test_requirement_means_match_published_aggregates() -> None:
 
 # --- check marks ---
 
-def test_score_checkmarks_counts_true_flags() -> None:
-    assert score_checkmarks(CheckMarks(True, True, False)) == 2
-    assert score_checkmarks(CheckMarks(False, False, False)) == 0
-    assert score_checkmarks(CheckMarks(True, True, True)) == 3
+def test_checkmark_score_counts_true_flags() -> None:
+    def score(*flags: bool) -> int:
+        return scored(marks=CheckMarks(*flags))["checkmarks"]["score"]
+
+    assert score(True, True, False) == 2
+    assert score(False, False, False) == 0
+    assert score(True, True, True) == 3
+    assert scored()["checkmarks"] is None
 
 
 # --- difficulty ---
@@ -378,6 +417,16 @@ def test_small_comparison_report() -> None:
     assert by_label[">=300"].delta == 0     # f2 tied
     text = report.to_text()
     assert "overall delta: +2" in text
+
+
+@pytest.mark.parametrize("loc, task_count", [(-5, 1), (0, 1), (10, 0), (-5, 0)])
+def test_report_refuses_features_score_difficulty_refuses(loc, task_count) -> None:
+    # Such a file would count in the totals but in no LOC band.
+    vapu = [CheckMarkRecord("f1", "m", marks(True, True, True))]
+    baseline = [CheckMarkRecord("f1", "m", marks(False, False, False))]
+    with pytest.raises(ValueError, match="loc must be positive|task_count must be at least 1"):
+        build_comparison_report(vapu, baseline, {
+            "f1": FileFeatures(loc=loc, cc_letter="A", task_count=task_count)})
 
 
 @pytest.mark.parametrize("letter", ["Z", "", "AB", "G"])

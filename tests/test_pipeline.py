@@ -390,6 +390,21 @@ def test_code_utf8_cannot_encode_aborts_the_run(tmp_path, sample_req, sample_doc
     assert transcript.exchanges[-1].response == entries["executor-0"]
 
 
+def test_code_reply_of_only_blanks_in_its_fence_aborts_the_run(
+        tmp_path, sample_req, sample_doc) -> None:
+    entries = multi_task_fixtures(tasks=1, verifier_responses=["ACCEPT"], finalizer_count=0)
+    entries["executor-0"] = fenced("  \t  ")
+    config = replay_config(tmp_path / "out", write_fixtures(tmp_path / "fx", entries))
+    with pytest.raises(AbortedRun, match="executor response contained no code") as excinfo:
+        run_update(sample_req, sample_doc, config)
+    assert excinfo.value.exit_code == 9 and excinfo.value.task_index == 1
+    assert isinstance(excinfo.value.__cause__, NoCodeInResponse)
+    transcript = load_transcript(Path(config.output_dir) / f"{excinfo.value.run_id}.jsonl")
+    assert transcript.status == "aborted"
+    assert transcript.outcome["failed_task_index"] == 1
+    assert transcript.exchanges[-1].response == entries["executor-0"]
+
+
 def test_replay_runs_are_deterministic(tmp_path, sample_req, sample_doc) -> None:
     entries = multi_task_fixtures(
         tasks=2, verifier_responses=["REJECT:\n- more", "ACCEPT", "ACCEPT"], finalizer_count=1)
@@ -536,4 +551,18 @@ def test_osl_baseline_without_its_pair_is_refused_before_any_call(
         run_baseline(sample_req, sample_doc, config)
     assert str(tmp_path / "example.json") in str(excinfo.value)
     # A run that made a call would have persisted its transcript under out/.
+    assert not (tmp_path / "out").exists()
+
+
+def test_osl_baseline_whose_context_has_no_pair_is_refused_before_any_call(
+        tmp_path, sample_req, sample_doc) -> None:
+    example_path = tmp_path / "example.json"
+    example_path.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'x';")})
+    config = replay_config(tmp_path / "out", fixtures,
+                           method=Method.OSL, example_path=example_path)
+    # A context built by hand, not by from_config, so it holds no pair.
+    context = RunContext(default_templates(), lambda: pytest.fail("a gateway was made"))
+    with pytest.raises(ConfigInvalid, match="one-shot run needs an example pair"):
+        run_baseline(sample_req, sample_doc, config, context=context)
     assert not (tmp_path / "out").exists()
