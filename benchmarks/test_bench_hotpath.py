@@ -18,6 +18,8 @@ template literal on every line, and Markdown prose with inline code on
 every line before a short fenced block.  The prompt
 benches render the executor and baseline templates around that file,
 and the verdict bench parses a rejection with eight change bullets.
+Two benches time ``models.to_json``, the writer of a transcript's
+records, on one rendered exchange and on a run config.
 
 Three benches run whole layers on the bundled demo instead: one
 ``run_update`` through a replay gateway (planning, two tasks, the
@@ -59,7 +61,7 @@ from vapu.evaluation import (
     score_transcript,
 )
 from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
-from vapu.models import AgentRole, CodeDocument, RequirementSpec
+from vapu.models import AgentRole, CodeDocument, RequirementSpec, to_json
 from vapu.pipeline import RunContext, run_update
 from vapu.prompts import (
     build_baseline_prompt,
@@ -232,6 +234,19 @@ def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) 
     loaded = benchmark(load_transcript, path)
     assert loaded == referenced_transcript
     assert loaded.exchanges[3].response_parts == referenced_transcript.exchanges[3].response_parts
+
+
+def test_to_json_exchange(benchmark, rendered_transcript) -> None:
+    exchange = rendered_transcript.exchanges[4]  # a verifier call rendered from its template
+    record = benchmark(to_json, exchange)
+    assert record["role"] == "verifier" and "parts" not in record
+
+
+def test_to_json_config(benchmark, tmp_path) -> None:
+    config = RunConfig(model="gpt-4o", output_dir=tmp_path, repetitions=1,
+                       backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
+    record = benchmark(to_json, config)
+    assert record["backend"] == "replay" and record["fixtures_dir"] == str(DEMO / "fixtures")
 
 
 def _demo_update(output_dir: Path):

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyScores, InvalidCCLetter
-from .models import CodeDocument, from_json, read_input
+from .models import CodeDocument, from_json, read_input, to_json
 from .workspace import RunHeader, RunTranscript
 
 
@@ -505,7 +505,7 @@ def load_annotations(path: Path) -> Annotations:
 
     Sections (all optional): findings per run, requirement results per
     run (each requirement once), check marks per (file, model, method),
-    and per-file features.  A finding's ``description`` is ignored.
+    and features per file (each file once).  A finding's ``description`` is ignored.
     """
     def text(entry: dict, name: str) -> str:  # a key of another type would match no run
         if type(entry[name]) is not str:
@@ -529,7 +529,10 @@ def load_annotations(path: Path) -> Annotations:
             key = (text(entry, "file_id"), text(entry, "model"), text(entry, "method"))
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
-            annotations.features[text(entry, "file_id")] = from_json(FileFeatures, entry)
+            file_id = text(entry, "file_id")
+            if file_id in annotations.features:
+                raise ValueError(f"file {file_id!r} is listed twice")
+            annotations.features[file_id] = from_json(FileFeatures, entry)
         return annotations
 
     return read_input(path, "annotations file", parse)
@@ -539,15 +542,17 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
                      checkers: Mapping[str, SyntaxCheckerHook]) -> dict:
     """Merge one run transcript, read as ``header``, with annotations into a scored record.
 
-    The error count combines annotated findings with the automated
-    fatal check on the final code (by ``checkers``, see ``default_checkers``),
-    one error per cause key; the first finding of a cause sets its category.
+    Errors are annotated findings plus the automated fatal check on the final code (by
+    ``checkers``, see ``default_checkers``), one per cause key, the first setting its
+    category; an automated key that an annotated key normalizes to is that cause's.
     """
     config, final_code = header.config, header.final_code
     file_id = Path(header.code.path).stem
     automated = check_fatal(final_code, checkers) if final_code is not None else []
+    annotated = annotations.findings.get(transcript.run_id, [])
+    known = {normalize_cause_key(f.cause_key) for f in annotated}  # automated keys are normalized
     causes: dict[str, ErrorCategory] = {}
-    for finding in [*annotations.findings.get(transcript.run_id, []), *automated]:
+    for finding in [*annotated, *(f for f in automated if f.cause_key not in known)]:
         causes.setdefault(finding.cause_key, finding.category)
     per_category = Counter(causes.values())
     requirement_entries = annotations.requirements.get(transcript.run_id, [])
@@ -567,8 +572,8 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
         "requirement_score": (sum(r.value for r in requirement_entries)
                               if requirement_entries else None),
         "requirement_total": len(requirement_entries) or None,
-        "checkmarks": {**vars(marks), "score": sum(marks.flags())} if marks else None,
-        "features": dict(vars(features)) if features else None,
+        "checkmarks": {**to_json(marks), "score": sum(marks.flags())} if marks else None,
+        "features": to_json(features) if features else None,
         "loc_final": final_code.loc if final_code else None,
         "unverified": transcript.outcome.get("unverified"),
         "truncated": transcript.outcome.get("truncated"),

@@ -8,9 +8,9 @@ it holds one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from .errors import ConfigInvalid, EmptyRequirements, VapuError
@@ -98,6 +98,33 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
     return cls(**values)
 
 
+@functools.cache
+def _write_plan(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, whether its value is written as it is: a bool, int, float or str field) for
+    each field ``==`` compares, then each property; the types come from the read plan."""
+    compared = {f.name for f in fields(cls) if f.compare}
+    return (*((name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
+              if name in compared),
+            *((name, False) for name, attr in cls.__dict__.items() if isinstance(attr, property)))
+
+
+def to_json(value):
+    """``value`` as JSON data, the inverse of :func:`from_json`: a dataclass as an object
+    of the fields ``==`` compares followed by its properties, an enum as its value, a path
+    as str, a tuple or list as a list; str, int, float, bool and None as they are.  Any
+    other value raises TypeError."""
+    if isinstance(value, Enum):  # before str: the enums here are str subclasses
+        return value.value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, PurePath):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return {name: getattr(value, name) if plain else to_json(getattr(value, name))
+            for name, plain in _write_plan(type(value))}  # fields() refuses a non-dataclass
+
+
 def read_input(path: Path, what: str, parse: Callable[[str], object] | None = None):
     """The UTF-8 text of input file ``path``, or what ``parse`` makes of it.  Any failure,
     from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming both."""
@@ -182,14 +209,6 @@ class CodeDocument:
     def with_content(self, content: str) -> "CodeDocument":
         return CodeDocument(path=self.path, language_tag=self.language_tag, content=content)
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "language_tag": self.language_tag,
-            "content": self.content,
-            "loc": self.loc,
-        }
-
 
 @dataclass(frozen=True)
 class ChangeRequest:
@@ -237,9 +256,3 @@ class UpdateResult:
         expected = any(not o.accepted for o in self.per_task_outcomes)
         if self.unverified != expected:
             raise ValueError("unverified must reflect whether any task was left unaccepted")
-
-    def to_dict(self) -> dict:
-        record = vars(self).copy()
-        record["final_code"] = self.final_code.to_dict()
-        record["per_task_outcomes"] = [vars(o).copy() for o in self.per_task_outcomes]
-        return record

@@ -49,6 +49,7 @@ from .models import (
     UpdateResult,
     Verdict,
     read_input,
+    to_json,
 )
 from .prompts import (
     PromptText,
@@ -345,11 +346,10 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
               context.templates,
               make_run_id(code.path, config.method, config.model, config.temperature, repetition),
               context.example if config.method is Method.OSL else None)  # zsl shows none
-    inputs = {"requirement": {"id": req.id, "body": list(req.body), "kind": req.kind.value},
-              "code": code.to_dict(), "repetition": repetition}
+    inputs = {"requirement": to_json(req), "code": to_json(code), "repetition": repetition}
     if run.example is not None:
         inputs["example"] = list(run.example)
-    transcript = RunTranscript(run_id=run.run_id, config=config.snapshot(), inputs=inputs,
+    transcript = RunTranscript(run_id=run.run_id, config=to_json(config), inputs=inputs,
                                status="aborted")
     clock_start = time.perf_counter()
     steps_end = None
@@ -419,7 +419,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
             transcript_ref=run.run_id,
             truncated=run.truncation_seen(),
         )
-        return result, result.to_dict()
+        return result, to_json(result)
 
     return _record_run(req, code, config, repetition, context, steps)
 
@@ -453,7 +453,7 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
             fenced=NO_FENCE_FLAG not in exchange.flags,
             truncated=run.truncation_seen(),
         )
-        return result, {"final_code": updated.to_dict(), "fenced": result.fenced,
+        return result, {"final_code": to_json(updated), "fenced": result.fenced,
                         "truncated": result.truncated}
 
     return _record_run(req, code, config, repetition, context, steps)

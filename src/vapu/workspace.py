@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument, RequirementSpec, from_json
+from .models import CodeDocument, RequirementSpec, from_json, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -101,16 +101,6 @@ class RunConfig:
             raise ConfigInvalid("replay backend requires a fixtures directory")
         if self.method is Method.OSL and self.example_path is None:
             raise ConfigInvalid("one-shot baseline requires an example asset")
-
-    def snapshot(self) -> dict:
-        """JSON-friendly copy of every field: paths as str, enums as their values."""
-        return {name: _plain(value) for name, value in vars(self).items()}
-
-
-def _plain(value):
-    if isinstance(value, Enum):
-        return value.value
-    return str(value) if isinstance(value, Path) else value
 
 
 def is_project_relative(path: str) -> bool:
@@ -207,7 +197,7 @@ def _input_texts(inputs: dict) -> list[str]:
 
 def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
     """An exchange's record; its binding values and reply code become references into ``table``."""
-    record = {"record": "exchange", **exchange.to_dict()}
+    record = {"record": "exchange", **to_json(exchange)}
     texts: list[str] = []
     if exchange.parts is not None:
         record["prompt"] = _pieces(exchange.parts, table, texts)

@@ -814,6 +814,11 @@ def annotation_with_a_requirement_listed_twice(data: dict) -> dict:
     return data
 
 
+def annotation_with_a_file_listed_twice(data: dict) -> dict:
+    data["files"].append({**data["files"][0], "loc": 900, "cc_letter": "F", "task_count": 6})
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
@@ -829,6 +834,7 @@ def annotation_with_a_requirement_listed_twice(data: dict) -> dict:
     ("annotations", annotation_with_a_numeric_model),
     ("annotations", annotation_with_a_negative_loc),
     ("annotations", annotation_with_a_requirement_listed_twice),
+    ("annotations", annotation_with_a_file_listed_twice),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:

@@ -86,6 +86,21 @@ def test_an_automated_finding_of_an_annotated_cause_counts_once_as_annotated() -
     assert scored(final=BROKEN_PYTHON)["errors_by_category"]["fatal"] == 1
 
 
+def test_an_annotated_cause_written_otherwise_still_matches_its_automated_finding() -> None:
+    [message] = python_syntax_checker(BROKEN_PYTHON)
+    written = f"{message[0].upper()}{message[1:]}"  # "Invalid syntax" beside "invalid syntax"
+    assert written != normalize_cause_key(message)
+    record = scored([finding(written)], final=BROKEN_PYTHON)
+    assert record["error_count"] == 1
+    assert record["errors_by_category"]["fatal"] == 1
+
+
+def test_annotated_causes_that_normalize_alike_still_count_apart() -> None:
+    record = scored([finding("observed mistake 0"), finding("observed mistake 1")],
+                    final=BROKEN_PYTHON)
+    assert record["error_count"] == 3
+
+
 @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=30),
        st.booleans())
 def test_error_count_is_the_number_of_distinct_causes(causes: list[str], broken: bool) -> None:

@@ -253,14 +253,6 @@ def test_blank_prompt_rejected() -> None:
         ScriptedGateway(["x"]).complete(AgentRole.EXECUTOR, "  ", PARAMS)
 
 
-def test_exchange_dict_round_trip() -> None:
-    exchange = ChatExchange(
-        role=AgentRole.VERIFIER, prompt="p", response="r", duration=0.25,
-        started_at=123.5, model="m", temperature=1.0, retries=2, flags=["no_fence"],
-    )
-    assert from_json(ChatExchange, exchange.to_dict()) == exchange
-
-
 def test_exchange_from_transcript_record_without_optional_keys() -> None:
     record = {"record": "exchange", "role": "executor", "prompt": "p", "response": "r",
               "duration": 0.5, "started_at": 1.0, "model": "m", "temperature": 0.0}

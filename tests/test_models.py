@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from vapu.errors import ConfigInvalid, EmptyRequirements
+from vapu.evaluation import CheckMarks, FileFeatures
+from vapu.gateway import ChatExchange
 from vapu.models import (
     AgentRole,
     ChangeRequest,
@@ -22,7 +24,9 @@ from vapu.models import (
     count_loc,
     from_json,
     read_input,
+    to_json,
 )
+from vapu.workspace import Backend, Method, RunConfig
 
 
 def test_count_loc_excludes_blank_lines() -> None:
@@ -86,9 +90,40 @@ def test_code_document_loc_tracks_content() -> None:
     assert updated.path == doc.path and updated.language_tag == doc.language_tag
 
 
-def test_code_document_dict_round_trip() -> None:
-    doc = CodeDocument(path="a.php", language_tag="php", content="x")
-    assert from_json(CodeDocument, doc.to_dict()) == doc
+@pytest.mark.parametrize("value", [
+    RunConfig(model="m", output_dir=Path("out"), temperature=1.0, backend=Backend.REPLAY,
+              fixtures_dir=Path("fx"), method=Method.OSL, example_path=Path("ex.json")),
+    RequirementSpec.from_text("req", "first\nsecond", kind=RequirementKind.PROJECT_DESCRIPTION),
+    CodeDocument(path="a.php", language_tag="php", content="x"),
+    ChatExchange(role=AgentRole.VERIFIER, prompt="p", response="r", duration=0.25,
+                 started_at=123.5, model="m", temperature=1.0, retries=2, flags=["no_fence"]),
+    CheckMarks(updates_present_and_plausible=True, basic_functions_ok=False,
+               all_requirements_correct=True),
+    FileFeatures(loc=120, cc_letter="B", task_count=2),
+], ids=lambda value: type(value).__name__)
+def test_to_json_round_trips_through_from_json(value) -> None:
+    data = to_json(value)
+    assert json.loads(json.dumps(data)) == data
+    assert from_json(type(value), data) == value
+
+
+def test_to_json_leaves_out_an_exchanges_parts() -> None:
+    exchange = ChatExchange(role=AgentRole.EXECUTOR, prompt="ab", response="r", duration=0.5,
+                            started_at=1.0, model="m", temperature=0.0,
+                            parts=["a", "b", ""], response_parts=["", "r", ""])
+    data = to_json(exchange)
+    assert "parts" not in data and "response_parts" not in data
+    assert data["role"] == "executor"
+
+
+def test_to_json_writes_a_code_documents_loc() -> None:
+    code = CodeDocument(path="a.php", language_tag="php", content="x\n\ny\n")
+    assert to_json(code)["loc"] == code.loc == 2
+
+
+def test_to_json_refuses_a_value_that_is_not_json_data() -> None:
+    with pytest.raises(TypeError):
+        to_json({"a": 1})
 
 
 def test_verdict_consistency_enforced() -> None:

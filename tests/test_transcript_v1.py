@@ -18,7 +18,7 @@ import pytest
 
 from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
-from vapu.models import AgentRole, from_json
+from vapu.models import AgentRole, from_json, to_json
 from vapu.workspace import Method, RunConfig, RunTranscript, load_transcript, read_header
 
 DATA = Path(__file__).parent / "data"
@@ -75,25 +75,24 @@ def exchange_as_written(record: dict) -> ChatExchange:
     return ChatExchange(**known)
 
 
-def remake(tmp_path: Path) -> Path:
-    """The same three demo runs, written now; returns the runs directory.
-
-    The one-shot run shows the pair the v3 fixture recorded.
-    """
-    runs = tmp_path / "now"
-    common = ["--backend", "replay", "--requirements", str(DEMO / "requirements.txt"),
-              "--project", str(DEMO / "legacy"), "--model", "gpt-4o",
-              "--temperature", "0", "--runs", "1"]
-    assert main(["update", *common, "--fixtures", str(DEMO / "fixtures"),
-                 "--output-dir", str(runs / "vapu")]) == 0
-    baseline = ["baseline", *common, "--fixtures", str(DEMO / "fixtures-baseline")]
-    assert main([*baseline, "--method", "zsl", "--output-dir", str(runs / "zsl")]) == 0
+def remake(tmp_path: Path, monkeypatch) -> Path:
+    """The same three demo runs, written now as the pinned ones were: from ``tmp_path``
+    holding a copy of the demo, into ``runs/<method>``, the one-shot run showing the
+    pair the v3 fixture recorded.  Returns the runs directory."""
+    shutil.copytree(DEMO, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
     pair = load_transcript(DATA / "v3" / OSL_NAME).inputs["example"]
-    example = tmp_path / "example.json"
-    example.write_text(json.dumps(dict(zip(("input", "output"), pair))), encoding="utf-8")
-    assert main([*baseline, "--method", "osl", "--example", str(example),
-                 "--output-dir", str(runs / "osl")]) == 0
-    return runs
+    Path("demo/example.json").write_text(json.dumps(dict(zip(("input", "output"), pair))),
+                                         encoding="utf-8")
+    common = ["--backend", "replay", "--requirements", "demo/requirements.txt",
+              "--project", "demo/legacy", "--model", "gpt-4o", "--temperature", "0", "--runs", "1"]
+    assert main(["update", *common, "--fixtures", "demo/fixtures",
+                 "--output-dir", "runs/vapu"]) == 0
+    baseline = ["baseline", *common, "--fixtures", "demo/fixtures-baseline"]
+    assert main([*baseline, "--method", "zsl", "--output-dir", "runs/zsl"]) == 0
+    assert main([*baseline, "--method", "osl", "--example", "demo/example.json",
+                 "--output-dir", "runs/osl"]) == 0
+    return tmp_path / "runs"
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
@@ -102,19 +101,36 @@ def test_v1_loads_as_before(path, method) -> None:
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
-def test_v1_and_v2_of_one_run_load_alike(tmp_path, path, method) -> None:
+def test_v1_and_v2_of_one_run_load_alike(tmp_path, monkeypatch, path, method) -> None:
     old = load_transcript(path)
-    new = load_transcript(remake(tmp_path) / method / path.name)
+    new = load_transcript(remake(tmp_path, monkeypatch) / method / path.name)
     assert old.run_id == new.run_id
     assert (old.inputs, old.outcome, old.status) == (new.inputs, new.outcome, new.status)
     assert [(e.role, e.prompt, e.response, e.flags) for e in old.exchanges] == \
         [(e.role, e.prompt, e.response, e.flags) for e in new.exchanges]
 
 
+def records_apart_from_timings(path: Path) -> list[dict]:
+    """A transcript's JSON records without the keys that change from run to run:
+    ``duration``, ``started_at`` and the ``sha256`` of the lines holding them."""
+    return [{key: value for key, value in json.loads(line).items()
+             if key not in ("duration", "started_at", "sha256")}
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("name", [VAPU_NAME, ZSL_NAME, OSL_NAME])
+def test_a_fresh_run_writes_the_pinned_v3_records(tmp_path, monkeypatch, name) -> None:
+    """Every key the writer puts in a record, the config and each exchange's model,
+    temperature and retries included, as the v3 writer put it."""
+    method = name.split("-")[1]
+    fresh = remake(tmp_path, monkeypatch) / method / name
+    assert records_apart_from_timings(fresh) == records_apart_from_timings(DATA / "v3" / name)
+
+
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
 def test_v1_header_reads_back_through_the_typed_reader(path, method) -> None:
     config = load_transcript(path).config
-    assert from_json(RunConfig, config).snapshot() == config
+    assert to_json(from_json(RunConfig, config)) == config
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
@@ -137,14 +153,14 @@ def test_v1_replays_byte_identically(path, method, capsys, tmp_path, monkeypatch
     assert "byte-identically" in capsys.readouterr().out
 
 
-def test_v1_scores_like_v2(tmp_path) -> None:
+def test_v1_scores_like_v2(tmp_path, monkeypatch) -> None:
     """Each old format scores the same records as a fresh run, apart from durations."""
-    remake(tmp_path)
+    remake(tmp_path, monkeypatch)
     scored = {}
-    for label in (*OLD_FORMATS, "now"):
+    for label in (*OLD_FORMATS, "runs"):
         runs_dir = tmp_path / label
         for method, name in (("vapu", VAPU_NAME), ("zsl", ZSL_NAME)):
-            if label != "now":
+            if label != "runs":
                 (runs_dir / method).mkdir(parents=True)
                 shutil.copy(DATA / label / name, runs_dir / method)
             output = tmp_path / f"scored-{label}-{method}.json"
@@ -157,4 +173,4 @@ def test_v1_scores_like_v2(tmp_path) -> None:
     for label in OLD_FORMATS:
         for method in ("vapu", "zsl"):
             assert len(scored[label, method]) == 1
-            assert scored[label, method] == scored["now", method]
+            assert scored[label, method] == scored["runs", method]

@@ -12,7 +12,7 @@ import vapu.pipeline
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
 from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
-from vapu.models import AgentRole, RequirementSpec, from_json
+from vapu.models import AgentRole, RequirementSpec, from_json, to_json
 from vapu.pipeline import run_update
 from vapu.prompts import extract_code
 from vapu.workspace import (
@@ -80,10 +80,10 @@ def test_nonpositive_counts_rejected(tmp_path) -> None:
         RunConfig(model="m", output_dir=tmp_path, max_feedback_iterations=0).validate()
 
 
-def test_snapshot_is_json_friendly(tmp_path) -> None:
+def test_to_json_of_a_config_is_json_friendly(tmp_path) -> None:
     config = RunConfig(model="m", output_dir=tmp_path, backend=Backend.REPLAY,
                        fixtures_dir=tmp_path / "fx")
-    snapshot = config.snapshot()
+    snapshot = to_json(config)
     assert snapshot["backend"] == "replay"
     assert snapshot["fixtures_dir"].endswith("fx")
 
@@ -105,9 +105,9 @@ optional_path = st.none() | st.builds(Path, st.from_regex(r"[a-z][a-z0-9_/]{0,15
     templates_dir=optional_path,
     parallel=st.integers(min_value=1, max_value=64),
 )
-def test_snapshot_round_trip(**values) -> None:
+def test_to_json_of_a_config_round_trips(**values) -> None:
     config = RunConfig(**values)
-    assert from_json(RunConfig, config.snapshot()) == config
+    assert from_json(RunConfig, to_json(config)) == config
 
 
 def test_from_snapshot_ignores_unknown_keys_and_reads_empty_paths_as_none(tmp_path) -> None:
