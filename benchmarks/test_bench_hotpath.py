@@ -15,9 +15,9 @@ pipeline splits them (the code stored as a reference too).  The fence
 scans also run on two replies dense in backticks, where stepping from
 backtick to backtick gains nothing: a ~40 KB JavaScript module with a
 template literal on every line, and Markdown prose with inline code on
-every line before a short fenced block.  The prompt
-benches render the executor and baseline templates around that file,
-and the verdict bench parses a rejection with eight change bullets.
+every line before a short fenced block.  The prompt benches render the
+executor, verifier and baseline templates around that file, and the
+verdict bench parses a rejection with eight change bullets.
 Two benches time ``models.to_json``, the writer of a transcript's
 records, on one rendered exchange and on a run config.
 
@@ -156,7 +156,7 @@ def rendered_transcript() -> RunTranscript:
 def referenced_transcript(rendered_transcript) -> RunTranscript:
     for exchange in rendered_transcript.exchanges:
         if exchange.role in (AgentRole.EXECUTOR, AgentRole.FINALIZER):
-            code, _, (start, end) = extract_code(exchange.response, with_span=True)
+            code, _, (start, end) = extract_code(exchange.response)
             exchange.response_parts = [exchange.response[:start], code, exchange.response[end:]]
     return rendered_transcript
 
@@ -174,7 +174,7 @@ def _transcript(exchanges: list[ChatExchange]) -> RunTranscript:
 @pytest.mark.parametrize("reply", REPLIES)
 def test_extract_code(benchmark, reply) -> None:
     text, expected = REPLIES[reply]
-    code, fenced = benchmark(extract_code, text)
+    code, fenced, _ = benchmark(extract_code, text)
     assert fenced and code == expected
 
 
@@ -183,8 +183,9 @@ def test_has_unbalanced_fences(benchmark, reply) -> None:
     assert benchmark(has_unbalanced_fences, REPLIES[reply][0]) is False
 
 
-def test_render_template(benchmark) -> None:
-    tpl = default_templates()["executor"]
+@pytest.mark.parametrize("name", ["executor", "verifier"])
+def test_render_template(benchmark, name) -> None:
+    tpl = default_templates()[name]
     prompt = benchmark(render_template, tpl, {k: BINDINGS[k] for k in tpl.placeholders()})
     assert CODE in prompt.text and "".join(prompt.parts) == prompt.text
 

@@ -72,15 +72,15 @@ def cmd_run(args) -> int:
     context = RunContext.from_config(config)  # every run of the batch shares what it read
     run = run_update if config.method is Method.VAPU else run_baseline
     documents = load_codebase(Path(args.project), args.include or ["**/*"])
-    jobs = [(doc, rep) for doc in documents for rep in range(1, config.repetitions + 1)]
+    jobs = [(doc, rep, make_run_id(doc.path, config.method, config.model, config.temperature, rep))
+            for doc in documents for rep in range(1, config.repetitions + 1)]
     owners: dict[str, str] = {}
-    for doc, rep in jobs:
-        run_id = make_run_id(doc.path, config.method, config.model, config.temperature, rep)
+    for doc, _, run_id in jobs:
         if owners.setdefault(run_id, doc.path) != doc.path:
             raise err.ConfigInvalid(f"{owners[run_id]} and {doc.path} would both be run {run_id}")
 
     def worker(job):
-        doc, rep = job
+        doc, rep, _ = job
         return run(req, doc, config, repetition=rep, context=context)
 
     if config.parallel > 1:
@@ -88,14 +88,14 @@ def cmd_run(args) -> int:
             finished = list(pool.map(worker, jobs))
     else:
         finished = [worker(job) for job in jobs]
-    for result in finished:
-        target = updated_file_path(config, result.transcript_ref, result.final_code.path)
+    for (_, _, run_id), result in zip(jobs, finished):
+        target = updated_file_path(config, run_id, result.final_code.path)
         if config.method is Method.VAPU:
             state = "unverified" if result.unverified else "verified"
-            print(f"{result.transcript_ref}: {len(result.per_task_outcomes)} task(s), "
+            print(f"{run_id}: {len(result.per_task_outcomes)} task(s), "
                   f"{state}, updated file at {target}")
         else:
-            print(f"{result.transcript_ref}: baseline update written to {target}")
+            print(f"{run_id}: baseline update written to {target}")
     return 0
 
 

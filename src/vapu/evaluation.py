@@ -504,7 +504,7 @@ def load_annotations(path: Path) -> Annotations:
     """Read the JSON annotations file.
 
     Sections (all optional): findings per run, requirement results per
-    run (each requirement once), check marks per (file, model, method),
+    run (each requirement once), check marks once per (file, model, method),
     and features per file (each file once).  A finding's ``description`` is ignored.
     """
     def text(entry: dict, name: str) -> str:  # a key of another type would match no run
@@ -527,6 +527,8 @@ def load_annotations(path: Path) -> Annotations:
             results.append(result)
         for entry in data.get("checkmarks", []):
             key = (text(entry, "file_id"), text(entry, "model"), text(entry, "method"))
+            if key in annotations.checkmarks:
+                raise ValueError(f"check marks for {key} are listed twice")
             annotations.checkmarks[key] = from_json(CheckMarks, entry)
         for entry in data.get("files", []):
             file_id = text(entry, "file_id")

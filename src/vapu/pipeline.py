@@ -191,7 +191,7 @@ def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
             raise NoCodeInResponse(f"{role.value} output still looked truncated after a retry")
     response = exchange.response
     try:
-        content, fenced, span = extract_code(response, with_span=True)
+        content, fenced, span = extract_code(response)
     except EmptyResponse:
         raise NoCodeInResponse(f"{role.value} returned a blank response") from None
     if not fenced:
@@ -243,8 +243,7 @@ def plan_tasks(req: RequirementSpec, code: CodeDocument, run: Run) -> TaskPlan:
         return draft
 
 
-def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
-                     run: Run) -> PromptText:
+def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument, run: Run) -> str:
     """Have the prompt-maker write the detailed instruction for one task."""
     prompt = render_template(
         run.templates["prompt_maker"],
@@ -254,15 +253,12 @@ def make_task_prompt(req: RequirementSpec, task: Task, code: CodeDocument,
     instruction = exchange.response.strip()
     if not instruction:
         raise EmptyInstruction(f"prompt-maker returned nothing for task {task.index}")
-    return PromptText(text=instruction)
+    return instruction
 
 
-def execute_task(instruction: PromptText, code: CodeDocument, run: Run) -> CodeDocument:
+def execute_task(instruction: str, code: CodeDocument, run: Run) -> CodeDocument:
     """Run the executor on the instruction plus the current code."""
-    prompt = render_template(
-        run.templates["executor"],
-        {"task": instruction.text, "code": code.content},
-    )
+    prompt = render_template(run.templates["executor"], {"task": instruction, "code": code.content})
     return _code_reply(run, AgentRole.EXECUTOR, prompt, code)[0]
 
 
@@ -324,16 +320,16 @@ def updated_file_path(config: RunConfig, run_id: str, path: str) -> Path:
 
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                 repetition: int, context: RunContext | None,
-                steps: Callable[[Run], tuple[R, dict]]) -> R:
+                steps: Callable[[Run], R]) -> R:
     """Record one run of ``steps`` over one file, write its updated file, persist its transcript.
 
-    ``steps`` makes the method's calls and returns (result, outcome record); without a
-    ``context`` the run builds one from ``config``.  The updated file is written before
-    the transcript says completed; the transcript's duration covers the calls, not that
-    write.  Whatever happens, the transcript is persisted exactly once: an agent error
-    marks it aborted and raises AbortedRun; a full disk marks it aborted without a
-    failed task and propagates; any other exception (including KeyboardInterrupt) marks
-    it aborted and propagates unchanged.  A ``code.path`` outside its project, or an
+    ``steps`` makes the method's calls and returns the result, whose ``to_json`` is the
+    outcome record; without a ``context`` the run builds one from ``config``.  The updated
+    file is written before the transcript says completed; the transcript's duration covers
+    the calls, not that write.  Whatever happens, the transcript is persisted exactly once:
+    an agent error marks it aborted and raises AbortedRun; a full disk marks it aborted
+    without a failed task and propagates; any other exception (including KeyboardInterrupt)
+    marks it aborted and propagates unchanged.  A ``code.path`` outside its project, or an
     osl run whose context holds no example pair, raises ConfigInvalid before any call.
     """
     if not is_project_relative(code.path):
@@ -354,7 +350,8 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     clock_start = time.perf_counter()
     steps_end = None
     try:
-        result, transcript.outcome = steps(run)
+        result = steps(run)
+        transcript.outcome = to_json(result)
         steps_end = time.perf_counter()
         write_file(updated_file_path(config, run.run_id, result.final_code.path),
                    result.final_code.content)
@@ -388,7 +385,7 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     and the result is flagged unverified.  Any agent error persists the
     partial transcript and aborts with the failing task index.
     """
-    def steps(run: Run) -> tuple[UpdateResult, dict]:
+    def steps(run: Run) -> UpdateResult:
         plan = plan_tasks(req, code, run)
         logger.info("run %s: plan of %d task(s)", run.run_id, len(plan.tasks))
         current = code
@@ -412,14 +409,13 @@ def run_update(req: RequirementSpec, code: CodeDocument, config: RunConfig,
                 finalizer_iterations=iterations,
             ))
             current = updated
-        result = UpdateResult(
+        return UpdateResult(
             final_code=current,
             per_task_outcomes=tuple(outcomes),
             unverified=any(not o.accepted for o in outcomes),
             transcript_ref=run.run_id,
             truncated=run.truncation_seen(),
         )
-        return result, to_json(result)
 
     return _record_run(req, code, config, repetition, context, steps)
 
@@ -429,7 +425,6 @@ class BaselineResult:
     """Outcome of one single-prompt baseline run."""
 
     final_code: CodeDocument
-    transcript_ref: str
     fenced: bool
     truncated: bool
 
@@ -444,17 +439,14 @@ def run_baseline(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     if config.method is Method.VAPU:
         raise ValueError("run_baseline requires the zsl or osl method")
 
-    def steps(run: Run) -> tuple[BaselineResult, dict]:
+    def steps(run: Run) -> BaselineResult:
         prompt = build_baseline_prompt(req.as_text(), code, run.templates, run.example)
         updated, exchange = _code_reply(run, AgentRole.BASELINE, prompt, code)
-        result = BaselineResult(
+        return BaselineResult(
             final_code=updated,
-            transcript_ref=run.run_id,
             fenced=NO_FENCE_FLAG not in exchange.flags,
             truncated=run.truncation_seen(),
         )
-        return result, {"final_code": to_json(updated), "fenced": result.fenced,
-                        "truncated": result.truncated}
 
     return _record_run(req, code, config, repetition, context, steps)
 

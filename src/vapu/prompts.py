@@ -49,10 +49,13 @@ class PromptTemplate:
     template_id: str
     role: AgentRole
     body: str
+    # The body split once: literal text at the even indices, placeholder names at the odd.
+    pieces: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.body.strip():
             raise ValueError(f"template {self.template_id!r} has an empty body")
+        object.__setattr__(self, "pieces", tuple(_PLACEHOLDER_RE.split(self.body)))
         unknown = self.placeholders() - PLACEHOLDERS
         if unknown:
             raise UnknownPlaceholder(
@@ -60,7 +63,7 @@ class PromptTemplate:
             )
 
     def placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.body))
+        return frozenset(self.pieces[1::2])
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,7 @@ def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptT
     for name in sorted(needed):
         if name not in bindings:
             raise MissingBinding(f"template {tpl.template_id!r} needs a binding for {name!r}")
-    # Split on the capturing placeholder pattern: names sit at the odd indices.
-    parts = _PLACEHOLDER_RE.split(tpl.body)
+    parts = list(tpl.pieces)
     for i in range(1, len(parts), 2):
         parts[i] = bindings[parts[i]]
     return PromptText(text="".join(parts), parts=parts)
@@ -118,16 +120,14 @@ def _find_fence(text: str, start: int) -> int:
     return text.find(_FENCE, start)
 
 
-def extract_code(response: str, *, with_span: bool = False) -> tuple:
-    """Pull code out of an agent response: returns (code, fenced).
+def extract_code(response: str) -> tuple[str, bool, tuple[int, int] | None]:
+    """Pull code out of an agent response: returns (code, fenced, span).
 
     With one or more fenced blocks, their bodies, trimmed of line
     breaks, are concatenated in order with one blank line between them.
     Without fences the whole trimmed response is assumed to be code.
-
-    ``with_span=True`` adds a third item: ``(start, end)`` when the code
-    is the slice ``response[start:end]`` (one fenced block, or none),
-    else None.
+    ``span`` is ``(start, end)`` when the code is the slice
+    ``response[start:end]`` (one fenced block, or none), else None.
     """
     if not response or response.isspace():
         raise EmptyResponse("cannot extract code from a blank response")
@@ -158,7 +158,7 @@ def extract_code(response: str, *, with_span: bool = False) -> tuple:
     else:
         span = None
         code = "\n\n".join(response[s:e] for s, e in spans)
-    return (code, fenced, span) if with_span else (code, fenced)
+    return code, fenced, span
 
 
 def has_unbalanced_fences(response: str) -> bool:
@@ -292,10 +292,24 @@ def parse_template_file(name: str, text: str) -> PromptTemplate:
 
 
 def load_templates(directory: Path | None) -> TemplateSet:
-    """Every ``*.txt`` template asset in ``directory`` by file stem; None: the bundled set."""
+    """Every ``*.txt`` template asset in ``directory`` by file stem; None: the bundled set.
+
+    A required template may use only what its bundled counterpart uses: all its step binds.
+    """
     if directory is None:
         return default_templates()
     directory = Path(directory)
+    templates = _read_templates(directory)
+    for name in REQUIRED_TEMPLATES:
+        unbound = templates[name].placeholders() - default_templates()[name].placeholders()
+        if unbound:
+            raise ConfigInvalid(f"template asset {directory / (name + '.txt')} uses "
+                                f"placeholders its step never binds: {sorted(unbound)}")
+    return templates
+
+
+def _read_templates(directory: Path) -> TemplateSet:
+    """The template assets in ``directory``, refused when a required one is missing."""
     if not directory.is_dir():
         raise ConfigInvalid(f"cannot read template directory {directory}: not a directory")
     templates: TemplateSet = {
@@ -310,4 +324,4 @@ def load_templates(directory: Path | None) -> TemplateSet:
 @lru_cache(maxsize=1)
 def default_templates() -> TemplateSet:
     """The editable default assets shipped with the package."""
-    return load_templates(Path(str(resources.files("vapu").joinpath("templates"))))
+    return _read_templates(Path(str(resources.files("vapu").joinpath("templates"))))

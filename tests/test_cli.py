@@ -819,6 +819,12 @@ def annotation_with_a_file_listed_twice(data: dict) -> dict:
     return data
 
 
+def annotation_with_checkmarks_listed_twice(data: dict) -> dict:
+    data["checkmarks"].append({**data["checkmarks"][0], "updates_present_and_plausible": False,
+                               "basic_functions_ok": False, "all_requirements_correct": False})
+    return data
+
+
 @pytest.mark.parametrize("target, corrupt", [
     ("annotations", annotation_without_a_flag),
     ("annotations", annotation_with_text_loc),
@@ -835,6 +841,7 @@ def annotation_with_a_file_listed_twice(data: dict) -> dict:
     ("annotations", annotation_with_a_negative_loc),
     ("annotations", annotation_with_a_requirement_listed_twice),
     ("annotations", annotation_with_a_file_listed_twice),
+    ("annotations", annotation_with_checkmarks_listed_twice),
 ])
 def test_malformed_evaluation_input_is_a_config_error_naming_the_file(
         tmp_path, capsys, target, corrupt) -> None:
@@ -1015,7 +1022,8 @@ def test_evaluate_records_a_lone_surrogate_in_a_final_file_as_one_fatal_finding(
 
 
 @pytest.mark.parametrize("flag", ["--requirements", "--registry", "--templates placeholder",
-                                  "--templates bytes", "--fixtures bytes", "--fixtures missing"])
+                                  "--templates bytes", "--templates unbound", "--fixtures bytes",
+                                  "--fixtures missing"])
 def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag) -> None:
     bad = tmp_path / "bad.txt"
     out = tmp_path / "out"
@@ -1026,10 +1034,13 @@ def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag
     elif flag == "--registry":  # missing; only a live backend reads it, before any call
         args[args.index("replay")] = "live"
         args += ["--registry", str(bad)]
-    elif flag.startswith("--templates"):  # an undocumented placeholder, or not UTF-8
+    elif flag.startswith("--templates"):  # an undocumented or unbound placeholder, or not UTF-8
         templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
-        bad = templates / "verifier.txt"
-        tail = b"x {{bogus}}\n" if flag.endswith("placeholder") else b"\xff\n"
+        name, tail = {"--templates placeholder": ("verifier.txt", b"x {{bogus}}\n"),
+                      "--templates bytes": ("verifier.txt", b"\xff\n"),
+                      # the finalizer is bound code and changes only
+                      "--templates unbound": ("finalizer.txt", b"x {{requirements}}\n")}[flag]
+        bad = templates / name
         bad.write_bytes(bad.read_bytes() + tail)
         args += ["--templates", str(templates)]
     elif flag == "--fixtures bytes":  # a UTF-16 byte-order mark: not UTF-8
@@ -1045,6 +1056,33 @@ def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_every_bundled_template_is_rendered_with_exactly_its_placeholders(
+        tmp_path, monkeypatch) -> None:
+    # load_templates lets a template use only its bundled counterpart's placeholders,
+    # which holds only while those are exactly the names its step binds.
+    rendered = []
+    real_render = vapu.prompts.render_template
+
+    def render(tpl, bindings):
+        rendered.append((tpl.template_id, tpl.placeholders(), frozenset(bindings)))
+        return real_render(tpl, bindings)
+
+    monkeypatch.setattr(vapu.pipeline, "render_template", render)
+    monkeypatch.setattr(vapu.prompts, "render_template", render)
+    example = tmp_path / "example.json"
+    example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
+    zsl_args = demo_osl_args(example, tmp_path / "zsl")
+    at = zsl_args.index("--method")
+    zsl_args[at:at + 4] = ["--method", "zsl"]  # and no --example
+    for args in (demo_update_args(DEMO / "legacy", tmp_path / "vapu"), zsl_args,
+                 demo_osl_args(example, tmp_path / "osl")):
+        assert main(args) == 0
+    bundled = {tpl.template_id for tpl in vapu.prompts.default_templates().values()}
+    assert {template_id for template_id, _, _ in rendered} == bundled
+    for template_id, placeholders, names in rendered:
+        assert placeholders == names, template_id
 
 
 @pytest.mark.parametrize("command", ["update", "replay"])

@@ -31,10 +31,16 @@ from vapu.pipeline import (
     run_update,
     verify_task,
 )
-from vapu.prompts import PromptText, default_templates
-from vapu.workspace import Method, load_transcript, read_header
+from vapu.prompts import default_templates
+from vapu.workspace import Method, load_transcript, make_run_id, read_header
 
 PARAMS = GenerationParams(temperature=0.0)
+
+
+def transcript_path(config, doc: CodeDocument, repetition: int = 1) -> Path:
+    """Where the run of ``doc`` under ``config`` persists its transcript."""
+    run_id = make_run_id(doc.path, config.method, config.model, config.temperature, repetition)
+    return Path(config.output_dir) / f"{run_id}.jsonl"
 
 
 def gateway_for(tmp_path: Path, entries: dict[str, str], name: str = "fx") -> Run:
@@ -103,7 +109,7 @@ def test_make_task_prompt_returns_fixture_text(tmp_path, sample_req, sample_doc)
         "prompt_maker-0": "Replace $variant['Variant'] access with entity getters",
     })
     out = make_task_prompt(sample_req, Task(1, "update access"), sample_doc, gateway)
-    assert out.text == "Replace $variant['Variant'] access with entity getters"
+    assert out == "Replace $variant['Variant'] access with entity getters"
 
 
 def test_make_task_prompt_blank_response(tmp_path, sample_req, sample_doc) -> None:
@@ -119,13 +125,13 @@ def test_two_tasks_get_distinct_prompts_in_fixture_order(tmp_path, sample_req, s
     })
     first = make_task_prompt(sample_req, Task(1, "a"), sample_doc, gateway)
     second = make_task_prompt(sample_req, Task(2, "b"), sample_doc, gateway)
-    assert (first.text, second.text) == ("first instruction", "second instruction")
+    assert (first, second) == ("first instruction", "second instruction")
 
 
 # --- execute_task ---
 
-def instruction() -> PromptText:
-    return PromptText(text="do the update")
+def instruction() -> str:
+    return "do the update"
 
 
 def test_execute_task_extracts_fenced_code(tmp_path, sample_doc) -> None:
@@ -446,7 +452,7 @@ def test_zsl_baseline_run(tmp_path, sample_req, sample_doc) -> None:
     result = run_baseline(sample_req, sample_doc, config)
     assert result.final_code.content == "echo 'zsl';"
     assert result.fenced and not result.truncated
-    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
+    transcript = load_transcript(transcript_path(config, sample_doc))
     assert [e.role for e in transcript.exchanges] == [AgentRole.BASELINE]
 
 
@@ -456,8 +462,8 @@ def test_osl_baseline_embeds_one_example(tmp_path, sample_req, sample_doc) -> No
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'osl';")})
     config = replay_config(tmp_path / "out", fixtures,
                            method=Method.OSL, example_path=example_path)
-    result = run_baseline(sample_req, sample_doc, config, context=RunContext.from_config(config))
-    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
+    run_baseline(sample_req, sample_doc, config, context=RunContext.from_config(config))
+    transcript = load_transcript(transcript_path(config, sample_doc))
     prompt = transcript.exchanges[0].prompt
     assert prompt.count("Example input:") == 1
     assert "old()" in prompt and "new()" in prompt
@@ -468,8 +474,8 @@ def test_zsl_baseline_shows_no_example_even_when_passed_one(
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'zsl';")})
     config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
     context = replace(RunContext.from_config(config), example=("old()", "new()"))
-    result = run_baseline(sample_req, sample_doc, config, context=context)
-    transcript = load_transcript(Path(config.output_dir) / f"{result.transcript_ref}.jsonl")
+    run_baseline(sample_req, sample_doc, config, context=context)
+    transcript = load_transcript(transcript_path(config, sample_doc))
     assert "Example" not in transcript.exchanges[0].prompt
 
 
@@ -525,8 +531,8 @@ def test_reexecute_reproduces_update(tmp_path, sample_req, sample_doc) -> None:
 def test_reexecute_reproduces_baseline(tmp_path, sample_req, sample_doc) -> None:
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'b';")})
     config = replay_config(tmp_path / "out", fixtures, method=Method.ZSL)
-    result = run_baseline(sample_req, sample_doc, config)
-    path = Path(config.output_dir) / f"{result.transcript_ref}.jsonl"
+    run_baseline(sample_req, sample_doc, config)
+    path = transcript_path(config, sample_doc)
     transcript = load_transcript(path)
     recorded, replayed = reexecute_transcript(transcript, read_header(transcript, path),
                                               tmp_path / "scratch")
