@@ -8,26 +8,16 @@ run that failed once it had started (9) or a replay mismatch (19).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import logging
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 from . import errors as err
-from .evaluation import (
-    aggregate_records,
-    build_comparison_report,
-    default_checkers,
-    load_annotations,
-    records_for_report,
-    score_transcript,
-)
 from .models import RequirementKind, RequirementSpec, from_json, read_input
 from .pipeline import (
     RunContext,
@@ -51,7 +41,6 @@ from .workspace import (
 
 logger = logging.getLogger(__name__)
 
-REPLAY_MISMATCH_EXIT = 19
 
 def demo_root() -> Path:
     """Directory of the bundled offline demo assets."""
@@ -84,6 +73,8 @@ def cmd_run(args) -> int:
         return run(req, doc, config, repetition=rep, context=context)
 
     if config.parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
             finished = list(pool.map(worker, jobs))
     else:
@@ -106,14 +97,17 @@ def _load_run(path: Path) -> tuple[RunTranscript, RunHeader]:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     runs_dir = Path(args.runs_dir)
     paths = sorted(runs_dir.glob("*.jsonl"))
     if not paths:
         raise err.NoFilesMatched(f"no transcripts (*.jsonl) under {runs_dir}")
-    annotations = load_annotations(Path(args.annotations))
-    checkers = default_checkers()  # one memo: an identical final file is checked once
-    records = [score_transcript(*_load_run(path), annotations, checkers) for path in paths]
-    aggregates = aggregate_records(records)
+    annotations = evaluation.load_annotations(Path(args.annotations))
+    checkers = evaluation.default_checkers()  # one memo: an identical final file is checked once
+    records = [evaluation.score_transcript(*_load_run(path), annotations, checkers)
+               for path in paths]
+    aggregates = evaluation.aggregate_records(records)
     output = write_file(Path(args.output), json.dumps(
         {"records": records, "aggregates": aggregates}, indent=2, sort_keys=True))
     print(f"scored {len(records)} run(s) into {output} "
@@ -123,11 +117,17 @@ def cmd_evaluate(args) -> int:
 
 def _load_scored(path: Path) -> tuple[list, dict]:
     """Check marks and features from the ``{"records": [...]}`` object ``evaluate`` writes."""
+    from . import evaluation
+
     return read_input(path, "scored file",
-                      lambda text: records_for_report(json.loads(text)["records"]))
+                      lambda text: evaluation.records_for_report(json.loads(text)["records"]))
 
 
 def cmd_report(args) -> int:
+    import csv
+
+    from . import evaluation
+
     vapu_path, baseline_path = args.compare
     vapu_marks, vapu_features = _load_scored(vapu_path)
     baseline_marks, baseline_features = _load_scored(baseline_path)
@@ -135,7 +135,7 @@ def cmd_report(args) -> int:
     if not vapu_marks or not baseline_marks:
         raise err.ConfigInvalid("both scored files need records with check marks")
     try:
-        report = build_comparison_report(vapu_marks, baseline_marks, features)
+        report = evaluation.build_comparison_report(vapu_marks, baseline_marks, features)
     except ValueError as exc:
         raise err.ConfigInvalid(str(exc)) from exc
     output_dir = Path(args.output_dir)
@@ -156,9 +156,8 @@ def cmd_replay(args) -> int:
     with tempfile.TemporaryDirectory(prefix="vapu-replay-") as scratch:
         recorded, replayed = reexecute_transcript(transcript, header, Path(scratch))
     if recorded != replayed:
-        print(f"{transcript.run_id}: MISMATCH - replayed final code differs "
-              f"from the recorded output", file=sys.stderr)
-        return REPLAY_MISMATCH_EXIT
+        raise err.ReplayMismatch(f"{transcript.run_id}: MISMATCH - replayed final code "
+                                 f"differs from the recorded output")
     print(f"{transcript.run_id}: replay reproduced the final code byte-identically")
     return 0
 
@@ -199,11 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     Each ``parse_args`` call returns a fresh Namespace, so one parse leaves
     no trace in the next. ``set_defaults(func=cmd_*)`` binds the command
     functions once per process: patching a ``cmd_*`` after the first
-    :func:`main` call does not reach it. Patch the functions ``cmd_run``
-    and the other commands look up on this module instead (``run_update``,
-    ``load_transcript``, ...), as the tests do; perfbench wraps ``main`` and
-    those functions. To substitute a backend, patch
-    ``RunContext.from_config`` to return a context with another
+    :func:`main` call does not reach it. Patch the functions the commands
+    look up when they call them instead, as the tests do: ``update``,
+    ``baseline`` and ``replay`` look theirs up on this module
+    (``run_update``, ``load_transcript``, ...); ``evaluate`` and ``report``
+    look theirs up on ``vapu.evaluation`` (``score_transcript``,
+    ``build_comparison_report``, ...), which only those two commands
+    import, so the other commands start without the scoring stack.
+    perfbench wraps ``main`` and those functions. To substitute a backend,
+    patch ``RunContext.from_config`` to return a context with another
     ``new_gateway``.
     """
     parser = argparse.ArgumentParser(

@@ -135,3 +135,8 @@ class StorageFull(VapuError):
 class CorruptTranscript(VapuError):
     """Persisted transcript failed its checksum or structural checks."""
     exit_code = 14
+
+
+class ReplayMismatch(VapuError):
+    """Re-executing a transcript did not reproduce its recorded final code."""
+    exit_code = 19

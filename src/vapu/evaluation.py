@@ -63,11 +63,19 @@ SyntaxCheckerHook = Callable[[str], list[str]]
 
 
 def python_syntax_checker(content: str) -> list[str]:
+    """Messages for a file that ``python3`` could not compile.
+
+    ``dont_inherit`` keeps this module's ``from __future__ import
+    annotations`` away from the candidate, which ``python3`` compiles
+    without it.
+    """
     try:
-        compile(content, "<update-candidate>", "exec")
+        compile(content, "<update-candidate>", "exec", dont_inherit=True)
     except SyntaxError as exc:
         return [exc.msg or "syntax error"]
-    except ValueError as exc:  # a lone surrogate, which no UTF-8 file holds; 3.10: a null byte
+    # ValueError: a lone surrogate, which no UTF-8 file holds; 3.10: a null byte.
+    # RecursionError: nesting too deep for the compiler, as in a long chain of "+".
+    except (ValueError, RecursionError) as exc:
         return [f"unreadable source: {getattr(exc, 'reason', exc)}"]
     return []
 

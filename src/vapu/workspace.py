@@ -292,21 +292,21 @@ def load_transcript(path: Path) -> RunTranscript:
     except OSError as exc:
         raise ConfigInvalid(f"cannot read transcript {path}: {exc}") from None
     try:
-        return _transcript_from_text(data.decode("utf-8"), path)
+        return _transcript_from_bytes(data, path)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptTranscript(f"{path}: malformed transcript: {exc!r}") from None
 
 
-def _transcript_from_text(text: str, path: Path) -> RunTranscript:
-    lines = text.splitlines(keepends=True)
+def _transcript_from_bytes(data: bytes, path: Path) -> RunTranscript:
+    lines = data.decode("utf-8").splitlines(keepends=True)
     if len(lines) < 3:
         raise CorruptTranscript(f"{path}: too short to be a transcript")
     records = [json.loads(line) for line in lines]
     trailer = records[-1]
     if trailer.get("record") != "checksum":
         raise CorruptTranscript(f"{path}: missing checksum record (truncated?)")
-    body = "".join(lines[:-1])
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    body = data[:len(data) - len(lines[-1].encode("utf-8"))]  # every line but the trailer
+    digest = hashlib.sha256(body).hexdigest()
     if digest != trailer.get("sha256"):
         raise CorruptTranscript(f"{path}: checksum mismatch")
     header, *middle, outcome = records[:-1]

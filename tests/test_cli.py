@@ -21,7 +21,7 @@ from conftest import fenced, records_of, write_fixtures, write_records
 import vapu.cli
 import vapu.pipeline
 import vapu.prompts
-from vapu.cli import REPLAY_MISMATCH_EXIT, demo_root, main
+from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, VapuError
 from vapu.gateway import ReplayGateway
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
@@ -232,14 +232,17 @@ def test_replay_refuses_a_code_path_outside_the_project(tmp_path, monkeypatch, c
     assert sorted(tmp_path.rglob("*")) == before and not victim.exists()
 
 
-def test_replay_detects_mismatch(tmp_path) -> None:
+def test_replay_detects_mismatch(tmp_path, capsys) -> None:
     out = run_demo_update(tmp_path)
     path = next(out.glob("*.jsonl"))
     transcript = load_transcript(path)
     transcript.outcome["final_code"]["content"] += "\ntampered"
     from vapu.workspace import persist_transcript
     persist_transcript(transcript, path.parent)
+    capsys.readouterr()
     assert main(["replay", "--transcript", str(path)]) == 19
+    assert capsys.readouterr() == ("", f"error: {transcript.run_id}: MISMATCH - replayed "
+                                       f"final code differs from the recorded output\n")
 
 
 def test_report_with_mismatched_files(tmp_path) -> None:
@@ -461,12 +464,17 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def demo_zsl_args(out: Path) -> list[str]:
+    args = demo_osl_args(Path("unused"), out)
+    args[args.index("osl")] = "zsl"
+    del args[args.index("--example"):args.index("--example") + 2]
+    return args
+
+
 def test_offline_commands_never_import_requests(tmp_path) -> None:
     example = tmp_path / "example.json"
     example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
-    zsl = demo_osl_args(example, tmp_path / "zsl")
-    zsl[zsl.index("osl")] = "zsl"
-    del zsl[zsl.index("--example"):zsl.index("--example") + 2]
+    zsl = demo_zsl_args(tmp_path / "zsl")
     scored = [str(tmp_path / f"{method}-scored.json") for method in ("vapu", "zsl")]
     commands = [
         demo_update_args(DEMO / "legacy", tmp_path / "vapu"),
@@ -484,6 +492,44 @@ def test_offline_commands_never_import_requests(tmp_path) -> None:
     assert (tmp_path / "report" / "report.txt").exists()
     child = fresh_python("import sys, vapu.cli; print('requests' in sys.modules)")
     assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
+# After the import and then after each command: its exit status and which
+# modules of the scoring and report stack are loaded.
+SCORING_STACK = """
+import contextlib, io, json, sys
+from vapu.cli import main
+
+def loaded():
+    return [name for name in ("vapu.evaluation", "statistics", "csv", "concurrent.futures")
+            if name in sys.modules]
+
+print(json.dumps([None, loaded()]))
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(argv)
+    except SystemExit as exc:  # --help
+        status = exc.code
+    print(json.dumps([status, loaded()]))
+"""
+
+
+def test_update_baseline_and_replay_start_without_the_scoring_stack(tmp_path) -> None:
+    commands = [
+        ["--help"],
+        demo_update_args(DEMO / "legacy", tmp_path / "vapu"),
+        demo_zsl_args(tmp_path / "zsl"),
+        ["replay", "--transcript",
+         str(tmp_path / "vapu" / "reference_list-vapu-gpt-4o-t0-r1.jsonl")],
+        ["evaluate", "--runs-dir", str(tmp_path / "vapu"), "--annotations",
+         str(DEMO / "annotations.json"), "--output", str(tmp_path / "scored.json")],
+    ]
+    child = fresh_python(SCORING_STACK, json.dumps(commands))
+    assert child.returncode == 0, child.stderr
+    *short, (status, after_evaluate) = map(json.loads, child.stdout.splitlines())
+    assert short == [[None, []], *[[0, []]] * 4]
+    assert status == 0 and "vapu.evaluation" in after_evaluate
 
 
 def test_live_backend_without_requests_exits_2_before_any_run(tmp_path) -> None:
@@ -1161,7 +1207,7 @@ def test_every_exit_code_is_in_the_readme_table() -> None:
     def family(cls: type) -> list[type]:
         return [cls, *(sub for child in cls.__subclasses__() for sub in family(child))]
 
-    codes = {cls.exit_code for cls in family(VapuError)} | {0, REPLAY_MISMATCH_EXIT}
+    codes = {cls.exit_code for cls in family(VapuError)} | {0}
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = {int(code) for code in re.findall(r"^\| (\d+) \|", readme, re.MULTILINE)}
     assert codes == table

@@ -135,6 +135,25 @@ def test_a_lone_surrogate_is_a_fatal_finding_not_an_encoding_error() -> None:
         "unreadable source: surrogates not allowed"]
 
 
+@pytest.mark.parametrize("source", [
+    "x: (y := 1) = 2\n",
+    "def f():\n    x: (yield) = 1\n",
+    "async def f():\n    x: (await f()) = 1\n",
+])
+def test_an_annotation_python3_compiles_is_no_fatal_finding(source: str) -> None:
+    # python3 compiles each; under `from __future__ import annotations` each is a SyntaxError.
+    assert python_syntax_checker(source) == []
+
+
+def test_a_module_too_deep_for_the_compiler_is_a_fatal_finding() -> None:
+    deep = "x = " + " + ".join(["1"] * 5000) + "\n"
+    [message] = python_syntax_checker(deep)
+    assert message.startswith("unreadable source: ")
+    [fatal] = check_fatal(CodeDocument(path="x.py", language_tag="python", content=deep),
+                          default_checkers())
+    assert fatal.category is ErrorCategory.FATAL
+
+
 def test_unregistered_language_has_no_automated_findings() -> None:
     doc = CodeDocument(path="x.php", language_tag="php", content="<?php ?>")
     assert check_fatal(doc, default_checkers()) == []
