@@ -146,9 +146,10 @@ def rendered_transcript() -> RunTranscript:
     for i, (role, name) in enumerate(zip(ROLES, TEMPLATES)):
         tpl = default_templates()[name]
         prompt = render_template(tpl, {k: BINDINGS[k] for k in tpl.placeholders()})
-        exchanges.append(ChatExchange(role=role, prompt=prompt.text, parts=prompt.parts,
-                                      response=REPLY, duration=0.01, started_at=1000.0 + i,
-                                      model="replay", temperature=0.0))
+        exchange = ChatExchange(role=role, prompt=prompt.text, response=REPLY, duration=0.01,
+                                started_at=1000.0 + i, model="replay", temperature=0.0)
+        exchange.prompt_parts = prompt.parts
+        exchanges.append(exchange)
     return _transcript(exchanges)
 
 

@@ -109,30 +109,52 @@ class ModelRegistry:
         return cls.from_file(Path(str(resources.files("vapu").joinpath("registry.json"))))
 
 
+class _Parts:
+    """A text field held as the list of its parts, in ``<field>_parts``, and joined on read.
+
+    Setting the field stores a one-item list, which joins to the text
+    itself; setting ``<field>_parts`` swaps in parts that join to the
+    same text but share their pieces.  As a dataclass field's default it
+    leaves the field required, since it has no value on the class.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.parts = f"{name}_parts"
+
+    def __get__(self, instance: object, owner: type | None = None) -> str:
+        if instance is None:
+            raise AttributeError(self.parts)
+        return "".join(instance.__dict__[self.parts])
+
+    def __set__(self, instance: object, text: str) -> None:
+        instance.__dict__[self.parts] = [text]
+
+
 @dataclass
 class ChatExchange:
     """One prompt/response pair with its timing and provenance.
 
     ``retries`` counts extra endpoint attempts beyond the first;
     ``flags`` collects pipeline annotations such as no_fence/truncated.
-    ``parts`` are the template pieces and bindings ``prompt`` was
-    rendered from, when the pipeline knows them; ``response_parts`` are
-    a code reply split around the code the pipeline took from it
-    (text before, code, text after).  Transcripts store the prompt and
-    the response through them, and :func:`~vapu.models.to_json` leaves them out.
+    Each distinct text is held once, in memory as on disk: ``prompt``
+    and ``response`` are held as ``prompt_parts`` and ``response_parts``
+    and joined on read.  A plain text is one part; a prompt rendered
+    from a template is its literal pieces and binding values, and a
+    reply the pipeline took code from is the text before the code, the
+    code and the text after it, so every prompt that embeds a file and
+    every reply that carries one share that file's one ``str``.
+    ``==``, repr and :func:`~vapu.models.to_json` see the joined texts.
     """
 
     role: AgentRole
-    prompt: str
-    response: str
+    prompt: str = _Parts()
+    response: str = _Parts()
     duration: float
     started_at: float
     model: str
     temperature: float
     retries: int = 0
     flags: list[str] = field(default_factory=list)
-    parts: list[str] | None = field(default=None, compare=False, repr=False)
-    response_parts: list[str] | None = field(default=None, compare=False, repr=False)
 
 
 def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:

@@ -108,11 +108,11 @@ def _write_plan(cls) -> tuple[tuple[str, bool], ...]:
             *((name, False) for name, attr in cls.__dict__.items() if isinstance(attr, property)))
 
 
-def to_json(value):
+def to_json(value, omit: tuple[str, ...] = ()):
     """``value`` as JSON data, the inverse of :func:`from_json`: a dataclass as an object
     of the fields ``==`` compares followed by its properties, an enum as its value, a path
     as str, a tuple or list as a list; str, int, float, bool and None as they are.  Any
-    other value raises TypeError."""
+    other value raises TypeError.  ``omit`` names fields of ``value`` itself to leave out."""
     if isinstance(value, Enum):  # before str: the enums here are str subclasses
         return value.value
     if value is None or isinstance(value, (str, int, float)):
@@ -122,7 +122,8 @@ def to_json(value):
     if isinstance(value, (list, tuple)):
         return [to_json(item) for item in value]
     return {name: getattr(value, name) if plain else to_json(getattr(value, name))
-            for name, plain in _write_plan(type(value))}  # fields() refuses a non-dataclass
+            for name, plain in _write_plan(type(value))  # fields() refuses a non-dataclass
+            if name not in omit}
 
 
 def read_input(path: Path, what: str, parse: Callable[[str], object] | None = None):

@@ -106,14 +106,17 @@ class Run:
     task_index: int = field(default=0, init=False)
 
     def complete(self, role: AgentRole, prompt: PromptText) -> ChatExchange:
-        """Send a rendered prompt and record its exchange, which keeps the prompt's parts.
+        """Send a rendered prompt and record its exchange, which holds the prompt as its parts.
 
-        The parts are kept only when the exchange records the very string
-        sent, so a gateway that rewrites prompts is recorded as it saw them.
+        The gateway is sent the joined text; the exchange then swaps it for
+        the prompt's parts, so it holds the file a prompt embeds as the run's
+        own ``str`` and no joined copy outlives the call.  The parts are
+        taken only when the exchange records the very string sent, so a
+        gateway that rewrites prompts is recorded as it saw them.
         """
         exchange = self.gateway.complete(role, prompt.text, self.params)
         if exchange.prompt is prompt.text:
-            exchange.parts = prompt.parts
+            exchange.prompt_parts = prompt.parts
         if self.exchanges and exchange.started_at <= self.exchanges[-1].started_at:
             exchange.started_at = self.exchanges[-1].started_at + 1e-6
         self.exchanges.append(exchange)
@@ -178,8 +181,9 @@ def _code_reply(run: Run, role: AgentRole, prompt: PromptText,
     so the run records it.  A retry that is cut off too raises
     NoCodeInResponse, because a file that was cut off is not an update;
     so does code that UTF-8 cannot encode, because it cannot be written.
-    When the code is one slice of the reply, the exchange keeps the
-    reply split around it, so the transcript stores the code once.
+    When the code is one slice of the reply, the exchange holds the
+    reply split around it and no longer the reply itself, so the code is
+    held once, in memory and in the transcript.
     """
     exchange = run.complete(role, prompt)
     if has_unbalanced_fences(exchange.response):

@@ -72,11 +72,10 @@ class PromptText:
 
     ``parts`` alternate literal template pieces and binding values,
     starting and ending with a literal; ``"".join(parts) == text``.
-    A prompt not rendered from a template has none.
     """
 
     text: str
-    parts: list[str] | None = field(default=None, compare=False, repr=False)
+    parts: list[str] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text or self.text.isspace():

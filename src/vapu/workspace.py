@@ -17,6 +17,10 @@ other prompt or reply stays a string.  The outcome's
 ``final_code.content`` is an index when it is a table text.  Each line
 needs only the lines before it.  Format v2 files (only prompts as
 lists) and v1 files (all strings) still load.
+
+Each distinct text is held once in memory too: an exchange holds its
+prompt and reply as the parts it is stored as, a loaded one over one
+``str`` per table text, and joins them only when they are read.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .gateway import ChatExchange
 from .models import CodeDocument, RequirementSpec, from_json, to_json
 
 logger = logging.getLogger(__name__)
+
+# Encodes as json.dumps(..., sort_keys=True) does, without making an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 TRANSCRIPT_FORMAT = "vapu-transcript-v3"
 # Formats load_transcript reads; each is the next one without some of its references.
@@ -141,14 +148,16 @@ class RunTranscript:
             previous = exchange.started_at
 
 
-def write_file(path: Path, data: str | bytes) -> Path:
-    """Write ``data`` (text as UTF-8) over ``path``, making its directory if missing.
+def write_file(path: Path, data: str | bytes | list[bytes]) -> Path:
+    """Write ``data`` (text as UTF-8, a list as its items in order) over ``path``,
+    making its directory if missing.
 
     Text is encoded before the file is opened, so text that cannot be
     encoded leaves no file behind.  Any OSError raises StorageFull.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    chunks = [data] if isinstance(data, bytes) else data
     try:
         try:
             handle = open(path, "wb")
@@ -156,7 +165,7 @@ def write_file(path: Path, data: str | bytes) -> Path:
             path.parent.mkdir(parents=True, exist_ok=True)
             handle = open(path, "wb")
         with handle:
-            handle.write(data)
+            handle.writelines(chunks)
     except OSError as exc:
         reason = "the device is full" if exc.errno == errno.ENOSPC else exc.strerror or exc
         raise StorageFull(f"cannot write {path}: {reason}") from exc
@@ -164,7 +173,11 @@ def write_file(path: Path, data: str | bytes) -> Path:
 
 
 def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
-    """Write a transcript as checksummed JSON lines; returns the file path."""
+    """Write a transcript as checksummed JSON lines; returns the file path.
+
+    Each line is encoded once and hashed as it is made, and the lines are
+    written as they are, never joined into one body.
+    """
     transcript.validate()
     path = Path(directory) / f"{transcript.run_id}.jsonl"
     records: list[dict] = [{
@@ -182,10 +195,16 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
         "outcome": _outcome_record(transcript.outcome, table),
         "duration": transcript.duration,
     })
-    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
-    digest = hashlib.sha256(body).hexdigest()
-    trailer = json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True) + "\n"
-    return write_file(path, body + trailer.encode("utf-8"))
+    digest = hashlib.sha256()
+    lines: list[bytes] = []
+    for record in records:
+        line = _ENCODER.encode(record).encode("utf-8")
+        digest.update(line)
+        digest.update(b"\n")
+        lines += (line, b"\n")
+    trailer = _ENCODER.encode({"record": "checksum", "sha256": digest.hexdigest()})
+    lines += (trailer.encode("utf-8"), b"\n")
+    return write_file(path, lines)
 
 
 def _input_texts(inputs: dict) -> list[str]:
@@ -196,13 +215,14 @@ def _input_texts(inputs: dict) -> list[str]:
 
 
 def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
-    """An exchange's record; its binding values and reply code become references into ``table``."""
-    record = {"record": "exchange", **to_json(exchange)}
+    """An exchange's record, written from its parts without joining them: a prompt or
+    reply of one part is that string, and one of several parts a list of pieces, whose
+    binding values and reply code become references into ``table``."""
+    record = {"record": "exchange", **to_json(exchange, omit=("prompt", "response"))}
     texts: list[str] = []
-    if exchange.parts is not None:
-        record["prompt"] = _pieces(exchange.parts, table, texts)
-    if exchange.response_parts is not None:
-        record["response"] = _pieces(exchange.response_parts, table, texts)
+    for key, parts in (("prompt", exchange.prompt_parts),
+                       ("response", exchange.response_parts)):
+        record[key] = parts[0] if len(parts) == 1 else _pieces(parts, table, texts)
     if texts:
         record["texts"] = texts
     return record
@@ -244,10 +264,15 @@ def _text(reference: object, table: list[str], path: Path, where: str) -> str:
     return table[reference]
 
 
-def _parts(pieces: list, table: list[str], path: Path, where: str) -> list[str]:
-    """The parts stored pieces stand for, empty literals restored between references."""
+def _parts(stored: object, table: list[str], path: Path, where: str) -> list[str]:
+    """The parts a stored prompt or reply stands for: a string is one part, and a
+    list of pieces its literals and texts, empty literals restored between texts."""
+    if isinstance(stored, str):
+        return [stored]
+    if not isinstance(stored, list):
+        raise CorruptTranscript(f"{path}: exchange {where} must be text or a list of pieces")
     parts = [""]
-    for piece in pieces:
+    for piece in stored:
         if isinstance(piece, str):
             parts[-1] += piece
         else:
@@ -256,19 +281,17 @@ def _parts(pieces: list, table: list[str], path: Path, where: str) -> list[str]:
 
 
 def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExchange:
-    """Rebuild an exchange, appending its ``"texts"`` to ``table`` first."""
+    """Rebuild an exchange over the table's texts, appending its ``"texts"`` to ``table``
+    first; its prompt and reply stay parts, joined only when read."""
     texts = record.get("texts", [])
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
     table.extend(texts)
-    parts = {}
-    for key in ("prompt", "response"):
-        if isinstance(record.get(key), list):
-            parts[key] = _parts(record[key], table, path, key)
-            record[key] = "".join(parts[key])
-    exchange = from_json(ChatExchange, record)
-    exchange.parts = parts.get("prompt")
-    exchange.response_parts = parts.get("response")
+    prompt_parts = _parts(record.get("prompt"), table, path, "prompt")
+    response_parts = _parts(record.get("response"), table, path, "response")
+    # from_json checks every other field; the texts are set as parts, never joined.
+    exchange = from_json(ChatExchange, {**record, "prompt": "", "response": ""})
+    exchange.prompt_parts, exchange.response_parts = prompt_parts, response_parts
     return exchange
 
 
@@ -302,11 +325,12 @@ def _transcript_from_bytes(data: bytes, path: Path) -> RunTranscript:
     if len(lines) < 3:
         raise CorruptTranscript(f"{path}: too short to be a transcript")
     records = [json.loads(line) for line in lines]
+    body_size = len(data) - len(lines[-1].encode("utf-8"))  # every line but the trailer
+    del lines  # a second copy of the file, which the records no longer need
     trailer = records[-1]
     if trailer.get("record") != "checksum":
         raise CorruptTranscript(f"{path}: missing checksum record (truncated?)")
-    body = data[:len(data) - len(lines[-1].encode("utf-8"))]  # every line but the trailer
-    digest = hashlib.sha256(body).hexdigest()
+    digest = hashlib.sha256(memoryview(data)[:body_size]).hexdigest()
     if digest != trailer.get("sha256"):
         raise CorruptTranscript(f"{path}: checksum mismatch")
     header, *middle, outcome = records[:-1]

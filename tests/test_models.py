@@ -109,10 +109,13 @@ def test_to_json_round_trips_through_from_json(value) -> None:
 
 def test_to_json_leaves_out_an_exchanges_parts() -> None:
     exchange = ChatExchange(role=AgentRole.EXECUTOR, prompt="ab", response="r", duration=0.5,
-                            started_at=1.0, model="m", temperature=0.0,
-                            parts=["a", "b", ""], response_parts=["", "r", ""])
+                            started_at=1.0, model="m", temperature=0.0)
+    exchange.prompt_parts, exchange.response_parts = ["a", "b", ""], ["", "r", ""]
     data = to_json(exchange)
-    assert "parts" not in data and "response_parts" not in data
+    assert "prompt_parts" not in data and "response_parts" not in data
+    assert data["prompt"] == "ab" and data["response"] == "r"
+    texts = ("prompt", "response")
+    assert to_json(exchange, omit=texts) == {k: v for k, v in data.items() if k not in texts}
     assert data["role"] == "executor"
 
 

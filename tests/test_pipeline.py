@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fenced, multi_task_fixtures, one_gateway, replay_config, write_fixtures
+import vapu.pipeline
 from vapu.errors import (
     AbortedRun,
     ConfigInvalid,
@@ -442,6 +443,35 @@ def test_tasks_execute_once_each_in_order(tmp_path, sample_req, sample_doc) -> N
     prompts = [e.prompt for e in exchanges_of(config, result.transcript_ref)
                if e.role is AgentRole.PROMPT_MAKER]
     assert ["task number 1" in p for p in prompts] == [True, False, False]
+
+
+def test_a_runs_exchanges_hold_each_version_of_its_file_as_the_runs_own_str(
+        tmp_path, monkeypatch, sample_req, sample_doc) -> None:
+    kept = []
+    monkeypatch.setattr(vapu.pipeline, "persist_transcript",
+                        lambda transcript, directory: kept.append(transcript))
+    fixtures = write_fixtures(tmp_path / "fx", multi_task_fixtures(
+        tasks=1, verifier_responses=["REJECT:\n- more", "ACCEPT"], finalizer_count=1))
+    result = run_update(sample_req, sample_doc, replay_config(tmp_path / "out", fixtures))
+    [transcript] = kept
+    by_role = {role: [e for e in transcript.exchanges if e.role is role] for role in AgentRole}
+    [executor], [finalizer] = by_role[AgentRole.EXECUTOR], by_role[AgentRole.FINALIZER]
+    first_check, second_check = by_role[AgentRole.VERIFIER]
+
+    def holds(parts: list[str], text: str) -> bool:
+        return any(part is text for part in parts)
+
+    # A code reply holds its code between the text around it, not the whole reply.
+    executed, finalized = executor.response_parts[1], finalizer.response_parts[1]
+    assert len(executor.response_parts) == len(finalizer.response_parts) == 3
+    # Each verifier prompt holds the file before and after the task as the run's objects.
+    assert holds(executor.prompt_parts, sample_doc.content)
+    assert holds(first_check.prompt_parts, sample_doc.content)
+    assert holds(first_check.prompt_parts, executed)
+    assert holds(finalizer.prompt_parts, executed)
+    assert holds(second_check.prompt_parts, sample_doc.content)
+    assert holds(second_check.prompt_parts, finalized)
+    assert result.final_code.content is finalized
 
 
 # --- run_baseline ---

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -451,14 +452,16 @@ def test_round_trip_for_generated_prompt_parts(tmp_path_factory, parts_per_promp
                                                plain, replies, final_code) -> None:
     reply_parts = [replies[i] if i < len(replies) else None
                    for i in range(len(parts_per_prompt))]
-    exchanges = [
-        ChatExchange(role=AgentRole.EXECUTOR, prompt="".join(parts),
-                     parts=None if i < len(plain) and plain[i] else parts,
-                     response="r" if reply is None else "".join(reply),
-                     response_parts=reply, duration=0.0, started_at=float(i), model="m",
-                     temperature=0.0)
-        for i, (parts, reply) in enumerate(zip(parts_per_prompt, reply_parts))
-    ]
+    exchanges = []
+    for i, (parts, reply) in enumerate(zip(parts_per_prompt, reply_parts)):
+        exchanges.append(ChatExchange(
+            role=AgentRole.EXECUTOR, prompt="".join(parts),
+            response="r" if reply is None else "".join(reply),
+            duration=0.0, started_at=float(i), model="m", temperature=0.0))
+        if not (i < len(plain) and plain[i]):
+            exchanges[-1].prompt_parts = parts
+        if reply is not None:
+            exchanges[-1].response_parts = reply
     original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
                              outcome={"final_code": {"content": final_code}},
                              inputs={"code": {"content": INPUT_CODE}})
@@ -469,6 +472,50 @@ def test_round_trip_for_generated_prompt_parts(tmp_path_factory, parts_per_promp
     assert loaded == original
     # The parts survive the load, so persisting again writes the same file.
     assert persist_transcript(loaded, directory / "again").read_bytes() == path.read_bytes()
+
+
+def test_a_loaded_transcripts_exchanges_share_one_str_per_table_text(tmp_path) -> None:
+    loaded = load_transcript(demo_run(tmp_path, SendLog()))
+    table: dict[str, str] = {}
+    for e in loaded.exchanges:
+        # A part at an odd index is a binding value or a reply's code: a table text.
+        for text in (*e.prompt_parts[1::2], *e.response_parts[1::2]):
+            assert table.setdefault(text, text) is text
+    code = loaded.inputs["code"]["content"]
+    assert table[code] is code
+    assert table[loaded.outcome["final_code"]["content"]] is loaded.outcome["final_code"]["content"]
+    assert len(table) > 5
+
+
+def test_a_loaded_transcript_holds_each_text_once(tmp_path) -> None:
+    """Prompts that embed a file several times hold it once after a load, as the file does."""
+    before = "".join(f"<p><?php echo $row['Item']['field_{i}']; ?></p>\n" for i in range(2500))
+    after = before.replace("echo $row['Item']", "echo $row->item")
+    assert len(before) > 100_000
+    reply = ["Updated:\n```php\n", after, "\n```\n"]
+    exchanges = []
+    for i in range(8):
+        parts = ["Compare\n", before, "\nwith\n", after, "\nand answer ACCEPT or REJECT."]
+        exchange = ChatExchange(role=AgentRole.VERIFIER, prompt="".join(parts),
+                                response="ACCEPT", duration=0.0, started_at=float(i),
+                                model="m", temperature=0.0)
+        exchange.prompt_parts = parts
+        if i % 2:
+            exchange.response_parts = reply
+        exchanges.append(exchange)
+    original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
+                             outcome={"final_code": {"content": after}},
+                             inputs={"code": {"content": before}})
+    path = persist_transcript(original, tmp_path)
+    load_transcript(path)  # made once untraced, so first-use caches are not counted
+    tracemalloc.start()
+    try:
+        loaded = load_transcript(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == original
+    assert held <= 1.5 * path.stat().st_size
 
 
 # --- format v3: code replies and the final code as table references ---
