@@ -141,9 +141,12 @@ class ChatExchange:
     and joined on read.  A plain text is one part; a prompt rendered
     from a template is its literal pieces and binding values, and a
     reply the pipeline took code from is the text before the code, the
-    code and the text after it, so every prompt that embeds a file and
-    every reply that carries one share that file's one ``str``.
-    ``==``, repr and :func:`~vapu.models.to_json` see the joined texts.
+    code and the text after it.  A v4 transcript stores each non-empty
+    part of such a list once, as a table text, so after a load every
+    prompt that embeds a file, every reply that carries one and every
+    prompt from one template share one ``str`` per text (a loaded list
+    drops the empty parts).  ``==``, repr and
+    :func:`~vapu.models.to_json` see the joined texts.
     """
 
     role: AgentRole
@@ -244,14 +247,17 @@ class Gateway:
 
 
 class ReplayGateway(Gateway):
-    """Deterministic backend replaying fixture files.
+    """Deterministic backend replaying fixture files or recorded replies.
 
+    A fixture is a reply's text, or the list of parts it joins from (a
+    recorded exchange's ``response_parts``), joined only when it is sent.
     Each run owns its gateway, so the per-role cursors are private to
     that run and no gateway is shared between threads; the underlying
     fixtures are shared read-only, so they need no lock either.
     """
 
-    def __init__(self, fixtures: Mapping[tuple[str, int], str], model_id: str = "replay"):
+    def __init__(self, fixtures: Mapping[tuple[str, int], str | list[str]],
+                 model_id: str = "replay"):
         super().__init__(model_id=model_id)
         self.fixtures = fixtures
         self._cursors: dict[str, int] = {}
@@ -260,9 +266,10 @@ class ReplayGateway(Gateway):
         index = self._cursors.get(role.value, 0)
         self._cursors[role.value] = index + 1
         try:
-            return self.fixtures[(role.value, index)]
+            reply = self.fixtures[(role.value, index)]
         except KeyError:
             raise FixtureMiss(f"no replay fixture for ({role.value}, {index})") from None
+        return reply if isinstance(reply, str) else "".join(reply)
 
 
 # Environment variable stems for live credentials, keyed by company slug.

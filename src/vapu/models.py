@@ -101,18 +101,18 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
 @functools.cache
 def _write_plan(cls) -> tuple[tuple[str, bool], ...]:
     """(name, whether its value is written as it is: a bool, int, float or str field) for
-    each field ``==`` compares, then each property; the types come from the read plan."""
+    each field ``==`` compares; the types come from the read plan."""
     compared = {f.name for f in fields(cls) if f.compare}
-    return (*((name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
-              if name in compared),
-            *((name, False) for name, attr in cls.__dict__.items() if isinstance(attr, property)))
+    return tuple((name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
+                 if name in compared)
 
 
 def to_json(value, omit: tuple[str, ...] = ()):
     """``value`` as JSON data, the inverse of :func:`from_json`: a dataclass as an object
-    of the fields ``==`` compares followed by its properties, an enum as its value, a path
-    as str, a tuple or list as a list; str, int, float, bool and None as they are.  Any
-    other value raises TypeError.  ``omit`` names fields of ``value`` itself to leave out."""
+    of the fields ``==`` compares (not its properties, which derive from them), an enum as
+    its value, a path as str, a tuple or list as a list; str, int, float, bool and None as
+    they are.  Any other value raises TypeError.  ``omit`` names fields of ``value`` itself
+    to leave out."""
     if isinstance(value, Enum):  # before str: the enums here are str subclasses
         return value.value
     if value is None or isinstance(value, (str, int, float)):

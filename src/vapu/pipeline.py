@@ -64,6 +64,7 @@ from .prompts import (
     serialize_task_plan,
 )
 from .workspace import (
+    UNRECORDED_CONFIG,
     Backend,
     Method,
     RunConfig,
@@ -156,8 +157,14 @@ class RunContext:
 
     @classmethod
     def from_config(cls, config: RunConfig) -> RunContext:
-        """Validate ``config``, then read its templates, backend and example once each."""
+        """Validate ``config``, then read its templates, backend and example once each.
+
+        Only here does the replay backend need its fixtures directory: a
+        transcript replays from the replies it recorded.
+        """
         config.validate()
+        if config.backend is Backend.REPLAY and config.fixtures_dir is None:
+            raise ConfigInvalid("replay backend requires a fixtures directory")
         templates = load_templates(config.templates_dir)
         example = load_example(config.example_path) if config.method is Method.OSL else None
         if config.backend is Backend.REPLAY:
@@ -349,13 +356,13 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     inputs = {"requirement": to_json(req), "code": to_json(code), "repetition": repetition}
     if run.example is not None:
         inputs["example"] = list(run.example)
-    transcript = RunTranscript(run_id=run.run_id, config=to_json(config), inputs=inputs,
-                               status="aborted")
+    transcript = RunTranscript(run_id=run.run_id, config=to_json(config, omit=UNRECORDED_CONFIG),
+                               inputs=inputs, status="aborted")
     clock_start = time.perf_counter()
     steps_end = None
     try:
         result = steps(run)
-        transcript.outcome = to_json(result)
+        transcript.outcome = to_json(result, omit=("transcript_ref",))  # the run id names it
         steps_end = time.perf_counter()
         write_file(updated_file_path(config, run.run_id, result.final_code.path),
                    result.final_code.content)
@@ -466,7 +473,8 @@ def reexecute_transcript(transcript: RunTranscript, header: RunHeader,
     config = replace(header.config, output_dir=Path(output_dir))
     config.validate()
     cursors = defaultdict(itertools.count)  # the next index per role
-    fixtures = {(e.role.value, next(cursors[e.role.value])): e.response
+    # Each reply as the parts it is held as, joined only when the gateway sends it.
+    fixtures = {(e.role.value, next(cursors[e.role.value])): e.response_parts
                 for e in transcript.exchanges}
     context = RunContext(load_templates(config.templates_dir),
                          lambda: ReplayGateway(fixtures, model_id=config.model), header.example)

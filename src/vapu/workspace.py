@@ -5,18 +5,27 @@ snapshot plus the run inputs so a replay is self-contained), one record
 per exchange, an outcome record, and a trailing checksum record.  The
 append-per-line layout keeps partially written files diagnosable.
 
-Prompts embed the file being updated, often twice, and code replies
-carry each new version of it, so format v3 stores each distinct text
-once, in a text table that the records build up in order: text 0 is
-the header's input file, and an exchange record's ``"texts"`` list
-appends the values it is the first to use.  A prompt rendered from a
-template is a list of literal template pieces (strings) and table
-indices (ints), and a reply the pipeline took code from is a list of
-the text before the code, the code's index and the text after it; any
-other prompt or reply stays a string.  The outcome's
-``final_code.content`` is an index when it is a table text.  Each line
-needs only the lines before it.  Format v2 files (only prompts as
-lists) and v1 files (all strings) still load.
+Prompts embed the file being updated, often twice, code replies carry
+each new version of it, and every prompt from one template repeats its
+literal text, so format v4 stores each distinct text once, in a text
+table that the records build up in order: text 0 is the header's input
+file, and an exchange record's ``"texts"`` list appends the values it
+is the first to use.  A prompt or reply of several parts (a rendered
+template's literals and binding values; the text before a reply's
+code, the code and the text after it) is the list of the table indices
+of its non-empty parts; any other prompt or reply stays a string.  The
+outcome's ``final_code.content`` is an index when it is a table text.
+Each line needs only the lines before it.
+
+The header records no machine path: its config leaves out the output
+directory, which is the transcript's own (see :func:`read_header`), and
+the fixture directory, since a replay sends the recorded replies.
+Fields that hold nothing a reader needs are left out too: a code
+document's line count, the outcome's copy of the run id, and an
+exchange's ``flags`` and ``retries`` while they hold their defaults.
+Format v3 files (template literals and reply wrappers as strings in the
+lists), v2 files (only prompts as lists) and v1 files (all strings)
+still load.
 
 Each distinct text is held once in memory too: an exchange holds its
 prompt and reply as the parts it is stored as, a loaded one over one
@@ -33,7 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePath, PurePosixPath
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
@@ -44,9 +53,13 @@ logger = logging.getLogger(__name__)
 # Encodes as json.dumps(..., sort_keys=True) does, without making an encoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
-TRANSCRIPT_FORMAT = "vapu-transcript-v3"
+TRANSCRIPT_FORMAT = "vapu-transcript-v4"
+# Formats whose lists hold literal text (strings) beside table indices.
+LITERAL_FORMATS = frozenset({"vapu-transcript-v2", "vapu-transcript-v3"})
 # Formats load_transcript reads; each is the next one without some of its references.
-READABLE_FORMATS = frozenset({"vapu-transcript-v1", "vapu-transcript-v2", TRANSCRIPT_FORMAT})
+READABLE_FORMATS = frozenset({"vapu-transcript-v1", *LITERAL_FORMATS, TRANSCRIPT_FORMAT})
+# Config fields a transcript header leaves out: machine paths no reader needs.
+UNRECORDED_CONFIG = ("output_dir", "fixtures_dir")
 
 # File suffixes mapped to the language tag used for checker lookup.
 LANGUAGE_TAGS = {
@@ -104,8 +117,6 @@ class RunConfig:
                 f"temperature {self.temperature} is outside the evaluated settings {{0, 1}}",
                 stacklevel=2,
             )
-        if self.backend is Backend.REPLAY and self.fixtures_dir is None:
-            raise ConfigInvalid("replay backend requires a fixtures directory")
         if self.method is Method.OSL and self.example_path is None:
             raise ConfigInvalid("one-shot baseline requires an example asset")
 
@@ -216,32 +227,34 @@ def _input_texts(inputs: dict) -> list[str]:
 
 def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
     """An exchange's record, written from its parts without joining them: a prompt or
-    reply of one part is that string, and one of several parts a list of pieces, whose
-    binding values and reply code become references into ``table``."""
+    reply of one part is that string, and one of several parts the references of its
+    non-empty parts into ``table``.  ``flags`` and ``retries`` are left out while they
+    hold their defaults, which ``from_json`` restores."""
     record = {"record": "exchange", **to_json(exchange, omit=("prompt", "response"))}
+    for key in ("flags", "retries"):
+        if not record[key]:
+            del record[key]
     texts: list[str] = []
     for key, parts in (("prompt", exchange.prompt_parts),
                        ("response", exchange.response_parts)):
-        record[key] = parts[0] if len(parts) == 1 else _pieces(parts, table, texts)
+        record[key] = parts[0] if len(parts) == 1 else _references(parts, table, texts)
     if texts:
         record["texts"] = texts
     return record
 
 
-def _pieces(parts: list[str], table: dict[str, int], texts: list[str]) -> list[str | int]:
-    """Literals (even indices) as strings, texts (odd) as indices; new texts join ``texts``."""
-    pieces: list[str | int] = []
-    for i, part in enumerate(parts):
-        if i % 2 == 0:
-            if part:  # an empty literal adds nothing to the joined text
-                pieces.append(part)
+def _references(parts: list[str], table: dict[str, int], texts: list[str]) -> list[int]:
+    """The table index of each non-empty part; texts new to ``table`` join ``texts``."""
+    references = []
+    for part in parts:
+        if not part:  # adds nothing to the joined text
             continue
         index = table.get(part)
         if index is None:
             index = table[part] = len(table)
             texts.append(part)
-        pieces.append(index)
-    return pieces
+        references.append(index)
+    return references
 
 
 def _outcome_record(outcome: dict, table: dict[str, int]) -> dict:
@@ -258,19 +271,25 @@ def _text(reference: object, table: list[str], path: Path, where: str) -> str:
     """The table text a stored reference names."""
     # bool is an int subclass, and no reference.
     if type(reference) is not int:
-        raise CorruptTranscript(f"{path}: {where} piece {reference!r} is not text or a reference")
+        raise CorruptTranscript(f"{path}: {where} piece {reference!r} is not a reference")
     if not 0 <= reference < len(table):
         raise CorruptTranscript(f"{path}: {where} references undefined text {reference}")
     return table[reference]
 
 
-def _parts(stored: object, table: list[str], path: Path, where: str) -> list[str]:
-    """The parts a stored prompt or reply stands for: a string is one part, and a
-    list of pieces its literals and texts, empty literals restored between texts."""
+def _parts(stored: object, table: list[str], path: Path, where: str,
+           literals: bool) -> list[str]:
+    """The parts a stored prompt or reply stands for: a string is one part, and a list
+    the texts it references.  A v2 or v3 list (``literals``) also holds literal text,
+    merged into the parts between its texts, empty literals restored.  A v4 list of one
+    reference gets an empty part after it, so it is written back as a list."""
     if isinstance(stored, str):
         return [stored]
     if not isinstance(stored, list):
         raise CorruptTranscript(f"{path}: exchange {where} must be text or a list of pieces")
+    if not literals:
+        parts = [_text(piece, table, path, where) for piece in stored]
+        return parts if len(parts) != 1 else [*parts, ""]
     parts = [""]
     for piece in stored:
         if isinstance(piece, str):
@@ -280,15 +299,16 @@ def _parts(stored: object, table: list[str], path: Path, where: str) -> list[str
     return parts
 
 
-def _exchange_from_record(record: dict, table: list[str], path: Path) -> ChatExchange:
+def _exchange_from_record(record: dict, table: list[str], path: Path,
+                          literals: bool) -> ChatExchange:
     """Rebuild an exchange over the table's texts, appending its ``"texts"`` to ``table``
     first; its prompt and reply stay parts, joined only when read."""
     texts = record.get("texts", [])
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
     table.extend(texts)
-    prompt_parts = _parts(record.get("prompt"), table, path, "prompt")
-    response_parts = _parts(record.get("response"), table, path, "response")
+    prompt_parts = _parts(record.get("prompt"), table, path, "prompt", literals)
+    response_parts = _parts(record.get("response"), table, path, "response", literals)
     # from_json checks every other field; the texts are set as parts, never joined.
     exchange = from_json(ChatExchange, {**record, "prompt": "", "response": ""})
     exchange.prompt_parts, exchange.response_parts = prompt_parts, response_parts
@@ -311,49 +331,63 @@ def load_transcript(path: Path) -> RunTranscript:
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as handle:
+            return _transcript_from_lines(handle, path)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read transcript {path}: {exc}") from None
-    try:
-        return _transcript_from_bytes(data, path)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptTranscript(f"{path}: malformed transcript: {exc!r}") from None
 
 
-def _transcript_from_bytes(data: bytes, path: Path) -> RunTranscript:
-    lines = data.decode("utf-8").splitlines(keepends=True)
-    if len(lines) < 3:
+def _transcript_from_lines(lines: Iterable[bytes], path: Path) -> RunTranscript:
+    """The transcript whose lines ``lines`` yields, each hashed and parsed as it is read.
+
+    A record is built into its exchange as soon as two records follow it,
+    so no more than the kept texts and about one line are held at once;
+    the checksum is checked once the trailer is read.
+    """
+    digest = hashlib.sha256()
+    body = digest  # the hash of every line but the last one read
+    header: dict | None = None
+    table: list[str] = []
+    exchanges: list[ChatExchange] = []
+    window: list[dict] = []  # the last two records read: at the end, outcome and trailer
+    for line in lines:
+        body = digest.copy()
+        digest.update(line)
+        window.append(json.loads(line.decode("utf-8")))
+        if len(window) < 3:
+            continue
+        record = window.pop(0)
+        if header is None:
+            header = record
+            if header.get("record") != "header" or header.get("format") not in READABLE_FORMATS:
+                raise CorruptTranscript(f"{path}: bad header record")
+            inputs = header.setdefault("inputs", {})  # absent from partial headers
+            if not isinstance(inputs, dict):
+                raise CorruptTranscript(f"{path}: header inputs is not an object")
+            table = _input_texts(inputs)
+            literals = header["format"] in LITERAL_FORMATS
+        elif record.get("record") != "exchange":
+            raise CorruptTranscript(f"{path}: unexpected record type {record.get('record')!r}")
+        else:
+            exchanges.append(_exchange_from_record(record, table, path, literals))
+    if header is None:
         raise CorruptTranscript(f"{path}: too short to be a transcript")
-    records = [json.loads(line) for line in lines]
-    body_size = len(data) - len(lines[-1].encode("utf-8"))  # every line but the trailer
-    del lines  # a second copy of the file, which the records no longer need
-    trailer = records[-1]
+    outcome, trailer = window
     if trailer.get("record") != "checksum":
         raise CorruptTranscript(f"{path}: missing checksum record (truncated?)")
-    digest = hashlib.sha256(memoryview(data)[:body_size]).hexdigest()
-    if digest != trailer.get("sha256"):
+    if body.hexdigest() != trailer.get("sha256"):
         raise CorruptTranscript(f"{path}: checksum mismatch")
-    header, *middle, outcome = records[:-1]
-    if header.get("record") != "header" or header.get("format") not in READABLE_FORMATS:
-        raise CorruptTranscript(f"{path}: bad header record")
     if outcome.get("record") != "outcome" or not isinstance(outcome.get("outcome"), dict):
         raise CorruptTranscript(f"{path}: bad outcome record")
-    inputs = header.get("inputs", {})  # absent from partial headers
-    if not isinstance(inputs, dict):
-        raise CorruptTranscript(f"{path}: header inputs is not an object")
-    table = _input_texts(inputs)
-    exchanges = []
-    for record in middle:
-        if record.get("record") != "exchange":
-            raise CorruptTranscript(f"{path}: unexpected record type {record.get('record')!r}")
-        exchanges.append(_exchange_from_record(record, table, path))
     return RunTranscript(
         run_id=header["run_id"],
         config=header["config"],
         exchanges=exchanges,
         outcome=_outcome_from_record(outcome["outcome"], table, path),
         duration=outcome["duration"],
-        inputs=inputs,
+        inputs=header["inputs"],
         status=outcome.get("status", "completed"),
     )
 
@@ -373,7 +407,9 @@ class RunHeader:
 def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
     """The typed run ``transcript``, loaded from ``path``, records: every field that
     is not optional present with its JSON type, a one-shot run's example pair and
-    a completed run's final code, or CorruptTranscript naming the file and field."""
+    a completed run's final code, or CorruptTranscript naming the file and field.
+    Its config's output directory is the one holding ``path``, where the run wrote
+    the transcript, wherever it was made."""
     def read(cls, data: object, where: str):
         try:  # a missing, null or non-object one reports its first field missing
             return from_json(cls, data if isinstance(data, dict) else {}, where, complete=True)
@@ -383,7 +419,8 @@ def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
             raise CorruptTranscript(f"{path}: {where}.body: {exc}") from None
 
     inputs = transcript.inputs
-    config = read(RunConfig, transcript.config, "config")
+    recorded = transcript.config if isinstance(transcript.config, dict) else {}
+    config = read(RunConfig, {**recorded, "output_dir": Path(path).parent}, "config")
     final = transcript.outcome.get("final_code")
     header = read(RunHeader, {
         **inputs,

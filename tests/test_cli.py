@@ -208,6 +208,29 @@ def test_replay_subcommand_round_trip(tmp_path, capsys) -> None:
     assert "byte-identically" in capsys.readouterr().out
 
 
+def test_a_moved_transcript_directory_evaluates_alike_and_replays(tmp_path, capsys) -> None:
+    """A transcript records no machine path, so where its directory lies changes nothing."""
+    out = run_demo_update(tmp_path)
+    [path] = out.glob("*.jsonl")
+    assert str(tmp_path).encode("utf-8") not in path.read_bytes()
+
+    def scored(runs: Path) -> list[dict]:
+        output = tmp_path / "scored.json"
+        assert main(["evaluate", "--runs-dir", str(runs),
+                     "--annotations", str(DEMO / "annotations.json"),
+                     "--output", str(output)]) == 0
+        return json.loads(output.read_text(encoding="utf-8"))["records"]
+
+    before = scored(out)
+    moved = tmp_path / "elsewhere" / "runs"
+    moved.parent.mkdir()
+    shutil.move(out, moved)
+    assert scored(moved) == before
+    capsys.readouterr()
+    assert main(["replay", "--transcript", str(moved / path.name)]) == 0
+    assert "byte-identically" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("code_path", ["ABSOLUTE", "../../../victim.php", "a/../../b.php",
                                        ".", ""])
 def test_replay_refuses_a_code_path_outside_the_project(tmp_path, monkeypatch, capsys,
@@ -357,7 +380,9 @@ def test_failed_baseline_exits_9_and_keeps_transcript(tmp_path) -> None:
     assert transcript.status == "aborted"
 
 
-def test_every_run_flag_reaches_the_config_header(tmp_path) -> None:
+def test_every_run_flag_but_the_machine_paths_reaches_the_config_header(tmp_path) -> None:
+    """The output and fixture directories are left out: the typed header reads the
+    output directory as the transcript's own, and a replay sends the recorded replies."""
     example = tmp_path / "example.json"
     example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
     registry = DEMO.parent / "registry.json"
@@ -376,12 +401,10 @@ def test_every_run_flag_reaches_the_config_header(tmp_path) -> None:
     ]) == 0
     expected = {
         "model": "gpt-4o",
-        "output_dir": str(out),
         "temperature": 1.0,
         "max_feedback_iterations": 3,
         "repetitions": 2,
         "backend": "replay",
-        "fixtures_dir": str(DEMO / "fixtures-baseline"),
         "method": "osl",
         "example_path": str(example),
         "registry_path": str(registry),
@@ -391,7 +414,10 @@ def test_every_run_flag_reaches_the_config_header(tmp_path) -> None:
     paths = sorted(out.glob("*.jsonl"))
     assert len(paths) == 2
     for path in paths:
-        assert load_transcript(path).config == expected
+        transcript = load_transcript(path)
+        assert transcript.config == expected
+        config = read_header(transcript, path).config
+        assert (config.output_dir, config.fixtures_dir) == (out, None)
 
 
 def demo_osl_args(example: Path, out: Path, runs: int = 1) -> list[str]:

@@ -569,6 +569,35 @@ def test_reexecute_reproduces_baseline(tmp_path, sample_req, sample_doc) -> None
     assert recorded == replayed
 
 
+def test_reexecute_serves_each_recorded_reply_from_its_parts(tmp_path, monkeypatch,
+                                                            sample_req, sample_doc) -> None:
+    """The replay's fixtures are the loaded exchanges' parts, joined only as they are
+    sent, so no joined copy of a split code reply outlives its call."""
+    fixtures = write_fixtures(tmp_path / "fx", multi_task_fixtures(
+        tasks=2, verifier_responses=["REJECT:\n- nope", "ACCEPT", "ACCEPT"], finalizer_count=1))
+    config = replay_config(tmp_path / "out", fixtures)
+    result = run_update(sample_req, sample_doc, config)
+    path = Path(config.output_dir) / f"{result.transcript_ref}.jsonl"
+    transcript = load_transcript(path)
+    gateways = []
+
+    class Keeping(ReplayGateway):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            gateways.append(self)
+
+    monkeypatch.setattr(vapu.pipeline, "ReplayGateway", Keeping)
+    recorded, replayed = reexecute_transcript(transcript, read_header(transcript, path),
+                                              tmp_path / "scratch")
+    assert recorded == replayed
+    [gateway] = gateways
+    served = list(gateway.fixtures.values())
+    assert len(served) == len(transcript.exchanges)
+    for parts, exchange in zip(served, transcript.exchanges):
+        assert parts is exchange.response_parts  # no joined copy is held
+    assert any(len(parts) > 1 for parts in served)  # the code replies are split
+
+
 @pytest.mark.parametrize("asset", [None, "[]", json.dumps({"output": "new()"})])
 def test_a_bad_example_asset_is_a_config_error(tmp_path, asset) -> None:
     example_path = tmp_path / "example.json"

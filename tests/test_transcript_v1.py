@@ -1,11 +1,11 @@
-"""Format v1, v2 and v3 transcripts still load, replay and score as before.
+"""Pinned v1 to v4 transcripts load, replay and score as a fresh run does.
 
-``data/v1/``, ``data/v2/`` and ``data/v3/`` hold the demo ``update`` and
-``baseline --method zsl`` transcripts as the v1, v2 and v3 writers made
-them (run from a directory holding a copy of the demo, so the config
-paths are relative); ``data/v3/`` also holds a ``baseline --method osl
---example demo/example.json`` transcript.  The v1 files keep the test
-ids they had before the others joined them.
+``data/v1/`` to ``data/v4/`` hold the demo ``update`` and ``baseline
+--method zsl`` transcripts as the v1 to v4 writers made them (run from
+a directory holding a copy of the demo, so the config paths are
+relative); ``data/v3/`` and ``data/v4/`` also hold a ``baseline --method
+osl --example demo/example.json`` transcript.  The v1 files keep the
+test ids they had before the others joined them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,15 @@ import pytest
 from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
 from vapu.models import AgentRole, from_json, to_json
-from vapu.workspace import Method, RunConfig, RunTranscript, load_transcript, read_header
+from vapu.prompts import default_templates
+from vapu.workspace import (
+    Method,
+    RunConfig,
+    RunTranscript,
+    load_transcript,
+    persist_transcript,
+    read_header,
+)
 
 DATA = Path(__file__).parent / "data"
 DEMO = demo_root()
@@ -27,19 +35,26 @@ VAPU_NAME = "reference_list-vapu-gpt-4o-t0-r1.jsonl"
 ZSL_NAME = "reference_list-zsl-gpt-4o-t0-r1.jsonl"
 OSL_NAME = "reference_list-osl-gpt-4o-t0-r1.jsonl"
 OLD_FORMATS = ("v1", "v2", "v3")
+FORMATS = (*OLD_FORMATS, "v4")
 
-OLD_TRANSCRIPTS = [
-    pytest.param(DATA / version / name, method,
-                 id=kind if version == "v1" else f"{version}-{kind}")
-    for version in OLD_FORMATS
-    for name, method, kind in ((VAPU_NAME, "vapu", "update"), (ZSL_NAME, "zsl", "zsl"),
-                               *([(OSL_NAME, "osl", "osl")] if version == "v3" else []))
-]
+
+def pinned(versions: tuple[str, ...]) -> list:
+    """The pinned transcripts of ``versions``: an osl one from v3 on."""
+    return [pytest.param(DATA / version / name, method,
+                         id=kind if version == "v1" else f"{version}-{kind}")
+            for version in versions
+            for name, method, kind in (
+                (VAPU_NAME, "vapu", "update"), (ZSL_NAME, "zsl", "zsl"),
+                *([(OSL_NAME, "osl", "osl")] if version not in ("v1", "v2") else []))]
+
+
+OLD_TRANSCRIPTS = pinned(OLD_FORMATS)
+TRANSCRIPTS = pinned(FORMATS)
 
 
 def as_written(path: Path) -> RunTranscript:
     """What the reader of the file's own format built: v2 list prompts, v3
-    list replies and a v3 final code reference resolved through the text
+    and v4 list replies and a final code reference resolved through the text
     table, every other field taken as written."""
     header, *middle, outcome, _ = [
         json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -95,17 +110,30 @@ def remake(tmp_path: Path, monkeypatch) -> Path:
     return tmp_path / "runs"
 
 
-@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+def as_read(transcript: RunTranscript) -> tuple[dict, dict, str]:
+    """Inputs, outcome and status, without the fields v4 no longer writes: a code
+    document's ``loc`` and the outcome's ``transcript_ref``."""
+    def code(value):
+        return {k: v for k, v in value.items() if k != "loc"} if value else value
+
+    inputs = {**transcript.inputs, "code": code(transcript.inputs["code"])}
+    outcome = {k: v for k, v in transcript.outcome.items() if k != "transcript_ref"}
+    if "final_code" in outcome:
+        outcome["final_code"] = code(outcome["final_code"])
+    return inputs, outcome, transcript.status
+
+
+@pytest.mark.parametrize("path, method", TRANSCRIPTS)
 def test_v1_loads_as_before(path, method) -> None:
     assert load_transcript(path) == as_written(path)
 
 
-@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+@pytest.mark.parametrize("path, method", TRANSCRIPTS)
 def test_v1_and_v2_of_one_run_load_alike(tmp_path, monkeypatch, path, method) -> None:
     old = load_transcript(path)
     new = load_transcript(remake(tmp_path, monkeypatch) / method / path.name)
     assert old.run_id == new.run_id
-    assert (old.inputs, old.outcome, old.status) == (new.inputs, new.outcome, new.status)
+    assert as_read(old) == as_read(new)
     assert [(e.role, e.prompt, e.response, e.flags) for e in old.exchanges] == \
         [(e.role, e.prompt, e.response, e.flags) for e in new.exchanges]
 
@@ -119,12 +147,35 @@ def records_apart_from_timings(path: Path) -> list[dict]:
 
 
 @pytest.mark.parametrize("name", [VAPU_NAME, ZSL_NAME, OSL_NAME])
-def test_a_fresh_run_writes_the_pinned_v3_records(tmp_path, monkeypatch, name) -> None:
-    """Every key the writer puts in a record, the config and each exchange's model,
-    temperature and retries included, as the v3 writer put it."""
+def test_a_fresh_run_writes_the_pinned_v4_records(tmp_path, monkeypatch, name) -> None:
+    """Every key the writer puts in a record, the config and each exchange's model
+    and temperature included, as the v4 writer put it."""
     method = name.split("-")[1]
     fresh = remake(tmp_path, monkeypatch) / method / name
-    assert records_apart_from_timings(fresh) == records_apart_from_timings(DATA / "v3" / name)
+    assert records_apart_from_timings(fresh) == records_apart_from_timings(DATA / "v4" / name)
+
+
+@pytest.mark.parametrize("path, method", pinned(("v4",)))
+def test_a_loaded_v4_transcript_persists_byte_identically(tmp_path, path, method) -> None:
+    assert persist_transcript(load_transcript(path), tmp_path).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("path, method", pinned(("v4",)))
+def test_each_template_literal_is_stored_once_in_a_v4_file(path, method) -> None:
+    """Every text a record defines is new to the table, and the table holds each
+    literal of every template the run rendered."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    table = [records[0]["inputs"]["code"]["content"]]
+    for record in records[1:-2]:
+        table += record.get("texts", [])
+        for key in ("prompt", "response"):  # a list holds references only
+            assert isinstance(record[key], str) or all(type(i) is int for i in record[key])
+    assert len(set(table)) == len(table)
+    names = (("manager", "reflection", "prompt_maker", "executor", "verifier", "finalizer")
+             if method == "vapu" else (method,))
+    literals = {piece for name in names for piece in default_templates()[name].pieces[::2]
+                if piece}
+    assert literals <= set(table)
 
 
 @pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
@@ -133,18 +184,19 @@ def test_v1_header_reads_back_through_the_typed_reader(path, method) -> None:
     assert to_json(from_json(RunConfig, config)) == config
 
 
-@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+@pytest.mark.parametrize("path, method", TRANSCRIPTS)
 def test_old_header_reads_as_a_typed_run(path, method) -> None:
     transcript = load_transcript(path)
     header = read_header(transcript, path)
     assert header.config.method is Method(method)
+    assert header.config.output_dir == path.parent
     assert (header.requirement.id, header.code.path, header.repetition) == \
         ("requirements", "reference_list.php", 1)
     assert header.final_code.content == transcript.outcome["final_code"]["content"]
     assert (header.example is not None) == (method == "osl")
 
 
-@pytest.mark.parametrize("path, method", OLD_TRANSCRIPTS)
+@pytest.mark.parametrize("path, method", TRANSCRIPTS)
 def test_v1_replays_byte_identically(path, method, capsys, tmp_path, monkeypatch) -> None:
     # From a directory without the demo copy: the one-shot pair comes from the header.
     monkeypatch.chdir(tmp_path)
@@ -154,10 +206,10 @@ def test_v1_replays_byte_identically(path, method, capsys, tmp_path, monkeypatch
 
 
 def test_v1_scores_like_v2(tmp_path, monkeypatch) -> None:
-    """Each old format scores the same records as a fresh run, apart from durations."""
+    """Each pinned format scores the same records as a fresh run, apart from durations."""
     remake(tmp_path, monkeypatch)
     scored = {}
-    for label in (*OLD_FORMATS, "runs"):
+    for label in (*FORMATS, "runs"):
         runs_dir = tmp_path / label
         for method, name in (("vapu", VAPU_NAME), ("zsl", ZSL_NAME)):
             if label != "runs":
@@ -170,7 +222,7 @@ def test_v1_scores_like_v2(tmp_path, monkeypatch) -> None:
             records = json.loads(output.read_text(encoding="utf-8"))["records"]
             scored[label, method] = [
                 {k: v for k, v in r.items() if k != "duration"} for r in records]
-    for label in OLD_FORMATS:
+    for label in FORMATS:
         for method in ("vapu", "zsl"):
             assert len(scored[label, method]) == 1
             assert scored[label, method] == scored["runs", method]

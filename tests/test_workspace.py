@@ -14,7 +14,7 @@ from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
 from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, RequirementSpec, from_json, to_json
-from vapu.pipeline import run_update
+from vapu.pipeline import RunContext, run_update
 from vapu.prompts import extract_code
 from vapu.workspace import (
     Backend,
@@ -51,9 +51,11 @@ def test_ten_repetitions_have_distinct_run_ids() -> None:
 # --- config validation ---
 
 def test_replay_requires_fixtures_dir(tmp_path) -> None:
+    # Only a run reads fixtures; a transcript replays from its recorded replies.
     config = RunConfig(model="m", output_dir=tmp_path, backend=Backend.REPLAY)
-    with pytest.raises(ConfigInvalid):
-        config.validate()
+    config.validate()
+    with pytest.raises(ConfigInvalid, match="fixtures"):
+        RunContext.from_config(config)
 
 
 def test_osl_requires_example_asset(tmp_path) -> None:
@@ -323,7 +325,7 @@ def test_demo_prompts_load_as_the_strings_sent(tmp_path) -> None:
     assert [e.prompt for e in loaded.exchanges] == gateway.sent
     assert len(gateway.sent) == 10
     records = records_of(path)
-    assert records[0]["format"] == "vapu-transcript-v3"
+    assert records[0]["format"] == "vapu-transcript-v4"
     assert all(isinstance(r["prompt"], list) for r in records[1:-1])
     # The input file is text 0: stored once, in the header.
     text = path.read_text(encoding="utf-8")
@@ -478,9 +480,10 @@ def test_a_loaded_transcripts_exchanges_share_one_str_per_table_text(tmp_path) -
     loaded = load_transcript(demo_run(tmp_path, SendLog()))
     table: dict[str, str] = {}
     for e in loaded.exchanges:
-        # A part at an odd index is a binding value or a reply's code: a table text.
-        for text in (*e.prompt_parts[1::2], *e.response_parts[1::2]):
-            assert table.setdefault(text, text) is text
+        # Every part of a prompt or reply stored as a list is a table text.
+        for parts in (e.prompt_parts, e.response_parts):
+            for text in parts if len(parts) > 1 else ():
+                assert table.setdefault(text, text) is text
     code = loaded.inputs["code"]["content"]
     assert table[code] is code
     assert table[loaded.outcome["final_code"]["content"]] is loaded.outcome["final_code"]["content"]
@@ -516,6 +519,35 @@ def test_a_loaded_transcript_holds_each_text_once(tmp_path) -> None:
         tracemalloc.stop()
     assert loaded == original
     assert held <= 1.5 * path.stat().st_size
+
+
+def test_loading_a_large_transcript_peaks_below_2_2_times_its_file(tmp_path) -> None:
+    """Each line is parsed as it is read: the file is never held whole beside its records."""
+    versions = ["".join(f"<p><?php echo $row['Item']['f{v}_{i}']; ?></p>\n" for i in range(1500))
+                for v in range(5)]
+    exchanges = []
+    for before, after in zip(versions, versions[1:]):
+        for parts, reply in ((["Apply\n```\n", before, "\n```\n"], ["```php\n", after, "\n```"]),
+                             (["Compare\n", before, "\nwith\n", after, "\n"], ["ACCEPT"])):
+            exchange = ChatExchange(role=AgentRole.VERIFIER, prompt="".join(parts),
+                                    response="".join(reply), duration=0.0,
+                                    started_at=float(len(exchanges)), model="m", temperature=0.0)
+            exchange.prompt_parts, exchange.response_parts = parts, reply
+            exchanges.append(exchange)
+    original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
+                             outcome={"final_code": {"content": versions[-1]}},
+                             inputs={"code": {"content": versions[0]}})
+    path = persist_transcript(original, tmp_path)
+    assert path.stat().st_size > 200_000
+    load_transcript(path)  # made once untraced, so first-use caches are not counted
+    tracemalloc.start()
+    try:
+        loaded = load_transcript(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == original
+    assert peak <= 2.2 * path.stat().st_size
 
 
 # --- format v3: code replies and the final code as table references ---
