@@ -59,6 +59,8 @@ def cmd_run(args) -> int:
         # RunConfig.validate accepts this, so older transcripts with the pair still replay.
         raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
     context = RunContext.from_config(config)  # every run of the batch shares what it read
+    if config.fixtures_dir is not None and config.backend is not Backend.REPLAY:
+        raise err.ConfigInvalid("--fixtures needs --backend replay (the default backend is live)")
     run = run_update if config.method is Method.VAPU else run_baseline
     documents = load_codebase(Path(args.project), args.include or ["**/*"])
     jobs = [(doc, rep, make_run_id(doc.path, config.method, config.model, config.temperature, rep))
@@ -69,25 +71,37 @@ def cmd_run(args) -> int:
             raise err.ConfigInvalid(f"{owners[run_id]} and {doc.path} would both be run {run_id}")
 
     def worker(job):
+        """A job's result, or its AbortedRun. A full disk or Ctrl-C still ends the batch:
+        every later job would make its paid calls and then fail to write."""
         doc, rep, _ = job
-        return run(req, doc, config, repetition=rep, context=context)
+        try:
+            return run(req, doc, config, repetition=rep, context=context)
+        except err.AbortedRun as exc:
+            return exc
+
+    def report(outcomes) -> int:
+        """Print each job's outcome, in job order as it comes; 9 if any job aborted."""
+        status = 0
+        for (_, _, run_id), outcome in zip(jobs, outcomes):
+            if isinstance(outcome, err.AbortedRun):
+                print(f"error: {outcome}", file=sys.stderr)
+                status = outcome.exit_code
+                continue
+            target = updated_file_path(config, run_id, outcome.final_code.path)
+            if config.method is Method.VAPU:
+                state = "unverified" if outcome.unverified else "verified"
+                print(f"{run_id}: {len(outcome.per_task_outcomes)} task(s), "
+                      f"{state}, updated file at {target}")
+            else:
+                print(f"{run_id}: baseline update written to {target}")
+        return status
 
     if config.parallel > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            finished = list(pool.map(worker, jobs))
-    else:
-        finished = [worker(job) for job in jobs]
-    for (_, _, run_id), result in zip(jobs, finished):
-        target = updated_file_path(config, run_id, result.final_code.path)
-        if config.method is Method.VAPU:
-            state = "unverified" if result.unverified else "verified"
-            print(f"{run_id}: {len(result.per_task_outcomes)} task(s), "
-                  f"{state}, updated file at {target}")
-        else:
-            print(f"{run_id}: baseline update written to {target}")
-    return 0
+            return report(pool.map(worker, jobs))
+    return report(map(worker, jobs))
 
 
 def _load_run(path: Path) -> tuple[RunTranscript, RunHeader]:

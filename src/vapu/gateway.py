@@ -26,7 +26,6 @@ from .errors import (
     GapInIndices,
     MalformedFixtureName,
     TransientExhausted,
-    UnknownModel,
 )
 from .models import AgentRole, from_json, read_input
 
@@ -77,36 +76,22 @@ class ModelProfile:
             raise ValueError("context_length must be positive")
 
 
-class ModelRegistry:
-    """Lookup table of model profiles loaded from a registry file."""
+def load_registry(path: Path | None = None) -> dict[str, ModelProfile]:
+    """Read a ``{"profiles": [...]}`` file (the bundled one by default) into profiles by id.
 
-    def __init__(self, profiles: Mapping[str, ModelProfile]):
-        self.profiles = dict(profiles)
+    A missing or malformed file, or a repeated ``profile_id``, is a ConfigInvalid naming it.
+    """
+    def parse(text: str) -> dict[str, ModelProfile]:
+        profiles = {}
+        for entry in json.loads(text)["profiles"]:
+            profile = from_json(ModelProfile, entry)
+            if profile.profile_id in profiles:
+                raise ValueError(f"duplicate profile_id {profile.profile_id!r}")
+            profiles[profile.profile_id] = profile
+        return profiles
 
-    def resolve(self, profile_id: str) -> ModelProfile:
-        try:
-            return self.profiles[profile_id]
-        except KeyError:
-            known = ", ".join(sorted(self.profiles))
-            raise UnknownModel(f"unknown model {profile_id!r}; registry has: {known}") from None
-
-    @classmethod
-    def from_file(cls, path: Path) -> "ModelRegistry":
-        """Read a ``{"profiles": [...]}`` file; a missing or malformed one is a ConfigInvalid."""
-        def parse(text: str) -> dict[str, ModelProfile]:
-            profiles = {}
-            for entry in json.loads(text)["profiles"]:
-                profile = from_json(ModelProfile, entry)
-                if profile.profile_id in profiles:
-                    raise ValueError(f"duplicate profile_id {profile.profile_id!r}")
-                profiles[profile.profile_id] = profile
-            return profiles
-
-        return cls(read_input(path, "model registry", parse))
-
-    @classmethod
-    def default(cls) -> "ModelRegistry":
-        return cls.from_file(Path(str(resources.files("vapu").joinpath("registry.json"))))
+    path = path or Path(str(resources.files("vapu").joinpath("registry.json")))
+    return read_input(path, "model registry", parse)
 
 
 class _Parts:
@@ -272,49 +257,41 @@ class ReplayGateway(Gateway):
         return reply if isinstance(reply, str) else "".join(reply)
 
 
-# Environment variable stems for live credentials, keyed by company slug.
-API_KEY_ENV = "VAPU_API_KEY_{provider}"
-API_BASE_ENV = "VAPU_API_BASE_{provider}"
-DEFAULT_API_BASES = {
-    "openai": "https://api.openai.com/v1",
-}
+DEFAULT_API_BASES = {"OPENAI": "https://api.openai.com/v1"}  # VAPU_API_BASE_<PROVIDER> if unset
 
 RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
-def provider_slug(company: str) -> str:
-    return company.strip().lower().replace(" ", "_")
+def provider_credentials(profile: ModelProfile) -> tuple[str, str]:
+    """The key and base URL in ``VAPU_API_KEY_<PROVIDER>`` and ``VAPU_API_BASE_<PROVIDER>``.
+
+    ``<PROVIDER>`` is the company trimmed, upper-cased and with ``_`` for
+    spaces; either value missing is a ConfigInvalid naming both variables.
+    """
+    provider = profile.company.strip().upper().replace(" ", "_")
+    key_name, base_name = f"VAPU_API_KEY_{provider}", f"VAPU_API_BASE_{provider}"
+    key = os.environ.get(key_name)
+    base = os.environ.get(base_name, DEFAULT_API_BASES.get(provider))
+    if not key or not base:
+        raise ConfigInvalid(f"missing credentials for {profile.company}: set {key_name} "
+                            f"and, if needed, {base_name}")
+    return key, base
 
 
 class LiveGateway(Gateway):
-    """Chat-completions HTTP backend (OpenAI-compatible wire format).
+    """Chat-completions HTTP backend (OpenAI-compatible wire format), sending with the
+    key and base URL that :func:`provider_credentials` read for ``profile``."""
 
-    Credentials come from ``VAPU_API_KEY_<PROVIDER>``; non-OpenAI
-    providers must also set ``VAPU_API_BASE_<PROVIDER>`` to a compatible
-    endpoint or proxy.
-    """
-
-    def __init__(self, profile: ModelProfile, session: requests.Session | None = None):
+    def __init__(self, profile: ModelProfile, credentials: tuple[str, str],
+                 session: requests.Session | None = None):
         super().__init__(model_id=profile.profile_id, context_length=profile.context_length)
         import requests  # only the live backend loads the HTTP stack
 
         self.profile = profile
+        self.api_key, self.api_base = credentials
         self.session = session or requests.Session()
-        provider = provider_slug(profile.company).upper()
-        self.api_key = os.environ.get(API_KEY_ENV.format(provider=provider))
-        self.api_base = os.environ.get(
-            API_BASE_ENV.format(provider=provider),
-            DEFAULT_API_BASES.get(provider_slug(profile.company), ""),
-        )
 
     def _send(self, role: AgentRole, prompt: str, params: GenerationParams) -> str:
-        if not self.api_key or not self.api_base:
-            provider = provider_slug(self.profile.company).upper()
-            raise BackendRefused(
-                f"missing credentials for {self.profile.company}: set "
-                f"{API_KEY_ENV.format(provider=provider)} and, if needed, "
-                f"{API_BASE_ENV.format(provider=provider)}"
-            )
         payload = {
             "model": self.profile.model_name,
             "messages": [{"role": "user", "content": prompt}],

@@ -25,6 +25,7 @@ from .errors import (
     EmptyResponse,
     NoCodeInResponse,
     StorageFull,
+    UnknownModel,
     UnparseableTaskList,
     UnparseableVerdict,
     VapuError,
@@ -34,9 +35,10 @@ from .gateway import (
     GenerationParams,
     Gateway,
     LiveGateway,
-    ModelRegistry,
     ReplayGateway,
+    load_registry,
     load_replay_fixtures,
+    provider_credentials,
 )
 from .models import (
     AgentRole,
@@ -160,7 +162,8 @@ class RunContext:
         """Validate ``config``, then read its templates, backend and example once each.
 
         Only here does the replay backend need its fixtures directory: a
-        transcript replays from the replies it recorded.
+        transcript replays from the replies it recorded.  Live credentials are checked
+        here, once, so a missing key stops the command before its first run.
         """
         config.validate()
         if config.backend is Backend.REPLAY and config.fixtures_dir is None:
@@ -170,13 +173,17 @@ class RunContext:
         if config.backend is Backend.REPLAY:
             fixtures = load_replay_fixtures(config.fixtures_dir)
             return cls(templates, lambda: ReplayGateway(fixtures, model_id=config.model), example)
-        profile = (ModelRegistry.from_file(config.registry_path) if config.registry_path
-                   else ModelRegistry.default()).resolve(config.model)
+        profiles = load_registry(config.registry_path)
+        profile = profiles.get(config.model)
+        if profile is None:
+            raise UnknownModel(f"unknown model {config.model!r}; "
+                               f"registry has: {', '.join(sorted(profiles))}")
         try:
             import requests  # noqa: F401  (each LiveGateway imports it again, from the cache)
         except ImportError as exc:
             raise ConfigInvalid(f"the live backend needs the requests package: {exc}") from None
-        return cls(templates, lambda: LiveGateway(profile), example)
+        credentials = provider_credentials(profile)
+        return cls(templates, lambda: LiveGateway(profile, credentials), example)
 
 
 def _code_reply(run: Run, role: AgentRole, prompt: PromptText,

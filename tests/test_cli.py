@@ -23,7 +23,7 @@ import vapu.pipeline
 import vapu.prompts
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, VapuError
-from vapu.gateway import ReplayGateway
+from vapu.gateway import ReplayGateway, load_replay_fixtures
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
 from vapu.workspace import load_transcript, read_header
 
@@ -323,6 +323,40 @@ def test_parallel_repetitions(tmp_path) -> None:
     assert len(finals) == 1  # repetitions are isolated and identical under replay
 
 
+@pytest.mark.parametrize("parallel", ["1", "3"])
+def test_an_aborted_job_leaves_the_rest_of_its_batch_running(tmp_path, capsys, monkeypatch,
+                                                             parallel) -> None:
+    # The second job replays from fixtures without the last verifier reply, so it aborts.
+    cut = dict(load_replay_fixtures(DEMO / "fixtures"))
+    del cut[("verifier", 2)]
+    real_run = vapu.cli.run_update
+
+    def second_job_aborts(req, doc, config, repetition, context):
+        if repetition == 2:
+            context = replace(context, new_gateway=lambda: ReplayGateway(cut, "gpt-4o"))
+        return real_run(req, doc, config, repetition=repetition, context=context)
+
+    monkeypatch.setattr(vapu.cli, "run_update", second_job_aborts)
+    out = tmp_path / "runs"
+    assert main([*demo_update_args(DEMO / "legacy", out, runs=3), "--parallel", parallel]) == 9
+    runs = [f"reference_list-vapu-gpt-4o-t0-r{rep}" for rep in (1, 2, 3)]
+    assert sorted(p.stem for p in out.glob("*.jsonl")) == runs
+    assert [load_transcript(out / f"{run}.jsonl").status for run in runs] == [
+        "completed", "aborted", "completed"]
+    printed = capsys.readouterr()
+    assert [line.split(":")[0] for line in printed.out.splitlines()] == [runs[0], runs[2]]
+    [error] = printed.err.splitlines()
+    assert error.startswith(f"error: run {runs[1]} aborted at task 2: ")
+
+
+def test_a_full_disk_still_ends_a_batch(tmp_path, capsys, full_disk) -> None:
+    out = tmp_path / "runs"
+    full_disk("reference_list-vapu-gpt-4o-t0-r1.jsonl")
+    assert main(demo_update_args(DEMO / "legacy", out, runs=3)) == 15
+    assert "device is full" in capsys.readouterr().err
+    assert not list(out.glob("*.jsonl"))  # runs 2 and 3 never started
+
+
 @pytest.mark.parametrize("parallel", ["1", "4"])
 def test_one_command_reads_fixtures_once_and_each_run_starts_at_zero(
         tmp_path, monkeypatch, parallel) -> None:
@@ -566,6 +600,52 @@ def test_live_backend_without_requests_exits_2_before_any_run(tmp_path) -> None:
     assert child.returncode == 2, child.stderr
     assert "requests package" in child.stderr and "Traceback" not in child.stderr
     assert not (tmp_path / "out").exists()
+
+
+def live_update_args(out: Path, model: str) -> list[str]:
+    args = demo_update_args(DEMO / "legacy", out, runs=3)
+    del args[args.index("--fixtures"):args.index("--fixtures") + 2]
+    args[args.index("replay")] = "live"
+    args[args.index("gpt-4o")] = model
+    return args
+
+
+@pytest.mark.parametrize("model, present, missing", [
+    ("gpt-4o", {}, ["VAPU_API_KEY_OPENAI", "VAPU_API_BASE_OPENAI"]),
+    # only OpenAI has a default base URL
+    ("deepseek-v3", {"VAPU_API_KEY_DEEPSEEK": "dummy"}, ["VAPU_API_BASE_DEEPSEEK"]),
+])
+def test_live_run_without_credentials_exits_2_before_any_run(tmp_path, capsys, monkeypatch,
+                                                             model, present, missing) -> None:
+    for name in [*os.environ]:
+        if name.startswith(("VAPU_API_KEY_", "VAPU_API_BASE_")):
+            monkeypatch.delenv(name)
+    for name, value in present.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(live_update_args(out, model)) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in missing), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", [None, "live"])
+def test_fixtures_without_the_replay_backend_exit_2_before_any_call(
+        tmp_path, capsys, monkeypatch, backend) -> None:
+    def no_live_gateway(*args, **kwargs):
+        raise AssertionError("a live gateway was built")
+
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "dummy")
+    monkeypatch.setattr(vapu.pipeline, "LiveGateway", no_live_gateway)
+    out = tmp_path / "out"
+    args = demo_update_args(DEMO / "legacy", out)
+    if backend is None:  # the default backend is live
+        del args[args.index("--backend"):args.index("--backend") + 2]
+    else:
+        args[args.index("replay")] = backend
+    assert main(args) == 2
+    assert "--backend replay" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture

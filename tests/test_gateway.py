@@ -23,14 +23,15 @@ from vapu.gateway import (
     Gateway,
     GenerationParams,
     LiveGateway,
-    ModelRegistry,
     ReplayGateway,
     SizeClass,
     TransientBackendError,
+    load_registry,
     load_replay_fixtures,
+    provider_credentials,
 )
 from vapu.models import AgentRole, CodeDocument, RequirementSpec, from_json
-from vapu.pipeline import run_update
+from vapu.pipeline import RunContext, run_update
 from vapu.workspace import RunConfig, load_transcript
 
 PARAMS = GenerationParams(temperature=0.0)
@@ -57,26 +58,36 @@ class ScriptedGateway(Gateway):
 # --- registry ---
 
 def test_default_registry_has_the_five_evaluated_models() -> None:
-    registry = ModelRegistry.default()
-    assert sorted(registry.profiles) == [
+    assert sorted(load_registry()) == [
         "claude-3.5-sonnet", "deepseek-v3", "gpt-4o", "gpt-4o-mini", "nova-pro-1.0",
     ]
 
 
 def test_gpt_4o_profile() -> None:
-    profile = ModelRegistry.default().resolve("gpt-4o")
+    profile = load_registry()["gpt-4o"]
     assert profile.company == "OpenAI"
     assert profile.size_class is SizeClass.LARGE
 
 
 def test_nova_pro_is_medium_sized() -> None:
-    profile = ModelRegistry.default().resolve("nova-pro-1.0")
+    profile = load_registry()["nova-pro-1.0"]
     assert profile.size_class is SizeClass.MEDIUM
 
 
-def test_unknown_model_rejected() -> None:
-    with pytest.raises(UnknownModel):
-        ModelRegistry.default().resolve("gpt-5-unknown")
+def test_unknown_model_rejected(tmp_path) -> None:
+    config = RunConfig(model="gpt-5-unknown", output_dir=tmp_path, repetitions=1)
+    with pytest.raises(UnknownModel, match="registry has: claude-3.5-sonnet, deepseek-v3, "):
+        RunContext.from_config(config)
+
+
+def test_registry_refuses_a_repeated_profile_id_naming_the_file(tmp_path) -> None:
+    entry = {"profile_id": "m", "company": "c", "model_name": "m1",
+             "context_length": 1000, "size_class": "small"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"profiles": [entry, entry]}), encoding="utf-8")
+    with pytest.raises(ConfigInvalid, match="duplicate profile_id 'm'") as excinfo:
+        load_registry(path)
+    assert str(path) in str(excinfo.value)
 
 
 def test_registry_loads_from_file(tmp_path) -> None:
@@ -86,8 +97,7 @@ def test_registry_loads_from_file(tmp_path) -> None:
         ' "context_length": 1000, "size_class": "small"}]}',
         encoding="utf-8",
     )
-    registry = ModelRegistry.from_file(path)
-    assert registry.resolve("m").context_length == 1000
+    assert load_registry(path)["m"].context_length == 1000
 
 
 @pytest.mark.parametrize("field, value", [
@@ -100,13 +110,12 @@ def test_registry_refuses_a_flag_or_count_written_as_a_string(tmp_path, field, v
     path = tmp_path / "registry.json"
     path.write_text(json.dumps({"profiles": [entry]}), encoding="utf-8")
     with pytest.raises(ConfigInvalid) as excinfo:
-        ModelRegistry.from_file(path)
+        load_registry(path)
     assert str(path) in str(excinfo.value)
 
 
 def test_size_classes_follow_parameter_ordering() -> None:
-    registry = ModelRegistry.default()
-    classes = {pid: p.size_class for pid, p in registry.profiles.items()}
+    classes = {pid: p.size_class for pid, p in load_registry().items()}
     assert classes["gpt-4o-mini"] is SizeClass.SMALL
     assert classes["deepseek-v3"] is SizeClass.MEDIUM
     assert classes["claude-3.5-sonnet"] is SizeClass.LARGE
@@ -297,8 +306,8 @@ def _reply(content) -> dict:
 def live_gateway(monkeypatch, payloads: list) -> tuple[LiveGateway, FakeSession]:
     monkeypatch.setenv("VAPU_API_KEY_OPENAI", "test-key")
     session = FakeSession(payloads)
-    profile = ModelRegistry.default().resolve("gpt-4o")
-    return LiveGateway(profile, session=session), session
+    profile = load_registry()["gpt-4o"]
+    return LiveGateway(profile, provider_credentials(profile), session=session), session
 
 
 def test_live_gateway_returns_message_content(monkeypatch) -> None:
@@ -308,9 +317,57 @@ def test_live_gateway_returns_message_content(monkeypatch) -> None:
     assert session.posts[0]["headers"] == {"Authorization": "Bearer test-key"}
 
 
-def test_live_gateway_opens_its_own_session_by_default() -> None:
-    profile = ModelRegistry.default().resolve("gpt-4o")
-    assert isinstance(LiveGateway(profile).session, requests.Session)
+def test_live_gateway_opens_its_own_session_by_default(monkeypatch) -> None:
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "test-key")
+    profile = load_registry()["gpt-4o"]
+    gateway = LiveGateway(profile, provider_credentials(profile))
+    assert isinstance(gateway.session, requests.Session)
+
+
+def test_a_company_name_is_trimmed_and_joined_into_both_variable_names(monkeypatch,
+                                                                       tmp_path) -> None:
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"profiles": [{
+        "profile_id": "m", "company": " Some Lab ", "model_name": "m1",
+        "context_length": 1000, "size_class": "small"}]}), encoding="utf-8")
+    monkeypatch.setenv("VAPU_API_KEY_SOME_LAB", "lab-key")
+    monkeypatch.setenv("VAPU_API_BASE_SOME_LAB", "https://lab.example/v1/")
+    session = FakeSession([_reply("ok")])
+    profile = load_registry(path)["m"]
+    gateway = LiveGateway(profile, provider_credentials(profile), session=session)
+    assert gateway.complete(AgentRole.MANAGER, "p", PARAMS).response == "ok"
+    assert session.posts[0]["url"] == "https://lab.example/v1/chat/completions"
+    assert session.posts[0]["headers"] == {"Authorization": "Bearer lab-key"}
+    assert session.posts[0]["json"]["model"] == "m1"
+
+
+@pytest.mark.parametrize("model, env", [
+    ("gpt-4o", {}),
+    ("deepseek-v3", {"VAPU_API_KEY_DEEPSEEK": "k"}),  # only OpenAI has a default base URL
+    ("deepseek-v3", {"VAPU_API_BASE_DEEPSEEK": "https://ds.example"}),
+])
+def test_missing_credentials_are_a_config_error_naming_both_variables(monkeypatch, model,
+                                                                      env) -> None:
+    for provider in ("OPENAI", "DEEPSEEK"):
+        monkeypatch.delenv(f"VAPU_API_KEY_{provider}", raising=False)
+        monkeypatch.delenv(f"VAPU_API_BASE_{provider}", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    profile = load_registry()[model]
+    provider = profile.company.upper()
+    with pytest.raises(ConfigInvalid) as excinfo:
+        provider_credentials(profile)
+    assert f"VAPU_API_KEY_{provider}" in str(excinfo.value)
+    assert f"VAPU_API_BASE_{provider}" in str(excinfo.value)
+
+
+def test_a_set_base_url_overrides_the_providers_default(monkeypatch) -> None:
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "k")
+    profile = load_registry()["gpt-4o"]
+    monkeypatch.delenv("VAPU_API_BASE_OPENAI", raising=False)
+    assert provider_credentials(profile) == ("k", "https://api.openai.com/v1")
+    monkeypatch.setenv("VAPU_API_BASE_OPENAI", "https://proxy.example/v1")
+    assert provider_credentials(profile) == ("k", "https://proxy.example/v1")
 
 
 def test_connection_error_is_a_transient_failure(monkeypatch) -> None:
