@@ -36,15 +36,24 @@ parsing included) on top of the report itself.  The batch benches run the
 demo update ``BATCH_RUNS`` times through one command at ``--parallel`` 1,
 8 and 32, through a replay gateway that waits ``CALL_LATENCY_S`` before
 each reply as an endpoint would, so they measure how far the worker pool
-overlaps model latency.  The last times a new interpreter importing
-``vapu.cli``, the start-up cost every command pays, and checks that the
-HTTP stack stays unloaded.
+overlaps model latency.  ``test_demo_zsl_batch`` runs a
+``vapu baseline --method zsl --runs 20`` batch over the demo through
+``main`` with no latency, so what it times is each run's fixed cost: the
+run id, the prompt, the updated-file and transcript writes.
+``test_run_id_and_output_path`` times working out one job's run id and
+updated-file path, and ``test_rewrite_a_file`` rewrites a 10 KB and a
+220 KB file in place with ``write_file``, against writing a temporary
+file and moving it over the old one with ``os.replace``.  The last times
+a new interpreter importing ``vapu.cli``, the start-up cost every command
+pays, and checks that the HTTP stack stays unloaded.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -62,7 +71,7 @@ from vapu.evaluation import (
 )
 from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, CodeDocument, RequirementSpec, to_json
-from vapu.pipeline import RunContext, run_update
+from vapu.pipeline import RunContext, run_update, updated_file_path
 from vapu.prompts import (
     build_baseline_prompt,
     default_templates,
@@ -73,12 +82,15 @@ from vapu.prompts import (
 )
 from vapu.workspace import (
     Backend,
+    Method,
     RunConfig,
     RunTranscript,
     load_codebase,
     load_transcript,
+    make_run_id,
     persist_transcript,
     read_header,
+    write_file,
 )
 
 # The golden-report records live with the test that checks their report.
@@ -86,6 +98,7 @@ TESTS = Path(__file__).parents[1] / "tests"
 sys.path.insert(0, str(TESTS))
 from test_cli import (  # noqa: E402
     demo_update_args,
+    demo_zsl_args,
     fresh_python,
     synthetic_scored,
     write_synthetic_report_inputs,
@@ -353,6 +366,45 @@ def test_demo_batch_throughput(benchmark, monkeypatch, tmp_path, parallel) -> No
     argv = [*demo_update_args(DEMO / "legacy", out, runs=BATCH_RUNS), "--parallel", str(parallel)]
     assert benchmark.pedantic(main, (argv,), rounds=3) == 0
     assert len(list(out.glob("*.jsonl"))) == BATCH_RUNS
+
+
+ZSL_BATCH_RUNS = 20
+
+
+def test_demo_zsl_batch(benchmark, tmp_path) -> None:
+    out = tmp_path / "zsl"
+    argv = demo_zsl_args(out)
+    argv[argv.index("--runs") + 1] = str(ZSL_BATCH_RUNS)
+    assert benchmark(main, argv) == 0
+    assert len(list(out.glob("*.jsonl"))) == ZSL_BATCH_RUNS
+
+
+def test_run_id_and_output_path(benchmark, tmp_path) -> None:
+    config = RunConfig(model="gpt-4o", output_dir=tmp_path, method=Method.ZSL)
+    path = "app/View/Items/index.ctp"
+
+    def job() -> Path:
+        run_id = make_run_id(path, config.method, config.model, config.temperature, 3)
+        return updated_file_path(config, run_id, path)
+
+    assert benchmark(job) == tmp_path / "app__View__Items__index-zsl-gpt-4o-t0-r3" / path
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then move it over ``path``."""
+    handle, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    with os.fdopen(handle, "wb") as stream:
+        stream.write(data)
+    os.replace(temporary, path)
+
+
+@pytest.mark.parametrize("size", [10_000, 220_000], ids=["10KB", "220KB"])
+@pytest.mark.parametrize("writer", [write_file, replace_file], ids=["in-place", "replace"])
+def test_rewrite_a_file(benchmark, tmp_path, writer, size) -> None:
+    data = (CODE.encode("utf-8") * (size // len(CODE) + 1))[:size]
+    path = write_file(tmp_path / "items_index.php", b"")
+    benchmark(writer, path, data)
+    assert path.read_bytes() == data
 
 
 def test_cold_import(benchmark) -> None:

@@ -47,6 +47,19 @@ def demo_root() -> Path:
     return Path(str(resources.files("vapu").joinpath("demo")))
 
 
+def _outputs_under(project: Path, output_dir: Path) -> str | None:
+    """The output directory's POSIX path under ``project``, whose files are earlier runs'
+    outputs, not sources; None when it lies elsewhere.  Both paths are resolved once, so
+    ".." parts and symlinks count.  An output directory that is the project root itself
+    raises ConfigInvalid: every source file would sit among the outputs."""
+    resolved, output = project.resolve(), output_dir.resolve()
+    if output == resolved:
+        raise err.ConfigInvalid(f"--output-dir {output_dir} is the project root ({project}), "
+                                f"so its outputs would be read as sources; name a directory "
+                                f"for them")
+    return output.relative_to(resolved).as_posix() if output.is_relative_to(resolved) else None
+
+
 def cmd_run(args) -> int:
     """``update`` and ``baseline``: a run per (file, repetition), once the run ids are unique."""
     path = Path(args.requirements)
@@ -58,11 +71,13 @@ def cmd_run(args) -> int:
     if config.method is Method.ZSL and config.example_path:
         # RunConfig.validate accepts this, so older transcripts with the pair still replay.
         raise err.ConfigInvalid("a zero-shot baseline takes no --example; use --method osl")
+    project = Path(args.project)
+    outputs = _outputs_under(project, config.output_dir)
     context = RunContext.from_config(config)  # every run of the batch shares what it read
     if config.fixtures_dir is not None and config.backend is not Backend.REPLAY:
         raise err.ConfigInvalid("--fixtures needs --backend replay (the default backend is live)")
     run = run_update if config.method is Method.VAPU else run_baseline
-    documents = load_codebase(Path(args.project), args.include or ["**/*"])
+    documents = load_codebase(project, args.include or ["**/*"], exclude=outputs)
     jobs = [(doc, rep, make_run_id(doc.path, config.method, config.model, config.temperature, rep))
             for doc in documents for rep in range(1, config.repetitions + 1)]
     owners: dict[str, str] = {}

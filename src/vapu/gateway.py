@@ -95,11 +95,34 @@ def load_registry(path: Path | None = None) -> dict[str, ModelProfile]:
 
 
 class _Parts:
-    """A text field held as the list of its parts, in ``<field>_parts``, and joined on read.
+    """``<text>_parts``: the parts a text field joins from.
 
-    Setting the field stores a one-item list, which joins to the text
-    itself; setting ``<field>_parts`` swaps in parts that join to the
-    same text but share their pieces.  As a dataclass field's default it
+    Setting it drops the text's plain attribute, which ``__init__`` set, and
+    keeps the parts, which join to the same text but share their pieces;
+    the text is then read through :class:`_Joined`.  A text without parts
+    reads as the one part ``[text]``.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.parts, self.text = name, name.removesuffix("_parts")
+
+    def __get__(self, instance: object, owner: type | None = None) -> list[str]:
+        if instance is None:
+            raise AttributeError(self.parts)
+        held = instance.__dict__
+        return [held[self.text]] if self.text in held else held[self.parts]
+
+    def __set__(self, instance: object, parts: list[str]) -> None:
+        held = instance.__dict__
+        held.pop(self.text, None)
+        held[self.parts] = parts
+
+
+class _Joined:
+    """A text field, joined from ``<field>_parts`` on a read once parts are attached.
+
+    A non-data descriptor: until then the plain attribute ``__init__`` set is
+    read, at a plain attribute's cost.  As a dataclass field's default it
     leaves the field required, since it has no value on the class.
     """
 
@@ -111,9 +134,6 @@ class _Parts:
             raise AttributeError(self.parts)
         return "".join(instance.__dict__[self.parts])
 
-    def __set__(self, instance: object, text: str) -> None:
-        instance.__dict__[self.parts] = [text]
-
 
 @dataclass
 class ChatExchange:
@@ -122,27 +142,30 @@ class ChatExchange:
     ``retries`` counts extra endpoint attempts beyond the first;
     ``flags`` collects pipeline annotations such as no_fence/truncated.
     Each distinct text is held once, in memory as on disk: ``prompt``
-    and ``response`` are held as ``prompt_parts`` and ``response_parts``
-    and joined on read.  A plain text is one part; a prompt rendered
-    from a template is its literal pieces and binding values, and a
-    reply the pipeline took code from is the text before the code, the
-    code and the text after it.  A v4 transcript stores each non-empty
-    part of such a list once, as a table text, so after a load every
-    prompt that embeds a file, every reply that carries one and every
-    prompt from one template share one ``str`` per text (a loaded list
-    drops the empty parts).  ``==``, repr and
-    :func:`~vapu.models.to_json` see the joined texts.
+    and ``response`` are plain strings until parts are attached as
+    ``prompt_parts`` or ``response_parts``; from then on the text is
+    held only as its parts and joined on read.  A prompt rendered from a
+    template is its literal pieces and binding values, and a reply the
+    pipeline took code from is the text before the code, the code and
+    the text after it; a text with no parts reads as one part.  A v4
+    transcript stores each non-empty part of such a list once, as a
+    table text, so after a load every prompt that embeds a file, every
+    reply that carries one and every prompt from one template share one
+    ``str`` per text (a loaded list drops the empty parts).  ``==``,
+    repr and :func:`~vapu.models.to_json` see the joined texts.
     """
 
     role: AgentRole
-    prompt: str = _Parts()
-    response: str = _Parts()
+    prompt: str = _Joined()
+    response: str = _Joined()
     duration: float
     started_at: float
     model: str
     temperature: float
     retries: int = 0
     flags: list[str] = field(default_factory=list)
+    prompt_parts = _Parts()  # not a field: no annotation
+    response_parts = _Parts()
 
 
 def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:

@@ -98,13 +98,20 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
     return cls(**values)
 
 
-@functools.cache
+# Each dataclass's write plan, by class: to_json looks a value's type up here first.
+_WRITE_PLANS: dict[type, tuple[tuple[str, bool], ...]] = {}
+_AS_IS = frozenset({str, int, float, bool, type(None)})
+
+
 def _write_plan(cls) -> tuple[tuple[str, bool], ...]:
     """(name, whether its value is written as it is: a bool, int, float or str field) for
-    each field ``==`` compares; the types come from the read plan."""
-    compared = {f.name for f in fields(cls) if f.compare}
-    return tuple((name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
-                 if name in compared)
+    each field ``==`` compares, the types from the read plan; worked out on a class's
+    first write and kept in ``_WRITE_PLANS``."""
+    compared = {f.name for f in fields(cls) if f.compare}  # fields() refuses a non-dataclass
+    plan = _WRITE_PLANS[cls] = tuple(
+        (name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
+        if name in compared)
+    return plan
 
 
 def to_json(value, omit: tuple[str, ...] = ()):
@@ -112,18 +119,27 @@ def to_json(value, omit: tuple[str, ...] = ()):
     of the fields ``==`` compares (not its properties, which derive from them), an enum as
     its value, a path as str, a tuple or list as a list; str, int, float, bool and None as
     they are.  Any other value raises TypeError.  ``omit`` names fields of ``value`` itself
-    to leave out."""
-    if isinstance(value, Enum):  # before str: the enums here are str subclasses
-        return value.value
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, PurePath):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [to_json(item) for item in value]
+    to leave out.
+
+    The value's type is looked up in the write plans before any ``isinstance`` check:
+    a dataclass written before is placed by that one lookup, and an exact str, int,
+    float, bool or None by one more."""
+    kind = type(value)
+    plan = _WRITE_PLANS.get(kind)
+    if plan is None:
+        if kind in _AS_IS:
+            return value
+        if isinstance(value, Enum):  # before str: the enums here are str subclasses
+            return value._value_  # what .value reads, without its descriptor
+        if isinstance(value, (str, int, float)):
+            return value
+        if isinstance(value, PurePath):
+            return str(value)
+        if isinstance(value, (list, tuple)):
+            return [to_json(item) for item in value]
+        plan = _write_plan(kind)
     return {name: getattr(value, name) if plain else to_json(getattr(value, name))
-            for name, plain in _write_plan(type(value))  # fields() refuses a non-dataclass
-            if name not in omit}
+            for name, plain in plan if name not in omit}
 
 
 def read_input(path: Path, what: str, parse: Callable[[str], object] | None = None):

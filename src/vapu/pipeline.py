@@ -333,7 +333,7 @@ def _verify_with_reask(req, task, before, after, run: Run) -> Verdict:
 
 def updated_file_path(config: RunConfig, run_id: str, path: str) -> Path:
     """Where run ``run_id`` writes its updated ``path``: a directory named after the run."""
-    return Path(config.output_dir) / run_id / path
+    return Path(config.output_dir, run_id, path)  # one parse: each / parses the path again
 
 
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,

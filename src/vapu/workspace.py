@@ -135,8 +135,25 @@ def make_run_id(file_path: str, method: Method, model: str,
     The file part is the project-relative path without its suffix, with
     "__" for "/" because run ids also name files and directories.
     """
-    file_part = PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
-    return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
+    return f"{_run_file_part(file_path)}-{method.value}-{model}-t{temperature:g}-r{repetition}"
+
+
+def _run_file_part(file_path: str) -> str:
+    """``PurePosixPath(file_path).with_suffix("").as_posix()`` with "__" for "/".
+
+    A path that is already normal (relative, with no empty or "." part) and
+    whose name does not end in a dot is cut with string operations, which
+    give the same text without building a path: a run id is made twice per
+    job, once for the batch's collision check and once by the run.
+    """
+    head, _, name = file_path.rpartition("/")
+    if (not name or name[-1] == "." or file_path[0] == "/" or "//" in file_path
+            or "/./" in f"/{file_path}/"):
+        return PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
+    dot = name.rfind(".")
+    if dot > 0:  # a leading dot starts a name, not a suffix
+        name = name[:dot]
+    return f"{head.replace('/', '__')}__{name}" if head else name
 
 
 @dataclass
@@ -190,7 +207,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     written as they are, never joined into one body.
     """
     transcript.validate()
-    path = Path(directory) / f"{transcript.run_id}.jsonl"
+    path = Path(directory, f"{transcript.run_id}.jsonl")
     records: list[dict] = [{
         "record": "header",
         "format": TRANSCRIPT_FORMAT,
@@ -443,24 +460,34 @@ def language_tag_for(path: Path) -> str:
     return LANGUAGE_TAGS.get(path.suffix.lower(), path.suffix.lstrip(".").lower() or "text")
 
 
-def load_codebase(root: Path, include_globs: Sequence[str]) -> list[CodeDocument]:
+def load_codebase(root: Path, include_globs: Sequence[str],
+                  exclude: str | None = None) -> list[CodeDocument]:
     """Read matching files under root as documents, in lexicographic path order;
-    a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes."""
+    a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes.
+    Files under ``exclude``, a directory's POSIX path relative to root, are left out."""
     root = Path(root)
     if not root.exists():
         raise NoFilesMatched(f"codebase root {root} does not exist")
     matched: set[Path] = set()
     for pattern in include_globs:
         matched.update(p for p in root.glob(pattern) if p.is_file())
-    if not matched:
-        raise NoFilesMatched(f"no files under {root} match {list(include_globs)}")
+    # Each file's path under root, worked out once: it is both the sort key and the path.
+    # A glob result's parts begin with root's, so slicing them is relative_to without a parse.
+    start = len(root.parts)
+    relative = {"/".join(path.parts[start:]): path for path in matched}
+    if exclude is not None:
+        relative = {rel: path for rel, path in relative.items()
+                    if not rel.startswith(f"{exclude}/")}
+    if not relative:
+        outside = "" if exclude is None else f" outside {exclude}"
+        raise NoFilesMatched(f"no files under {root}{outside} match {list(include_globs)}")
     documents = []
-    for path in sorted(matched, key=lambda p: p.relative_to(root).as_posix()):
+    for rel in sorted(relative):
+        path = relative[rel]
         try:
             content = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             logger.warning("%s is not UTF-8 (%s); its bad bytes read as U+FFFD", path, exc)
             content = path.read_text(encoding="utf-8", errors="replace")
-        documents.append(CodeDocument(path.relative_to(root).as_posix(),
-                                      language_tag_for(path), content))
+        documents.append(CodeDocument(rel, language_tag_for(path), content))
     return documents

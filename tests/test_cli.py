@@ -25,7 +25,15 @@ from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, VapuError
 from vapu.gateway import ReplayGateway, load_replay_fixtures
 from vapu.evaluation import load_annotations, python_syntax_checker, score_transcript
-from vapu.workspace import load_transcript, read_header
+from vapu.models import RequirementSpec, to_json
+from vapu.workspace import (
+    UNRECORDED_CONFIG,
+    Backend,
+    RunConfig,
+    load_codebase,
+    load_transcript,
+    read_header,
+)
 
 DEMO = demo_root()
 
@@ -397,6 +405,68 @@ def test_colliding_run_ids_rejected_before_any_run(tmp_path, capsys) -> None:
     assert main(demo_update_args(project, out)) == 2
     assert "views__item-vapu-gpt-4o-t0-r1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def inside_project_zsl_args(project: Path, out: Path) -> list[str]:
+    args = demo_zsl_args(out)
+    args[args.index("--project") + 1] = str(project)
+    return args
+
+
+def test_outputs_inside_the_project_are_not_read_back_as_sources(tmp_path, capsys) -> None:
+    """A second run into an output directory under --project runs the project's one
+    file again, not the first run's transcript and updated file as well."""
+    project = demo_project(tmp_path / "legacy", "reference_list.php")
+    out = project / "out"
+    for _ in range(2):
+        assert main(inside_project_zsl_args(project, out)) == 0
+        summary = capsys.readouterr().out.splitlines()
+        assert summary == [f"reference_list-zsl-gpt-4o-t0-r1: baseline update written to "
+                           f"{out / 'reference_list-zsl-gpt-4o-t0-r1' / 'reference_list.php'}"]
+    assert [p.name for p in out.glob("*.jsonl")] == ["reference_list-zsl-gpt-4o-t0-r1.jsonl"]
+    assert not [p for p in out.rglob("*") if "out__" in p.name]
+
+
+def test_a_project_holding_only_outputs_exits_13_naming_the_output_directory(tmp_path,
+                                                                           capsys) -> None:
+    project = demo_project(tmp_path / "legacy", "out/old-run/reference_list.php")
+    assert main(inside_project_zsl_args(project, project / "out")) == 13
+    assert f"no files under {project} outside out match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", [".", "sub/..", "alias"])
+def test_an_output_directory_that_is_the_project_root_exits_2_before_any_call(
+        tmp_path, capsys, monkeypatch, spelling) -> None:
+    project = demo_project(tmp_path / "legacy", "reference_list.php")
+    (project / "sub").mkdir()
+    (tmp_path / "alias").symlink_to(project)
+    before = sorted(project.rglob("*"))
+    monkeypatch.setattr(vapu.cli.RunContext, "from_config", lambda config: pytest.fail(
+        "no run context is built"))
+    out = tmp_path / "alias" if spelling == "alias" else project / spelling
+    assert main(inside_project_zsl_args(project, out)) == 2
+    assert "is the project root" in capsys.readouterr().err
+    assert sorted(project.rglob("*")) == before
+
+
+@pytest.mark.parametrize("parallel", ["1", "3"])
+def test_every_header_of_a_batch_records_the_config_as_to_json_writes_it(tmp_path,
+                                                                       parallel) -> None:
+    out = tmp_path / "runs"
+    assert main([*demo_update_args(DEMO / "legacy", out, runs=3), "--parallel", parallel]) == 0
+    config = RunConfig(model="gpt-4o", output_dir=out, repetitions=3, backend=Backend.REPLAY,
+                       fixtures_dir=DEMO / "fixtures", parallel=int(parallel))
+    expected = to_json(config, omit=UNRECORDED_CONFIG)
+    paths = sorted(out.glob("*.jsonl"))
+    assert [load_transcript(path).config for path in paths] == [expected] * 3
+    # A library run without a context builds its own and writes the same header line.
+    req = RequirementSpec.from_text(
+        id="requirements", text=(DEMO / "requirements.txt").read_text(encoding="utf-8"))
+    [doc] = load_codebase(DEMO / "legacy", ["**/*"])
+    library = replace(config, output_dir=tmp_path / "library")
+    result = vapu.pipeline.run_update(req, doc, library, repetition=2, context=None)
+    written = library.output_dir / f"{result.transcript_ref}.jsonl"
+    assert written.read_bytes().split(b"\n")[0] == paths[1].read_bytes().split(b"\n")[0]
 
 
 def test_failed_baseline_exits_9_and_keeps_transcript(tmp_path) -> None:

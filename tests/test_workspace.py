@@ -3,10 +3,10 @@ from __future__ import annotations
 import json
 import logging
 import tracemalloc
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import one_gateway, records_of, write_records
 import vapu.pipeline
@@ -46,6 +46,42 @@ def test_run_id_scheme() -> None:
 def test_ten_repetitions_have_distinct_run_ids() -> None:
     ids = {make_run_id("f", Method.VAPU, "m", 0.0, rep) for rep in range(1, 11)}
     assert len(ids) == 10
+
+
+def path_run_id(file_path: str, method: Method, model: str, temperature: float,
+                repetition: int) -> str:
+    """The run id formula written with PurePosixPath: the path normalized, its last
+    suffix dropped, "__" for "/"."""
+    file_part = PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
+    return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
+
+
+# Names that path parsing treats apart: empty ("a//b"), ".", "..", dot files,
+# two suffixes, a trailing dot, a dot in a directory name.
+odd_name = st.sampled_from(["", ".", "..", ".hidden", "x.tar.gz", "b.", "dir.v2", "f",
+                            "view.php", "..x", "a.b."]) | st.text(alphabet="ab._-", max_size=6)
+
+
+@settings(max_examples=300)
+@given(path=st.lists(odd_name, min_size=1, max_size=5).map("/".join),
+       method=st.sampled_from(Method), temperature=st.sampled_from([0.0, 1.0, 0.5]),
+       repetition=st.integers(1, 12))
+@example(path="a//b.php", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="./x.py", method=Method.ZSL, temperature=1.0, repetition=2)
+@example(path="dir.v2/f", method=Method.OSL, temperature=0.0, repetition=3)
+@example(path=".hidden", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="x.tar.gz", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="b.", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="a/./b/", method=Method.VAPU, temperature=0.0, repetition=1)
+def test_run_ids_match_the_path_formula_for_odd_paths(path, method, temperature,
+                                                      repetition) -> None:
+    try:
+        expected = path_run_id(path, method, "m", temperature, repetition)
+    except ValueError:  # a path with no name part ("", ".", "/"): no run id either
+        with pytest.raises(ValueError):
+            make_run_id(path, method, "m", temperature, repetition)
+        return
+    assert make_run_id(path, method, "m", temperature, repetition) == expected
 
 
 # --- config validation ---
