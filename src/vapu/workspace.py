@@ -142,16 +142,19 @@ def _run_file_part(file_path: str) -> str:
     """``PurePosixPath(file_path).with_suffix("").as_posix()`` with "__" for "/".
 
     A path that is already normal (relative, with no empty or "." part) and
-    whose name does not end in a dot is cut with string operations, which
-    give the same text without building a path: a run id is made twice per
-    job, once for the batch's collision check and once by the run.
+    whose name neither starts nor ends with a dot is cut with string
+    operations, which give the same text without building a path: a run id
+    is made twice per job, once for the batch's collision check and once by
+    the run.  Other names keep the path formula, whose answer for them
+    depends on the Python version (from 3.13 a stem of "." as in "..x"
+    raises ValueError).
     """
     head, _, name = file_path.rpartition("/")
-    if (not name or name[-1] == "." or file_path[0] == "/" or "//" in file_path
-            or "/./" in f"/{file_path}/"):
+    if (not name or name[0] == "." or name[-1] == "." or file_path[0] == "/"
+            or "//" in file_path or "/./" in f"/{file_path}/"):
         return PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
     dot = name.rfind(".")
-    if dot > 0:  # a leading dot starts a name, not a suffix
+    if dot > 0:
         name = name[:dot]
     return f"{head.replace('/', '__')}__{name}" if head else name
 

@@ -73,6 +73,8 @@ odd_name = st.sampled_from(["", ".", "..", ".hidden", "x.tar.gz", "b.", "dir.v2"
 @example(path="x.tar.gz", method=Method.VAPU, temperature=0.0, repetition=1)
 @example(path="b.", method=Method.VAPU, temperature=0.0, repetition=1)
 @example(path="a/./b/", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="..x", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="d/..php", method=Method.ZSL, temperature=1.0, repetition=2)
 def test_run_ids_match_the_path_formula_for_odd_paths(path, method, temperature,
                                                       repetition) -> None:
     try:
