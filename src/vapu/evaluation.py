@@ -77,6 +77,8 @@ def python_syntax_checker(content: str) -> list[str]:
     # RecursionError: nesting too deep for the compiler, as in a long chain of "+".
     except (ValueError, RecursionError) as exc:
         return [f"unreadable source: {getattr(exc, 'reason', exc)}"]
+    except MemoryError:  # the parser's stack overflowed; its message differs by version
+        return ["unreadable source: too deeply nested for the parser"]
     return []
 
 
@@ -466,7 +468,7 @@ def build_comparison_report(
         return next(label for label, _, high in LOC_BANDS if high is None or loc < high)
 
     def cc_group(file_id: str) -> str:
-        letter = features[file_id].cc_letter.strip().upper()  # as _cc_grade reads it
+        letter = _cc_grade(features[file_id].cc_letter)
         return next(label for label, letters in CC_GROUPS if letter in letters)
 
     task_labels = sorted({str(f.task_count) for f in features.values()}, key=int)

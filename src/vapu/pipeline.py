@@ -72,7 +72,6 @@ from .workspace import (
     RunConfig,
     RunHeader,
     RunTranscript,
-    is_project_relative,
     make_run_id,
     persist_transcript,
     write_file,
@@ -347,18 +346,21 @@ def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,
     the calls, not that write.  Whatever happens, the transcript is persisted exactly once:
     an agent error marks it aborted and raises AbortedRun; a full disk marks it aborted
     without a failed task and propagates; any other exception (including KeyboardInterrupt)
-    marks it aborted and propagates unchanged.  A ``code.path`` outside its project, or an
-    osl run whose context holds no example pair, raises ConfigInvalid before any call.
+    marks it aborted and propagates unchanged.  A ``code.path`` that ``make_run_id`` refuses
+    (not inside its project, or not normal), or an osl run whose context holds no example
+    pair, raises ConfigInvalid before any call.
     """
-    if not is_project_relative(code.path):
+    try:
+        run_id = make_run_id(code.path, config.method, config.model, config.temperature,
+                             repetition)
+    except ValueError:
         raise ConfigInvalid(f"file path {code.path!r} is not inside a project: its updated "
-                            f"file would be written outside {config.output_dir}")
+                            f"file would be written outside {config.output_dir}") from None
     context = context or RunContext.from_config(config)
     if config.method is Method.OSL and context.example is None:
         raise ConfigInvalid("a one-shot run needs an example pair; its run context has none")
     run = Run(context.new_gateway(), GenerationParams(temperature=config.temperature),
-              context.templates,
-              make_run_id(code.path, config.method, config.model, config.temperature, repetition),
+              context.templates, run_id,
               context.example if config.method is Method.OSL else None)  # zsl shows none
     inputs = {"requirement": to_json(req), "code": to_json(code), "repetition": repetition}
     if run.example is not None:

@@ -41,7 +41,7 @@ import logging
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path, PurePath, PurePosixPath
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
@@ -60,6 +60,8 @@ LITERAL_FORMATS = frozenset({"vapu-transcript-v2", "vapu-transcript-v3"})
 READABLE_FORMATS = frozenset({"vapu-transcript-v1", *LITERAL_FORMATS, TRANSCRIPT_FORMAT})
 # Config fields a transcript header leaves out: machine paths no reader needs.
 UNRECORDED_CONFIG = ("output_dir", "fixtures_dir")
+# Path parts that name no file under a project: see is_project_relative.
+_NON_NAMES = frozenset({"", ".", ".."})
 
 # File suffixes mapped to the language tag used for checker lookup.
 LANGUAGE_TAGS = {
@@ -122,41 +124,28 @@ class RunConfig:
 
 
 def is_project_relative(path: str) -> bool:
-    """Whether ``path`` names a file under a project root: not empty, with no
-    root or drive, and no ".." part that climbs out of the root."""
-    pure = PurePath(path)
-    return bool(pure.parts) and not pure.anchor and ".." not in pure.parts
+    """Whether ``path`` names a file under a project root in one spelling: "/"-separated
+    parts, none of them empty, "." or "..", so no root and no climb out of it."""
+    return _NON_NAMES.isdisjoint(path.split("/"))
 
 
 def make_run_id(file_path: str, method: Method, model: str,
                 temperature: float, repetition: int) -> str:
     """Self-describing artifact name: file, method, model, temperature, repetition.
 
-    The file part is the project-relative path without its suffix, with
-    "__" for "/" because run ids also name files and directories.
+    The file part is the project-relative path without its last suffix (from
+    the name's last dot, unless that is its first or last character), with "__"
+    for "/" because run ids also name files and directories.  The same text on
+    every Python; a path that :func:`is_project_relative` refuses raises ValueError.
     """
-    return f"{_run_file_part(file_path)}-{method.value}-{model}-t{temperature:g}-r{repetition}"
-
-
-def _run_file_part(file_path: str) -> str:
-    """``PurePosixPath(file_path).with_suffix("").as_posix()`` with "__" for "/".
-
-    A path that is already normal (relative, with no empty or "." part) and
-    whose name neither starts nor ends with a dot is cut with string
-    operations, which give the same text without building a path: a run id
-    is made twice per job, once for the batch's collision check and once by
-    the run.  Other names keep the path formula, whose answer for them
-    depends on the Python version (from 3.13 a stem of "." as in "..x"
-    raises ValueError).
-    """
+    if not is_project_relative(file_path):
+        raise ValueError(f"file path {file_path!r} is not a path inside a project")
     head, _, name = file_path.rpartition("/")
-    if (not name or name[0] == "." or name[-1] == "." or file_path[0] == "/"
-            or "//" in file_path or "/./" in f"/{file_path}/"):
-        return PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
     dot = name.rfind(".")
-    if dot > 0:
+    if 0 < dot < len(name) - 1:
         name = name[:dot]
-    return f"{head.replace('/', '__')}__{name}" if head else name
+    file_part = f"{head.replace('/', '__')}__{name}" if head else name
+    return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
 
 
 @dataclass

@@ -427,6 +427,26 @@ def test_outputs_inside_the_project_are_not_read_back_as_sources(tmp_path, capsy
     assert not [p for p in out.rglob("*") if "out__" in p.name]
 
 
+def test_files_whose_stem_is_a_dot_run_under_the_same_run_id_on_every_python(tmp_path) -> None:
+    # "..py" has the stem "."; on 3.13 the path formula raised ValueError for it.
+    project = demo_project(tmp_path / "legacy", "..py", "d/..php")
+    out = tmp_path / "out"
+    assert main(inside_project_zsl_args(project, out)) == 0
+    assert sorted(p.name for p in out.glob("*.jsonl")) == [
+        ".-zsl-gpt-4o-t0-r1.jsonl", "d__.-zsl-gpt-4o-t0-r1.jsonl"]
+    assert (out / "d__.-zsl-gpt-4o-t0-r1" / "d" / "..php").exists()
+
+
+def test_an_include_pattern_climbing_out_of_the_project_exits_2_before_any_run(
+        tmp_path, capsys) -> None:
+    project = demo_project(tmp_path / "legacy", "reference_list.php")
+    demo_project(tmp_path, "outside.php")
+    args = [*inside_project_zsl_args(project, tmp_path / "out"), "--include", "../*.php"]
+    assert main(args) == 2
+    assert "'../outside.php' is not a path inside a project" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_project_holding_only_outputs_exits_13_naming_the_output_directory(tmp_path,
                                                                            capsys) -> None:
     project = demo_project(tmp_path / "legacy", "out/old-run/reference_list.php")

@@ -146,9 +146,18 @@ def test_an_annotation_python3_compiles_is_no_fatal_finding(source: str) -> None
 
 
 def test_a_module_too_deep_for_the_compiler_is_a_fatal_finding() -> None:
-    deep = "x = " + " + ".join(["1"] * 5000) + "\n"
+    deep = "x = " + " + ".join(["1"] * 20000) + "\n"  # 5,000 terms compile on 3.13
     [message] = python_syntax_checker(deep)
     assert message.startswith("unreadable source: ")
+    [fatal] = check_fatal(CodeDocument(path="x.py", language_tag="python", content=deep),
+                          default_checkers())
+    assert fatal.category is ErrorCategory.FATAL
+
+
+def test_a_module_too_deep_for_the_parser_is_one_fatal_finding_on_every_python() -> None:
+    # The parser raises MemoryError, with an empty message on 3.11 and another on 3.13.
+    deep = "x = " + "-" * 50000 + "1\n"
+    assert python_syntax_checker(deep) == ["unreadable source: too deeply nested for the parser"]
     [fatal] = check_fatal(CodeDocument(path="x.py", language_tag="python", content=deep),
                           default_checkers())
     assert fatal.category is ErrorCategory.FATAL

@@ -531,7 +531,7 @@ def test_baseline_refuses_pipeline_method(tmp_path, sample_req, sample_doc) -> N
         run_baseline(sample_req, sample_doc, config)
 
 
-@pytest.mark.parametrize("code_path", ["ABSOLUTE", "../../escaped.php", ""])
+@pytest.mark.parametrize("code_path", ["ABSOLUTE", "../../escaped.php", "", "a//b.php"])
 def test_a_code_path_outside_its_project_is_refused_before_any_call(
         tmp_path, sample_req, code_path) -> None:
     fixtures = write_fixtures(tmp_path / "fx", {"baseline-0": fenced("echo 'b';")})

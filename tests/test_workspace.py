@@ -21,6 +21,7 @@ from vapu.workspace import (
     Method,
     RunConfig,
     RunTranscript,
+    is_project_relative,
     language_tag_for,
     load_codebase,
     load_transcript,
@@ -50,10 +51,20 @@ def test_ten_repetitions_have_distinct_run_ids() -> None:
 
 def path_run_id(file_path: str, method: Method, model: str, temperature: float,
                 repetition: int) -> str:
-    """The run id formula written with PurePosixPath: the path normalized, its last
-    suffix dropped, "__" for "/"."""
-    file_part = PurePosixPath(file_path).with_suffix("").as_posix().replace("/", "__")
+    """The run id formula written with PurePosixPath: the parent, then the name's stem
+    (its last suffix dropped), "__" for "/".  Both read alike on 3.10-3.13."""
+    pure = PurePosixPath(file_path)
+    parent = pure.parent.as_posix()
+    file_part = pure.stem if parent == "." else f"{parent}/{pure.stem}".replace("/", "__")
     return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
+
+
+def is_normal_relative(file_path: str) -> bool:
+    """Whether PurePosixPath leaves ``file_path`` as it is, with no root, no ".." part
+    and a name: one spelling of a file under a project root."""
+    pure = PurePosixPath(file_path)
+    return (str(pure) == file_path and not pure.anchor and file_path != "."
+            and ".." not in pure.parts)
 
 
 # Names that path parsing treats apart: empty ("a//b"), ".", "..", dot files,
@@ -75,15 +86,20 @@ odd_name = st.sampled_from(["", ".", "..", ".hidden", "x.tar.gz", "b.", "dir.v2"
 @example(path="a/./b/", method=Method.VAPU, temperature=0.0, repetition=1)
 @example(path="..x", method=Method.VAPU, temperature=0.0, repetition=1)
 @example(path="d/..php", method=Method.ZSL, temperature=1.0, repetition=2)
+@example(path="..py", method=Method.ZSL, temperature=0.0, repetition=1)
+@example(path="a.", method=Method.VAPU, temperature=0.0, repetition=1)
+@example(path="a/../b.php", method=Method.VAPU, temperature=0.0, repetition=1)
 def test_run_ids_match_the_path_formula_for_odd_paths(path, method, temperature,
                                                       repetition) -> None:
-    try:
-        expected = path_run_id(path, method, "m", temperature, repetition)
-    except ValueError:  # a path with no name part ("", ".", "/"): no run id either
+    # Paths that are not normal ("a//b", "./x", "a/", "/x", "a/../b") are refused, not
+    # normalized: each names its file in one spelling, so one file has one run id.
+    assert is_project_relative(path) == is_normal_relative(path)
+    if not is_normal_relative(path):
         with pytest.raises(ValueError):
             make_run_id(path, method, "m", temperature, repetition)
         return
-    assert make_run_id(path, method, "m", temperature, repetition) == expected
+    assert make_run_id(path, method, "m", temperature, repetition) == \
+        path_run_id(path, method, "m", temperature, repetition)
 
 
 # --- config validation ---
