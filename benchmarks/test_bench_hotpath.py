@@ -41,7 +41,11 @@ overlaps model latency.  ``test_demo_zsl_batch`` runs a
 ``main`` with no latency, so what it times is each run's fixed cost: the
 run id, the prompt, the updated-file and transcript writes.
 ``test_run_id_and_output_path`` times working out one job's run id and
-updated-file path, and ``test_rewrite_a_file`` rewrites a 10 KB and a
+updated-file path.  ``test_load_codebase`` reads a project of three
+controller directories of five 28-line views and a hidden file, past an
+output directory inside it that holds 20 earlier runs, and
+``test_load_replay_fixtures`` reads 18 fixture files, four of them
+900-line coded replies.  Then ``test_rewrite_a_file`` rewrites a 10 KB and a
 220 KB file in place with ``write_file``, against writing a temporary
 file and moving it over the old one with ``os.replace``.  The last times
 a new interpreter importing ``vapu.cli``, the start-up cost every command
@@ -383,11 +387,41 @@ def test_run_id_and_output_path(benchmark, tmp_path) -> None:
     config = RunConfig(model="gpt-4o", output_dir=tmp_path, method=Method.ZSL)
     path = "app/View/Items/index.ctp"
 
-    def job() -> Path:
+    def job() -> str:
         run_id = make_run_id(path, config.method, config.model, config.temperature, 3)
         return updated_file_path(config, run_id, path)
 
-    assert benchmark(job) == tmp_path / "app__View__Items__index-zsl-gpt-4o-t0-r3" / path
+    assert benchmark(job) == str(tmp_path / "app__View__Items__index-zsl-gpt-4o-t0-r3" / path)
+
+
+SMALL_VIEW = CODE[:28 * len(CODE) // LOC]  # a 28-line view, as small-batch replies hold
+
+
+def test_load_codebase(benchmark, tmp_path) -> None:
+    root = tmp_path / "project"
+    for controller in ("Items", "Orders", "Users"):
+        for view in ("index", "view", "add", "edit", "export"):
+            write_file(root / controller / f"{view}.ctp", SMALL_VIEW)
+    write_file(root / ".htaccess", "RewriteEngine on\n")
+    for run in range(20):  # earlier runs' outputs, inside the project but not read
+        run_id = f"Items__index-zsl-gpt-4o-t0-r{run + 1}"
+        write_file(root / "out" / run_id / "Items" / "index.ctp", SMALL_VIEW)
+        write_file(root / "out" / f"{run_id}.jsonl", "{}\n")
+    documents = benchmark(load_codebase, root, exclude="out")
+    assert len(documents) == 16 and documents[0].path == ".htaccess"
+
+
+# Fixtures per role, 18 in all, as a large-files invocation reads; coded replies fence CODE.
+FIXTURE_COUNTS = {"manager": 2, "prompt_maker": 4, "executor": 4, "verifier": 6, "finalizer": 2}
+
+
+def test_load_replay_fixtures(benchmark, tmp_path) -> None:
+    for role, count in FIXTURE_COUNTS.items():
+        for index in range(count):
+            text = REPLY if role in ("executor", "finalizer") else VERDICT
+            write_file(tmp_path / f"{role}-{index}.txt", text)
+    fixtures = benchmark(load_replay_fixtures, tmp_path)
+    assert len(fixtures) == 18 and fixtures[("executor", 3)] == REPLY
 
 
 def replace_file(path: Path, data: bytes) -> None:

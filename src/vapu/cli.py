@@ -77,7 +77,7 @@ def cmd_run(args) -> int:
     if config.fixtures_dir is not None and config.backend is not Backend.REPLAY:
         raise err.ConfigInvalid("--fixtures needs --backend replay (the default backend is live)")
     run = run_update if config.method is Method.VAPU else run_baseline
-    documents = load_codebase(project, args.include or ["**/*"], exclude=outputs)
+    documents = load_codebase(project, args.include, exclude=outputs)
     try:
         jobs = [(doc, rep, make_run_id(doc.path, config.method, config.model,
                                        config.temperature, rep))

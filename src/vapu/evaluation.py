@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyScores, InvalidCCLetter
 from .models import CodeDocument, from_json, read_input, to_json
-from .workspace import RunHeader, RunTranscript
+from .workspace import RunHeader, RunTranscript, split_suffix
 
 
 class ErrorCategory(str, Enum):
@@ -559,7 +559,7 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
     category; an automated key that an annotated key normalizes to is that cause's.
     """
     config, final_code = header.config, header.final_code
-    file_id = Path(header.code.path).stem
+    file_id = split_suffix(header.code.path)[0]
     automated = check_fatal(final_code, checkers) if final_code is not None else []
     annotated = annotations.findings.get(transcript.run_id, [])
     known = {normalize_cause_key(f.cause_key) for f in annotated}  # automated keys are normalized

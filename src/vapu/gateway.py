@@ -27,7 +27,7 @@ from .errors import (
     MalformedFixtureName,
     TransientExhausted,
 )
-from .models import AgentRole, from_json, read_input
+from .models import AgentRole, from_json, join_path, read_input
 
 if TYPE_CHECKING:  # requests is imported only when a live gateway is built
     import requests
@@ -178,17 +178,22 @@ def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigInvalid(f"cannot read replay fixture directory {directory}: not a directory")
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read replay fixture directory {directory}: "
+                            f"{exc.strerror}") from None
     entries: dict[tuple[str, int], str] = {}
     roles = {r.value for r in AgentRole}
-    for path in sorted(directory.glob("*.txt")):
-        stem = path.stem
-        role, sep, index_text = stem.rpartition("-")
+    for name in sorted(n for n in names if n.endswith(".txt")):
+        role, sep, index_text = name[:-4].rpartition("-")
         if not sep or role not in roles or not index_text.isdigit():
             raise MalformedFixtureName(
-                f"fixture file {path.name!r} must be named <role>-<index>.txt "
+                f"fixture file {name!r} must be named <role>-<index>.txt "
                 f"with role in {sorted(roles)}"
             )
-        entries[(role, int(index_text))] = read_input(path, "replay fixture")
+        entries[(role, int(index_text))] = read_input(join_path(directory, name),
+                                                      "replay fixture")
     for role in {key[0] for key in entries}:
         indices = sorted(i for r, i in entries if r == role)
         if indices != list(range(len(indices))):

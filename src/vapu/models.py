@@ -8,6 +8,7 @@ it holds one.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path, PurePath
@@ -142,11 +143,18 @@ def to_json(value, omit: tuple[str, ...] = ()):
             for name, plain in plan if name not in omit}
 
 
-def read_input(path: Path, what: str, parse: Callable[[str], object] | None = None):
+def join_path(directory: str | os.PathLike, *names: str) -> str:
+    """``str(Path(directory, *names))`` by one join, for names with no "", "." or ".." part."""
+    top = os.fspath(directory)
+    return os.path.join(top, *names) if top != "." else os.path.join(*names)
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], object] | None = None):
     """The UTF-8 text of input file ``path``, or what ``parse`` makes of it.  Any failure,
     from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming both."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
         return text if parse is None else parse(text)
     except (AttributeError, LookupError, OSError, TypeError, ValueError, VapuError) as exc:
         raise ConfigInvalid(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from None

@@ -50,6 +50,7 @@ from .models import (
     TaskPlan,
     UpdateResult,
     Verdict,
+    join_path,
     read_input,
     to_json,
 )
@@ -330,9 +331,9 @@ def _verify_with_reask(req, task, before, after, run: Run) -> Verdict:
         return Verdict(accepted=False, changes=(ChangeRequest(GENERIC_CHANGE),))
 
 
-def updated_file_path(config: RunConfig, run_id: str, path: str) -> Path:
+def updated_file_path(config: RunConfig, run_id: str, path: str) -> str:
     """Where run ``run_id`` writes its updated ``path``: a directory named after the run."""
-    return Path(config.output_dir, run_id, path)  # one parse: each / parses the path again
+    return join_path(config.output_dir, run_id, path)
 
 
 def _record_run(req: RequirementSpec, code: CodeDocument, config: RunConfig,

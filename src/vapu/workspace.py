@@ -38,6 +38,7 @@ import errno
 import hashlib
 import json
 import logging
+import os
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,7 +47,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument, RequirementSpec, from_json, to_json
+from .models import CodeDocument, RequirementSpec, from_json, join_path, to_json
 
 logger = logging.getLogger(__name__)
 
@@ -129,21 +130,26 @@ def is_project_relative(path: str) -> bool:
     return _NON_NAMES.isdisjoint(path.split("/"))
 
 
+def split_suffix(path: str) -> tuple[str, str]:
+    """``PurePosixPath(path).stem`` and ``.suffix`` on every Python, without making one: the
+    suffix runs from the last name's last dot, unless that is its first or last character."""
+    name = path[path.rfind("/") + 1:]
+    dot = name.rfind(".")
+    return (name[:dot], name[dot:]) if 0 < dot < len(name) - 1 else (name, "")
+
+
 def make_run_id(file_path: str, method: Method, model: str,
                 temperature: float, repetition: int) -> str:
     """Self-describing artifact name: file, method, model, temperature, repetition.
 
-    The file part is the project-relative path without its last suffix (from
-    the name's last dot, unless that is its first or last character), with "__"
-    for "/" because run ids also name files and directories.  The same text on
+    The file part is the project-relative path without its :func:`split_suffix` suffix,
+    with "__" for "/" because run ids also name files and directories.  The same text on
     every Python; a path that :func:`is_project_relative` refuses raises ValueError.
     """
     if not is_project_relative(file_path):
         raise ValueError(f"file path {file_path!r} is not a path inside a project")
     head, _, name = file_path.rpartition("/")
-    dot = name.rfind(".")
-    if 0 < dot < len(name) - 1:
-        name = name[:dot]
+    name = split_suffix(name)[0]
     file_part = f"{head.replace('/', '__')}__{name}" if head else name
     return f"{file_part}-{method.value}-{model}-t{temperature:g}-r{repetition}"
 
@@ -168,9 +174,9 @@ class RunTranscript:
             previous = exchange.started_at
 
 
-def write_file(path: Path, data: str | bytes | list[bytes]) -> Path:
+def write_file(path: str | Path, data: str | bytes | list[bytes]) -> str | Path:
     """Write ``data`` (text as UTF-8, a list as its items in order) over ``path``,
-    making its directory if missing.
+    making its directory if missing; returns ``path``.
 
     Text is encoded before the file is opened, so text that cannot be
     encoded leaves no file behind.  Any OSError raises StorageFull.
@@ -182,7 +188,7 @@ def write_file(path: Path, data: str | bytes | list[bytes]) -> Path:
         try:
             handle = open(path, "wb")
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
             handle = open(path, "wb")
         with handle:
             handle.writelines(chunks)
@@ -199,7 +205,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     written as they are, never joined into one body.
     """
     transcript.validate()
-    path = Path(directory, f"{transcript.run_id}.jsonl")
+    path = join_path(directory, f"{transcript.run_id}.jsonl")
     records: list[dict] = [{
         "record": "header",
         "format": TRANSCRIPT_FORMAT,
@@ -224,7 +230,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
         lines += (line, b"\n")
     trailer = _ENCODER.encode({"record": "checksum", "sha256": digest.hexdigest()})
     lines += (trailer.encode("utf-8"), b"\n")
-    return write_file(path, lines)
+    return Path(write_file(path, lines))
 
 
 def _input_texts(inputs: dict) -> list[str]:
@@ -448,38 +454,65 @@ def read_header(transcript: RunTranscript, path: Path) -> RunHeader:
     return header
 
 
-def language_tag_for(path: Path) -> str:
-    return LANGUAGE_TAGS.get(path.suffix.lower(), path.suffix.lstrip(".").lower() or "text")
+def language_tag_for(path: str | os.PathLike) -> str:
+    suffix = split_suffix(os.fspath(path))[1].lower()
+    return LANGUAGE_TAGS.get(suffix, suffix[1:] or "text")
 
 
-def load_codebase(root: Path, include_globs: Sequence[str],
+def _project_files(top: str, exclude: str | None) -> list[str]:
+    """The files a ``"**/*"`` glob of ``top`` and ``is_file`` find, "/"-joined relative to
+    ``top``, by one ``os.scandir`` walk that does not enter the directory ``exclude``."""
+    files: list[str] = []
+    pending = [""]  # the directories to list, each as its entries' path prefix
+    while pending:
+        prefix = pending.pop()
+        try:
+            entries = list(os.scandir(os.path.join(top, prefix)))
+        except OSError:  # unreadable, as the glob skips it
+            continue
+        for entry in entries:
+            rel = prefix + entry.name
+            try:  # like the glob: a symlink to a directory is not entered, one to a file read
+                if entry.is_dir(follow_symlinks=False):
+                    if rel != exclude:
+                        pending.append(rel + "/")
+                elif entry.is_file():
+                    files.append(rel)
+            except OSError:  # a symlink loop, or an entry gone since it was listed
+                pass
+    return files
+
+
+def load_codebase(root: Path, include_globs: Sequence[str] | None = None,
                   exclude: str | None = None) -> list[CodeDocument]:
-    """Read matching files under root as documents, in lexicographic path order;
-    a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes.
-    Files under ``exclude``, a directory's POSIX path relative to root, are left out."""
+    """Read every file under root, or those ``include_globs`` match, as documents in path
+    order, but those under ``exclude``, a directory's POSIX path relative to root; a file
+    that is not UTF-8 is logged and read with U+FFFD for its bad bytes."""
     root = Path(root)
     if not root.exists():
         raise NoFilesMatched(f"codebase root {root} does not exist")
-    matched: set[Path] = set()
-    for pattern in include_globs:
-        matched.update(p for p in root.glob(pattern) if p.is_file())
-    # Each file's path under root, worked out once: it is both the sort key and the path.
-    # A glob result's parts begin with root's, so slicing them is relative_to without a parse.
-    start = len(root.parts)
-    relative = {"/".join(path.parts[start:]): path for path in matched}
-    if exclude is not None:
-        relative = {rel: path for rel, path in relative.items()
-                    if not rel.startswith(f"{exclude}/")}
-    if not relative:
+    if include_globs is None:
+        files = _project_files(os.fspath(root), exclude)
+    else:
+        # A glob result's parts begin with root's, so slicing them is relative_to without a parse.
+        start = len(root.parts)
+        files = {"/".join(path.parts[start:]) for pattern in include_globs
+                 for path in root.glob(pattern) if path.is_file()}
+        if exclude is not None:
+            files = [rel for rel in files if not rel.startswith(f"{exclude}/")]
+    if not files:
         outside = "" if exclude is None else f" outside {exclude}"
-        raise NoFilesMatched(f"no files under {root}{outside} match {list(include_globs)}")
+        patterns = ["**/*"] if include_globs is None else list(include_globs)
+        raise NoFilesMatched(f"no files under {root}{outside} match {patterns}")
     documents = []
-    for rel in sorted(relative):
-        path = relative[rel]
+    for rel in sorted(files):
+        path = join_path(root, rel)
         try:
-            content = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:  # newlines as Path.read_text reads them
+                content = handle.read()
         except UnicodeDecodeError as exc:
             logger.warning("%s is not UTF-8 (%s); its bad bytes read as U+FFFD", path, exc)
-            content = path.read_text(encoding="utf-8", errors="replace")
-        documents.append(CodeDocument(rel, language_tag_for(path), content))
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                content = handle.read()
+        documents.append(CodeDocument(rel, language_tag_for(rel), content))
     return documents

@@ -454,6 +454,42 @@ def test_a_project_holding_only_outputs_exits_13_naming_the_output_directory(tmp
     assert f"no files under {project} outside out match" in capsys.readouterr().err
 
 
+def test_a_project_that_names_a_file_exits_13_naming_it(tmp_path, capsys) -> None:
+    project = demo_project(tmp_path, "reference_list.php") / "reference_list.php"
+    assert main(inside_project_zsl_args(project, tmp_path / "out")) == 13
+    assert f"error: no files under {project} match ['**/*']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_project_that_cannot_be_listed_exits_13_naming_it(tmp_path, capsys,
+                                                             monkeypatch) -> None:
+    project = demo_project(tmp_path / "legacy", "reference_list.php")
+    real_scandir = os.scandir
+
+    def scandir(path):  # simulated: a permission bit would not stop root
+        if os.path.samefile(path, project):
+            raise PermissionError(13, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    assert main(inside_project_zsl_args(project, tmp_path / "out")) == 13
+    assert f"error: no files under {project} match ['**/*']" in capsys.readouterr().err
+
+
+def test_the_default_file_set_runs_hidden_and_symlinked_files_once_each(tmp_path,
+                                                                        capsys) -> None:
+    project = demo_project(tmp_path / "legacy", "reference_list.php", ".hidden/copy.php")
+    (project / "linked.php").symlink_to("reference_list.php")
+    (project / "linked-dir").symlink_to(".hidden", target_is_directory=True)
+    out = project / "out"
+    assert main(inside_project_zsl_args(project, out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        ".hidden__copy-zsl-gpt-4o-t0-r1", "linked-zsl-gpt-4o-t0-r1",
+        "reference_list-zsl-gpt-4o-t0-r1"]
+    assert len(list(out.glob("*.jsonl"))) == 3
+
+
 @pytest.mark.parametrize("spelling", [".", "sub/..", "alias"])
 def test_an_output_directory_that_is_the_project_root_exits_2_before_any_call(
         tmp_path, capsys, monkeypatch, spelling) -> None:
@@ -577,14 +613,14 @@ def test_example_asset_is_read_once_per_command(tmp_path, monkeypatch) -> None:
     example = tmp_path / "example.json"
     example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
     reads = []
-    real_read_text = Path.read_text
+    real_open = builtins.open
 
-    def counting_read_text(self, *args, **kwargs):
-        if self == example:
-            reads.append(self)
-        return real_read_text(self, *args, **kwargs)
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int) and os.fspath(file) == str(example):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(builtins, "open", counting_open)
     out = tmp_path / "osl-runs"
     assert main(demo_osl_args(example, out, runs=3)) == 0
     assert len(reads) == 1

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 import requests
@@ -171,6 +173,35 @@ def test_empty_fixture_dir_is_valid_but_always_misses(tmp_path) -> None:
 def test_a_missing_fixture_dir_is_a_config_error_naming_it(tmp_path) -> None:
     with pytest.raises(ConfigInvalid, match=re.escape(str(tmp_path / "absent"))):
         load_replay_fixtures(tmp_path / "absent")
+
+
+def test_a_directory_named_like_a_fixture_is_refused_as_a_file_would_be(tmp_path) -> None:
+    write_fixtures(tmp_path, {"executor-0": "a"})
+    (tmp_path / "x.txt").mkdir()
+    with pytest.raises(MalformedFixtureName, match="'x.txt'"):
+        load_replay_fixtures(tmp_path)
+    (tmp_path / "x.txt").rmdir()
+    (tmp_path / "executor-1.txt").mkdir()
+    with pytest.raises(ConfigInvalid, match=re.escape(str(tmp_path / "executor-1.txt"))):
+        load_replay_fixtures(tmp_path)
+
+
+def test_a_fixture_dir_that_cannot_be_listed_is_a_config_error_naming_it(
+        tmp_path, monkeypatch) -> None:
+    def listdir(path):  # simulated: a permission bit would not stop root
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    with pytest.raises(ConfigInvalid, match=f"{re.escape(str(tmp_path))}: Permission denied"):
+        load_replay_fixtures(tmp_path)
+
+
+def test_fixtures_in_the_current_directory_are_named_without_a_dot_prefix(
+        tmp_path, monkeypatch) -> None:
+    (tmp_path / "executor-0.txt").write_bytes(b"\xff")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigInvalid, match="cannot read replay fixture executor-0.txt:"):
+        load_replay_fixtures(Path("."))
 
 
 def test_non_txt_files_are_ignored(tmp_path) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import tracemalloc
 from pathlib import Path, PurePosixPath
 
@@ -27,6 +28,7 @@ from vapu.workspace import (
     load_transcript,
     make_run_id,
     persist_transcript,
+    split_suffix,
     write_file,
 )
 
@@ -100,6 +102,14 @@ def test_run_ids_match_the_path_formula_for_odd_paths(path, method, temperature,
         return
     assert make_run_id(path, method, "m", temperature, repetition) == \
         path_run_id(path, method, "m", temperature, repetition)
+
+
+@pytest.mark.parametrize("path", ["..py", "d/..php", ".htaccess", "x.tar.gz", "a.", "Makefile",
+                                  "app/View/index.CTP", "dir.v2/f"])
+def test_split_suffix_is_the_pure_paths_stem_and_suffix(path) -> None:
+    pure = PurePosixPath(path)
+    assert split_suffix(path) == (pure.stem, pure.suffix)
+    assert language_tag_for(path) == language_tag_for(Path(path))
 
 
 # --- config validation ---
@@ -235,6 +245,74 @@ def test_language_tags() -> None:
     assert language_tag_for(Path("x.ctp")) == "php"
     assert language_tag_for(Path("x.weird")) == "weird"
     assert language_tag_for(Path("Makefile")) == "text"
+    assert language_tag_for("app/View/x.CTP") == "php"
+    assert language_tag_for(".htaccess") == "text"
+    assert language_tag_for("..py") == "python"
+
+
+def project_tree(root: Path) -> Path:
+    """Every kind of entry the default file set has a rule for, and an output directory."""
+    for rel, text in [("a.php", "a\r\n"), ("sub/deep/b.py", "b\n"), (".hidden.php", "h"),
+                      (".git/config", "[core]"), ("Makefile", "all:"),
+                      ("out/old-run/a.php", "old"), ("sub/out/kept.php", "kept")]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    (root / "link.php").symlink_to("sub/deep/b.py")  # a symlinked file is read
+    (root / "linkdir").symlink_to("sub", target_is_directory=True)  # not entered
+    (root / "broken.php").symlink_to("missing.php")  # skipped
+    (root / "loop").symlink_to("loop")  # skipped
+    return root
+
+
+@pytest.mark.parametrize("exclude", [None, "out"])
+def test_the_default_file_set_is_what_the_all_files_glob_finds(tmp_path, exclude) -> None:
+    root = project_tree(tmp_path / "project")
+    walked = load_codebase(root, exclude=exclude)
+    assert walked == load_codebase(root, ["**/*"], exclude=exclude)  # path, tag, content, order
+    expected = [".git/config", ".hidden.php", "Makefile", "a.php", "link.php",
+                "out/old-run/a.php", "sub/deep/b.py", "sub/out/kept.php"]
+    assert [d.path for d in walked] == [p for p in expected if exclude is None or p[:4] != "out/"]
+    assert walked[3].content == "a\n" and walked[4].content == "b\n"
+    assert [d.language_tag for d in walked][:5] == ["text", "php", "text", "php", "php"]
+
+
+def test_the_walk_does_not_list_the_excluded_output_directory(tmp_path, monkeypatch) -> None:
+    root = project_tree(tmp_path / "project")
+    listed = []
+    real_scandir = os.scandir
+
+    def recording_scandir(path):
+        listed.append(os.path.relpath(path, root))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", recording_scandir)
+    load_codebase(root, exclude="out")
+    assert sorted(listed) == [".", ".git", "sub", "sub/deep", "sub/out"]
+
+
+def test_an_unreadable_subdirectory_is_skipped_as_the_glob_skips_it(tmp_path,
+                                                                      monkeypatch) -> None:
+    root = project_tree(tmp_path / "project")
+    real_scandir = os.scandir
+
+    def scandir(path):  # simulated: a permission bit would not stop root
+        if os.path.relpath(path, root) == "sub":
+            raise PermissionError(13, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    assert [d.path for d in load_codebase(root, exclude="out")] == [
+        ".git/config", ".hidden.php", "Makefile", "a.php", "link.php"]
+
+
+def test_the_current_directory_as_root_reads_paths_without_a_dot_prefix(
+        tmp_path, monkeypatch, caplog) -> None:
+    (tmp_path / "latin1.php").write_bytes(b"Caf\xe9")
+    monkeypatch.chdir(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="vapu"):
+        [doc] = load_codebase(Path("."))
+    assert doc.path == "latin1.php"
+    assert caplog.records[0].getMessage().startswith("latin1.php is not UTF-8")
 
 
 # --- transcript persistence ---
