@@ -164,6 +164,10 @@ def cmd_report(args) -> int:
     vapu_path, baseline_path = args.compare
     vapu_marks, vapu_features = _load_scored(vapu_path)
     baseline_marks, baseline_features = _load_scored(baseline_path)
+    for file_id in sorted(vapu_features.keys() & baseline_features.keys()):
+        if vapu_features[file_id].buckets != baseline_features[file_id].buckets:
+            raise err.ConfigInvalid(f"file {file_id!r} falls in different report buckets "
+                                    f"by its features in {vapu_path} and {baseline_path}")
     features = {**baseline_features, **vapu_features}
     if not vapu_marks or not baseline_marks:
         raise err.ConfigInvalid("both scored files need records with check marks")

@@ -270,6 +270,14 @@ class FileFeatures:
         # A file score_difficulty refuses would drop out of the LOC or grade table.
         score_difficulty(self.loc, self.cc_letter, self.task_count)
 
+    @property
+    def buckets(self) -> tuple[str, str, str]:
+        """The file's LOC band, grade group and task count: its bucket in each report table."""
+        grade = _cc_grade(self.cc_letter)
+        return (next(label for label, _, high in LOC_BANDS if high is None or self.loc < high),
+                next(label for label, letters in CC_GROUPS if grade in letters),
+                str(self.task_count))
+
 
 @dataclass(frozen=True)
 class CheckMarkRecord:
@@ -344,18 +352,35 @@ class ComparisonReport:
     def overall_delta(self) -> int:
         return self.vapu_totals.total - self.baseline_totals.total
 
-    def _sections(self) -> tuple[tuple[str, str, str, tuple[BucketDelta, ...]], ...]:
-        """(dict key, row section, text title, buckets) per bucketed table, in report order."""
-        return (
-            ("loc_bands", "loc_band", "By LOC band:", self.loc_bands),
-            ("cc_groups", "cc_group", "By complexity grade:", self.cc_groups),
-            ("task_counts", "task_count", "By task count:", self.task_counts),
-        )
+    def tables(self) -> tuple[tuple[str | None, str, str, tuple], ...]:
+        """The compared tables in report order, which all three writers walk.
 
-    def _model_pairs(self) -> list[tuple[MarkTotals, MarkTotals | None]]:
-        """Each pipeline model's totals beside the baseline's for that model, if it has any."""
+        Each is its report.json key (None: not written there), report.tsv
+        section, report.txt title and rows.  A row is its figures (key,
+        pipeline, baseline, delta; "" for one it lacks) and its report.txt
+        line (None: left out there, as for a model with no baseline records).
+        """
         baseline_by_model = {m.model: m for m in self.baseline_models}
-        return [(entry, baseline_by_model.get(entry.model)) for entry in self.vapu_models]
+        models = []
+        for mine in self.vapu_models:
+            theirs = baseline_by_model.get(mine.model)
+            if theirs is None:
+                models.append(((mine.model, mine.total, "", ""), None))
+            else:
+                models.append(((mine.model, mine.total, theirs.total, mine.total - theirs.total),
+                               f"  {mine.model}: {mine.total} vs {theirs.total} "
+                               f"({mine.pass_rate:.1f}% vs {theirs.pass_rate:.1f}%)"))
+
+        def bucket_rows(buckets: tuple[BucketDelta, ...]) -> tuple:
+            return tuple(((b.label, b.vapu, b.baseline, b.delta),
+                          f"  {b.label}: {b.vapu} vs {b.baseline} ({b.delta:+d})") for b in buckets)
+
+        return (
+            (None, "models", "Per model (pipeline vs baseline):", tuple(models)),
+            ("loc_bands", "loc_band", "By LOC band:", bucket_rows(self.loc_bands)),
+            ("cc_groups", "cc_group", "By complexity grade:", bucket_rows(self.cc_groups)),
+            ("task_counts", "task_count", "By task count:", bucket_rows(self.task_counts)),
+        )
 
     def to_dict(self) -> dict:
         def figures(totals: MarkTotals, *names: str) -> dict:
@@ -368,11 +393,10 @@ class ComparisonReport:
             "models": {"vapu": [figures(m, "model") for m in self.vapu_models],
                        "baseline": [figures(m, "model") for m in self.baseline_models]},
         }
-        for key, _, _, buckets in self._sections():
-            report[key] = [
-                {"bucket": b.label, "vapu": b.vapu, "baseline": b.baseline, "delta": b.delta}
-                for b in buckets
-            ]
+        for key, _, _, rows in self.tables():
+            if key is not None:
+                report[key] = [dict(zip(("bucket", "vapu", "baseline", "delta"), figures))
+                               for figures, _ in rows]
         return report
 
     def to_rows(self) -> list[tuple[str, ...]]:
@@ -388,16 +412,8 @@ class ComparisonReport:
         for name in ("first", "second", "third"):
             mine, theirs = getattr(vapu, name), getattr(baseline, name)
             rows.append(("totals", f"{name}_marks", str(mine), str(theirs), str(mine - theirs)))
-        for entry, other in self._model_pairs():
-            rows.append((
-                "models", entry.model, str(entry.total),
-                str(other.total) if other else "",
-                str(entry.total - other.total) if other else "",
-            ))
-        for _, section, _, buckets in self._sections():
-            for bucket in buckets:
-                rows.append((section, bucket.label, str(bucket.vapu),
-                             str(bucket.baseline), str(bucket.delta)))
+        for _, section, _, table in self.tables():
+            rows.extend((section, *map(str, figures)) for figures, _ in table)
         return rows
 
     def to_text(self) -> str:
@@ -411,22 +427,9 @@ class ComparisonReport:
             method("pipeline", self.vapu_totals),
             method("baseline", self.baseline_totals),
             f"  overall delta: {self.overall_delta:+d}",
-            "",
-            "Per model (pipeline vs baseline):",
         ]
-        for entry, other in self._model_pairs():
-            if other:
-                lines.append(
-                    f"  {entry.model}: {entry.total} vs {other.total} "
-                    f"({entry.pass_rate:.1f}% vs {other.pass_rate:.1f}%)"
-                )
-        for _, _, title, buckets in self._sections():
-            lines.append("")
-            lines.append(title)
-            for bucket in buckets:
-                lines.append(
-                    f"  {bucket.label}: {bucket.vapu} vs {bucket.baseline} ({bucket.delta:+d})"
-                )
+        for _, _, title, rows in self.tables():
+            lines += ["", title, *(line for _, line in rows if line is not None)]
         return "\n".join(lines) + "\n"
 
 
@@ -463,35 +466,18 @@ def build_comparison_report(
     if missing:
         raise ValueError(f"missing difficulty features for files: {missing}")
 
-    def loc_band(file_id: str) -> str:
-        loc = features[file_id].loc  # at least 1, so in a band
-        return next(label for label, _, high in LOC_BANDS if high is None or loc < high)
-
-    def cc_group(file_id: str) -> str:
-        letter = _cc_grade(features[file_id].cc_letter)
-        return next(label for label, letters in CC_GROUPS if letter in letters)
-
-    task_labels = sorted({str(f.task_count) for f in features.values()}, key=int)
-
-    def task_bucket(file_id: str) -> str:
-        return str(features[file_id].task_count)
-
-    def deltas(bucket_of: Callable[[str], str], labels: list[str]) -> tuple[BucketDelta, ...]:
-        sums = {label: [0, 0] for label in labels}  # [pipeline, baseline]
-        for side, runs in enumerate((vapu_runs, baseline_runs)):
-            for record in runs:
-                sums[bucket_of(record.file_id)][side] += sum(record.marks.flags())
-        return tuple(BucketDelta(label, *sums[label]) for label in labels)
-
-    return ComparisonReport(
-        vapu_totals=_mark_totals(vapu_runs),
-        baseline_totals=_mark_totals(baseline_runs),
-        vapu_models=_model_totals(vapu_runs),
-        baseline_models=_model_totals(baseline_runs),
-        loc_bands=deltas(loc_band, [label for label, _, _ in LOC_BANDS]),
-        cc_groups=deltas(cc_group, [label for label, _ in CC_GROUPS]),
-        task_counts=deltas(task_bucket, task_labels),
-    )
+    labels = ([label for label, _, _ in LOC_BANDS], [label for label, _ in CC_GROUPS],
+              [str(count) for count in sorted({f.task_count for f in features.values()})])
+    sums = [{label: [0, 0] for label in table} for table in labels]  # [pipeline, baseline] marks
+    for side, runs in enumerate((vapu_runs, baseline_runs)):
+        for record in runs:
+            for table, label in zip(sums, features[record.file_id].buckets):
+                table[label][side] += sum(record.marks.flags())
+    loc_bands, cc_groups, task_counts = (
+        tuple(BucketDelta(label, *pair) for label, pair in table.items()) for table in sums)
+    return ComparisonReport(_mark_totals(vapu_runs), _mark_totals(baseline_runs),
+                            _model_totals(vapu_runs), _model_totals(baseline_runs),
+                            loc_bands, cc_groups, task_counts)
 
 
 # --- annotations file and transcript scoring ----------------------------

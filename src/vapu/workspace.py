@@ -361,15 +361,15 @@ def _transcript_from_lines(lines: Iterable[bytes], path: Path) -> RunTranscript:
     so no more than the kept texts and about one line are held at once;
     the checksum is checked once the trailer is read.
     """
-    digest = hashlib.sha256()
-    body = digest  # the hash of every line but the last one read
+    body = hashlib.sha256()  # each line is hashed when the next arrives: all but the last
+    last = b""
     header: dict | None = None
     table: list[str] = []
     exchanges: list[ChatExchange] = []
     window: list[dict] = []  # the last two records read: at the end, outcome and trailer
     for line in lines:
-        body = digest.copy()
-        digest.update(line)
+        body.update(last)
+        last = line
         window.append(json.loads(line.decode("utf-8")))
         if len(window) < 3:
             continue

@@ -1024,6 +1024,40 @@ def test_report_bytes_match_the_golden_files(tmp_path) -> None:
         assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("field, value", [("loc", 200), ("cc_letter", "E"), ("task_count", 4)])
+def test_report_refuses_a_file_whose_features_put_it_in_other_buckets_on_one_side(
+        tmp_path, capsys, field, value) -> None:
+    # file03 is 199 LOC, grade D, 5 tasks on both sides; each change moves it on the baseline side.
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
+    data = json.loads(zsl_scored.read_text(encoding="utf-8"))
+    for record in data["records"]:
+        if record["file_id"] == "file03":
+            record["features"][field] = value
+    zsl_scored.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--compare", str(vapu_scored), str(zsl_scored),
+                 "--output-dir", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert "'file03'" in err and str(vapu_scored) in err and str(zsl_scored) in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_compares_features_by_the_buckets_they_put_a_file_in(tmp_path) -> None:
+    # A grade letter's case, a grade of the same group and a LOC in the same band do not count.
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
+    data = json.loads(zsl_scored.read_text(encoding="utf-8"))
+    for record in data["records"]:
+        record["features"]["cc_letter"] = record["features"]["cc_letter"].swapcase()
+        if record["file_id"] == "file03":
+            record["features"].update(loc=101, cc_letter="c")
+    zsl_scored.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["report", "--compare", str(vapu_scored), str(zsl_scored),
+                 "--output-dir", str(out)]) == 0
+    for name in ("report.json", "report.tsv", "report.txt"):
+        assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
+
+
 def annotation_without_a_flag(data: dict) -> dict:
     del data["checkmarks"][0]["basic_functions_ok"]
     return data

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -500,6 +501,85 @@ def test_report_requires_features() -> None:
     baseline = [CheckMarkRecord("f1", "m", marks(True, False, False))]
     with pytest.raises(ValueError):
         build_comparison_report(vapu, baseline, {})
+
+
+MODEL_POOL = ("m0", "m1", "m2", "m3")
+BUCKET_SECTIONS = (  # report.tsv section, report.txt title, report.json key
+    ("loc_band", "By LOC band:", "loc_bands"),
+    ("cc_group", "By complexity grade:", "cc_groups"),
+    ("task_count", "By task count:", "task_counts"),
+)
+
+
+@st.composite
+def check_mark_record_sets(draw):
+    """Both sides' records over the same files: 1-3 models a side, drawn from a pool of four."""
+    loc = st.one_of(st.sampled_from((1, 99, 100, 199, 200, 299, 300)), st.integers(1, 1200))
+    files = draw(st.lists(st.tuples(loc, st.sampled_from("abcdefABCDEF"), st.integers(1, 12)),
+                          min_size=1, max_size=12))
+    features = {f"f{i}": FileFeatures(*file) for i, file in enumerate(files)}
+    flags = st.builds(CheckMarks, st.booleans(), st.booleans(), st.booleans())
+
+    def side() -> list[CheckMarkRecord]:
+        models = draw(st.lists(st.sampled_from(MODEL_POOL), min_size=1, max_size=3, unique=True))
+        return [CheckMarkRecord(file_id, model, draw(flags))
+                for file_id in features for model in models]
+
+    return side(), side(), features
+
+
+@given(check_mark_record_sets())
+def test_the_three_report_writers_show_the_same_figures(record_sets) -> None:
+    vapu, baseline, features = record_sets
+    report = build_comparison_report(vapu, baseline, features)
+    data, rows, text = report.to_dict(), report.to_rows(), report.to_text()
+    # report.txt: a heading, the totals, then one block per table headed by its title.
+    blocks = [block.splitlines() for block in text.split("\n\n")[2:]]
+    lines = {block[0]: block[1:] for block in blocks}
+    assert list(lines) == ["Per model (pipeline vs baseline):",
+                           *(title for _, title, _ in BUCKET_SECTIONS)]
+    tsv: dict[str, list[tuple[str, ...]]] = {}
+    for section, *cells in rows[1:]:
+        tsv.setdefault(section, []).append(tuple(cells))
+    assert list(tsv) == ["totals", "models", *(section for section, _, _ in BUCKET_SECTIONS)]
+
+    mine = {m["model"]: m for m in data["models"]["vapu"]}
+    theirs = {m["model"]: m for m in data["models"]["baseline"]}
+    assert [model for model, *_ in tsv["models"]] == sorted({r.model for r in vapu}) == list(mine)
+    shown = []
+    for model, vapu_total, baseline_total, delta in tsv["models"]:
+        assert int(vapu_total) == mine[model]["total"]
+        if model not in theirs:
+            assert baseline_total == delta == ""
+            continue
+        assert int(baseline_total) == theirs[model]["total"]
+        assert int(delta) == mine[model]["total"] - theirs[model]["total"]
+        shown.append(f"  {model}: {vapu_total} vs {baseline_total} "
+                     f"({mine[model]['pass_rate']:.1f}% vs {theirs[model]['pass_rate']:.1f}%)")
+    assert lines["Per model (pipeline vs baseline):"] == shown
+
+    def buckets(file_id: str) -> tuple[str, ...]:  # read apart from the report's own tables
+        f = features[file_id]
+        return (("<100", "100-199", "200-299", ">=300")[min(f.loc // 100, 3)],
+                ("A-B", "C-D", "E-F")["ABCDEF".index(f.cc_letter.upper()) // 2],
+                str(f.task_count))
+
+    marks = [Counter(), Counter()]
+    for side, records in enumerate((vapu, baseline)):
+        for record in records:
+            for table, label in enumerate(buckets(record.file_id)):
+                marks[side][table, label] += sum(record.marks.flags())
+    for table, (section, title, key) in enumerate(BUCKET_SECTIONS):
+        entries = [(e["bucket"], e["vapu"], e["baseline"], e["delta"]) for e in data[key]]
+        assert tsv[section] == [tuple(map(str, entry)) for entry in entries]
+        assert lines[title] == [f"  {label}: {v} vs {b} ({d:+d})" for label, v, b, d in entries]
+        assert all(d == v - b for _, v, b, d in entries)
+        assert all((v, b) == (marks[0][table, label], marks[1][table, label])
+                   for label, v, b, _ in entries)
+        assert sum(v for _, v, _, _ in entries) == data["vapu"]["total"]
+        assert sum(b for _, _, b, _ in entries) == data["baseline"]["total"]
+    assert [e["bucket"] for e in data["task_counts"]] == [
+        str(n) for n in sorted({f.task_count for f in features.values()})]
 
 
 def test_count_loc_reexported_here() -> None:
