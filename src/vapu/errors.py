@@ -106,6 +106,10 @@ class UnknownPlaceholder(VapuError):
     """A placeholder or binding name is outside the documented set."""
 
 
+class EmptyPrompt(VapuError, ValueError):
+    """A rendered or sent prompt is blank; a ValueError too, as a blank argument is."""
+
+
 class EmptyResponse(VapuError):
     """Agent response was blank where content is required."""
 

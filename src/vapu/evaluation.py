@@ -608,14 +608,18 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
 
 
 def records_for_report(records: Sequence[dict]) -> tuple[list[CheckMarkRecord], dict[str, FileFeatures]]:
-    """Extract check-mark records and features from scored records."""
+    """Extract check-mark records and features from scored records.  A file whose records'
+    features put it in different report buckets raises ValueError naming it."""
     marks: list[CheckMarkRecord] = []
     features: dict[str, FileFeatures] = {}
     for record in records:
         if record.get("checkmarks") is None:
             continue
-        marks.append(CheckMarkRecord(record["file_id"], record["model"],
+        file_id = record["file_id"]
+        marks.append(CheckMarkRecord(file_id, record["model"],
                                      from_json(CheckMarks, record["checkmarks"])))
         if record.get("features"):
-            features[record["file_id"]] = from_json(FileFeatures, record["features"])
+            read = from_json(FileFeatures, record["features"])
+            if features.setdefault(file_id, read).buckets != read.buckets:
+                raise ValueError(f"file {file_id!r} falls in two report buckets by its features")
     return marks, features

@@ -22,6 +22,7 @@ from .errors import (
     BackendRefused,
     ConfigInvalid,
     ContextOverflow,
+    EmptyPrompt,
     FixtureMiss,
     GapInIndices,
     MalformedFixtureName,
@@ -94,47 +95,6 @@ def load_registry(path: Path | None = None) -> dict[str, ModelProfile]:
     return read_input(path, "model registry", parse)
 
 
-class _Parts:
-    """``<text>_parts``: the parts a text field joins from.
-
-    Setting it drops the text's plain attribute, which ``__init__`` set, and
-    keeps the parts, which join to the same text but share their pieces;
-    the text is then read through :class:`_Joined`.  A text without parts
-    reads as the one part ``[text]``.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.parts, self.text = name, name.removesuffix("_parts")
-
-    def __get__(self, instance: object, owner: type | None = None) -> list[str]:
-        if instance is None:
-            raise AttributeError(self.parts)
-        held = instance.__dict__
-        return [held[self.text]] if self.text in held else held[self.parts]
-
-    def __set__(self, instance: object, parts: list[str]) -> None:
-        held = instance.__dict__
-        held.pop(self.text, None)
-        held[self.parts] = parts
-
-
-class _Joined:
-    """A text field, joined from ``<field>_parts`` on a read once parts are attached.
-
-    A non-data descriptor: until then the plain attribute ``__init__`` set is
-    read, at a plain attribute's cost.  As a dataclass field's default it
-    leaves the field required, since it has no value on the class.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.parts = f"{name}_parts"
-
-    def __get__(self, instance: object, owner: type | None = None) -> str:
-        if instance is None:
-            raise AttributeError(self.parts)
-        return "".join(instance.__dict__[self.parts])
-
-
 @dataclass
 class ChatExchange:
     """One prompt/response pair with its timing and provenance.
@@ -156,16 +116,39 @@ class ChatExchange:
     """
 
     role: AgentRole
-    prompt: str = _Joined()
-    response: str = _Joined()
+    prompt: str
+    response: str
     duration: float
     started_at: float
     model: str
     temperature: float
     retries: int = 0
     flags: list[str] = field(default_factory=list)
-    prompt_parts = _Parts()  # not a field: no annotation
-    response_parts = _Parts()
+
+    def __getattr__(self, name: str) -> str:
+        """``prompt`` or ``response`` once parts replaced it: its parts, joined.  Called
+        only when the plain attribute ``__init__`` set is gone."""
+        if name not in ("prompt", "response"):
+            raise AttributeError(name)
+        return "".join(self.__dict__[f"_{name}_parts"])
+
+    @property
+    def prompt_parts(self) -> list[str]:
+        return [self.__dict__["prompt"]] if "prompt" in self.__dict__ else self._prompt_parts
+
+    @prompt_parts.setter
+    def prompt_parts(self, parts: list[str]) -> None:
+        self.__dict__.pop("prompt", None)
+        self._prompt_parts = parts
+
+    @property
+    def response_parts(self) -> list[str]:
+        return [self.__dict__["response"]] if "response" in self.__dict__ else self._response_parts
+
+    @response_parts.setter
+    def response_parts(self, parts: list[str]) -> None:
+        self.__dict__.pop("response", None)
+        self._response_parts = parts
 
 
 def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
@@ -222,7 +205,7 @@ class Gateway:
 
     def complete(self, role: AgentRole, prompt: str, params: GenerationParams) -> ChatExchange:
         if not prompt or prompt.isspace():
-            raise ValueError("prompt must be non-empty")
+            raise EmptyPrompt("prompt must be non-empty")
         if self.context_length is not None:
             estimated = math.ceil(len(prompt) / CHARS_PER_TOKEN)
             if estimated > self.context_length:

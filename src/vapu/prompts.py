@@ -18,6 +18,7 @@ from typing import Mapping
 
 from .errors import (
     ConfigInvalid,
+    EmptyPrompt,
     EmptyResponse,
     MissingBinding,
     UnknownPlaceholder,
@@ -79,7 +80,7 @@ class PromptText:
 
     def __post_init__(self) -> None:
         if not self.text or self.text.isspace():
-            raise ValueError("rendered prompt must be non-empty")
+            raise EmptyPrompt("rendered prompt must be non-empty")
 
 
 def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptText:

@@ -42,6 +42,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -483,23 +484,32 @@ def _project_files(top: str, exclude: str | None) -> list[str]:
     return files
 
 
+def _matches(parts: list[str], pattern: list[str]) -> bool:
+    """Whether path ``parts`` match ``pattern``'s part by part, by ``fnmatchcase``; a
+    ``"**"`` part matches any number of parts, none included."""
+    if not pattern:
+        return not parts
+    if pattern[0] == "**":
+        return any(_matches(parts[start:], pattern[1:]) for start in range(len(parts) + 1))
+    return bool(parts) and fnmatchcase(parts[0], pattern[0]) and _matches(parts[1:], pattern[1:])
+
+
 def load_codebase(root: Path, include_globs: Sequence[str] | None = None,
                   exclude: str | None = None) -> list[CodeDocument]:
-    """Read every file under root, or those ``include_globs`` match, as documents in path
-    order, but those under ``exclude``, a directory's POSIX path relative to root; a file
-    that is not UTF-8 is logged and read with U+FFFD for its bad bytes."""
+    """Read every file under root, or those an ``include_globs`` pattern :func:`_matches`, as
+    documents in path order, but those under ``exclude``, a directory's POSIX path relative
+    to root; a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes.  A
+    pattern that :func:`is_project_relative` refuses raises ConfigInvalid naming it."""
+    for pattern in include_globs or ():
+        if not is_project_relative(pattern):
+            raise ConfigInvalid(f"--include pattern {pattern!r} is not a path inside a project")
     root = Path(root)
     if not root.exists():
         raise NoFilesMatched(f"codebase root {root} does not exist")
-    if include_globs is None:
-        files = _project_files(os.fspath(root), exclude)
-    else:
-        # A glob result's parts begin with root's, so slicing them is relative_to without a parse.
-        start = len(root.parts)
-        files = {"/".join(path.parts[start:]) for pattern in include_globs
-                 for path in root.glob(pattern) if path.is_file()}
-        if exclude is not None:
-            files = [rel for rel in files if not rel.startswith(f"{exclude}/")]
+    files = _project_files(os.fspath(root), exclude)
+    if include_globs is not None:
+        split = [pattern.split("/") for pattern in include_globs]
+        files = [rel for rel in files if any(_matches(rel.split("/"), parts) for parts in split)]
     if not files:
         outside = "" if exclude is None else f" outside {exclude}"
         patterns = ["**/*"] if include_globs is None else list(include_globs)

@@ -357,6 +357,25 @@ def test_an_aborted_job_leaves_the_rest_of_its_batch_running(tmp_path, capsys, m
     assert error.startswith(f"error: run {runs[1]} aborted at task 2: ")
 
 
+def test_a_blank_rendered_prompt_aborts_its_run_and_the_batch_goes_on(tmp_path, capsys) -> None:
+    # With a zsl template that is only the file, an empty file renders a blank prompt.
+    templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
+    header = (templates / "zsl.txt").read_text(encoding="utf-8").splitlines()[0]
+    (templates / "zsl.txt").write_text(f"{header}\n{{{{code}}}}", encoding="utf-8")
+    project = demo_project(tmp_path / "legacy", "empty.php", "full.php")
+    (project / "empty.php").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    args = [*inside_project_zsl_args(project, out), "--templates", str(templates)]
+    assert main(args) == 9
+    runs = ["empty-zsl-gpt-4o-t0-r1", "full-zsl-gpt-4o-t0-r1"]
+    assert [load_transcript(out / f"{run}.jsonl").status for run in runs] == [
+        "aborted", "completed"]
+    printed = capsys.readouterr()
+    assert [line.split(":")[0] for line in printed.out.splitlines()] == [runs[1]]
+    assert printed.err == f"error: run {runs[0]} aborted at task 0: " \
+                          f"rendered prompt must be non-empty\n"
+
+
 def test_a_full_disk_still_ends_a_batch(tmp_path, capsys, full_disk) -> None:
     out = tmp_path / "runs"
     full_disk("reference_list-vapu-gpt-4o-t0-r1.jsonl")
@@ -443,7 +462,40 @@ def test_an_include_pattern_climbing_out_of_the_project_exits_2_before_any_run(
     demo_project(tmp_path, "outside.php")
     args = [*inside_project_zsl_args(project, tmp_path / "out"), "--include", "../*.php"]
     assert main(args) == 2
-    assert "'../outside.php' is not a path inside a project" in capsys.readouterr().err
+    assert "pattern '../*.php' is not a path inside a project" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def fileset_project(root: Path) -> Path:
+    """A file, a copy in a hidden directory, a symlink to the file and one to the directory."""
+    demo_project(root, "reference_list.php", ".hidden/copy.php")
+    (root / "linked.php").symlink_to("reference_list.php")
+    (root / "linked-dir").symlink_to(".hidden", target_is_directory=True)
+    return root
+
+
+FILESET_RUNS = [".hidden__copy-zsl-gpt-4o-t0-r1.jsonl", "linked-zsl-gpt-4o-t0-r1.jsonl",
+                "reference_list-zsl-gpt-4o-t0-r1.jsonl"]
+
+
+@pytest.mark.parametrize("patterns", [["**"], ["**/*.php"], ["**/*.php", "linked-dir/*.php"]])
+def test_include_patterns_run_the_default_file_set_on_every_python(tmp_path, patterns) -> None:
+    # Path.glob("**") finds only directories before 3.13, and Path.glob("linked-dir/*.php")
+    # reads .hidden/copy.php a second time through the link; the walk's filter does neither.
+    project = fileset_project(tmp_path / "fileset")
+    out = tmp_path / "out"
+    include = [arg for pattern in patterns for arg in ("--include", pattern)]
+    assert main([*inside_project_zsl_args(project, out), *include]) == 0
+    assert sorted(p.name for p in out.glob("*.jsonl")) == FILESET_RUNS
+
+
+@pytest.mark.parametrize("pattern", ["", "/abs/*.php", "./*.php", "a//b.php"])
+def test_an_include_pattern_in_no_project_path_spelling_exits_2_naming_it(tmp_path, capsys,
+                                                                         pattern) -> None:
+    project = fileset_project(tmp_path / "fileset")
+    args = [*inside_project_zsl_args(project, tmp_path / "out"), "--include", pattern]
+    assert main(args) == 2
+    assert f"pattern {pattern!r} is not a path inside a project" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1039,6 +1091,26 @@ def test_report_refuses_a_file_whose_features_put_it_in_other_buckets_on_one_sid
                  "--output-dir", str(tmp_path / "report")]) == 2
     err = capsys.readouterr().err
     assert "'file03'" in err and str(vapu_scored) in err and str(zsl_scored) in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_refuses_a_scored_file_whose_records_put_a_file_in_two_buckets(
+        tmp_path, capsys) -> None:
+    # file03 is 250 LOC in every record but the pipeline side's first, which holds 50.
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
+    for path in (vapu_scored, zsl_scored):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        file03 = [record for record in data["records"] if record["file_id"] == "file03"]
+        for record in file03:
+            record["features"]["loc"] = 250
+        if path == vapu_scored:
+            file03[0]["features"]["loc"] = 50
+        path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--compare", str(vapu_scored), str(zsl_scored),
+                 "--output-dir", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read scored file {vapu_scored}" in err and "'file03'" in err
     assert not (tmp_path / "report").exists()
 
 

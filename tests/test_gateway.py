@@ -14,11 +14,13 @@ from vapu.errors import (
     BackendRefused,
     ConfigInvalid,
     ContextOverflow,
+    EmptyPrompt,
     FixtureMiss,
     GapInIndices,
     MalformedFixtureName,
     TransientExhausted,
     UnknownModel,
+    VapuError,
 )
 from vapu.gateway import (
     ChatExchange,
@@ -291,6 +293,12 @@ def test_context_overflow_precheck() -> None:
 def test_blank_prompt_rejected() -> None:
     with pytest.raises(ValueError):
         ScriptedGateway(["x"]).complete(AgentRole.EXECUTOR, "  ", PARAMS)
+
+
+def test_a_blank_prompt_is_an_error_a_run_aborts_on() -> None:
+    with pytest.raises(EmptyPrompt, match="prompt must be non-empty") as excinfo:
+        ScriptedGateway(["x"]).complete(AgentRole.EXECUTOR, "", PARAMS)
+    assert isinstance(excinfo.value, VapuError)  # what _record_run turns into AbortedRun
 
 
 def test_exchange_from_transcript_record_without_optional_keys() -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import tracemalloc
 from pathlib import Path, PurePosixPath
 
@@ -264,16 +265,70 @@ def project_tree(root: Path) -> Path:
     return root
 
 
+def glob_files(root: Path, patterns: list[str], exclude: str | None = None) -> list[str]:
+    """The reference file set: what ``Path.glob`` finds for ``patterns`` and ``is_file``
+    keeps, as sorted "/"-joined paths under ``root``, but those under ``exclude``."""
+    found = {path.relative_to(root).as_posix()
+             for pattern in patterns for path in root.glob(pattern) if path.is_file()}
+    return sorted(rel for rel in found if exclude is None or not rel.startswith(f"{exclude}/"))
+
+
 @pytest.mark.parametrize("exclude", [None, "out"])
 def test_the_default_file_set_is_what_the_all_files_glob_finds(tmp_path, exclude) -> None:
     root = project_tree(tmp_path / "project")
     walked = load_codebase(root, exclude=exclude)
-    assert walked == load_codebase(root, ["**/*"], exclude=exclude)  # path, tag, content, order
+    assert [d.path for d in walked] == glob_files(root, ["**/*"], exclude)
     expected = [".git/config", ".hidden.php", "Makefile", "a.php", "link.php",
                 "out/old-run/a.php", "sub/deep/b.py", "sub/out/kept.php"]
     assert [d.path for d in walked] == [p for p in expected if exclude is None or p[:4] != "out/"]
     assert walked[3].content == "a\n" and walked[4].content == "b\n"
     assert [d.language_tag for d in walked][:5] == ["text", "php", "text", "php", "php"]
+
+
+def include_tree(root: Path) -> Path:
+    """``project_tree`` with files for each kind of --include pattern to pick: top-level,
+    one level down (also reachable through the symlinked directory ``linkdir``) and in a
+    hidden directory."""
+    project_tree(root)
+    for rel in ("b.php", "sub/c.php", "sub/deep/d.php", ".hidden/e.php", ".hidden/.f"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(rel, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("exclude", [None, "out"])
+@pytest.mark.parametrize("patterns", [
+    ["*.php"], ["sub/*.php"], ["**/*.php"], ["**/*"], ["?.php"], ["[ab].php"], [".hidden/*"],
+    ["sub/deep/b.py"], ["**/*.php", "sub/*.php"]])
+def test_include_patterns_pick_what_the_glob_finds(tmp_path, patterns, exclude) -> None:
+    root = include_tree(tmp_path / "project")
+    expected = glob_files(root, patterns, exclude)
+    assert expected  # each pattern picks some file
+    assert [d.path for d in load_codebase(root, patterns, exclude)] == expected
+
+
+def test_a_trailing_double_star_matches_files_on_every_python(tmp_path) -> None:
+    # Path.glob("**") finds only directories before Python 3.13, and files too from 3.13.
+    root = include_tree(tmp_path / "project")
+    assert [d.path for d in load_codebase(root, ["**"])] == glob_files(root, ["**/*"])
+    assert [d.path for d in load_codebase(root, ["sub/**"])] == [
+        "sub/c.php", "sub/deep/b.py", "sub/deep/d.php", "sub/out/kept.php"]
+
+
+def test_a_symlinked_directory_is_not_entered_even_when_a_pattern_names_it(tmp_path) -> None:
+    root = include_tree(tmp_path / "project")
+    assert glob_files(root, ["linkdir/*.php"]) == ["linkdir/c.php"]  # the glob reads through it
+    assert [d.path for d in load_codebase(root, ["linkdir/*.php", "*/c.php"])] == ["sub/c.php"]
+    with pytest.raises(NoFilesMatched, match=r"match \['linkdir/\*'\]"):
+        load_codebase(root, ["linkdir/*"])
+
+
+@pytest.mark.parametrize("pattern", ["", "/etc/*.conf", "../*.php", "./*.php", "a//b.php",
+                                     "sub/", "sub/./c.php", "sub/../a.php"])
+def test_an_include_pattern_in_no_project_path_spelling_is_refused(tmp_path, pattern) -> None:
+    root = include_tree(tmp_path / "project")
+    with pytest.raises(ConfigInvalid, match=f"pattern {re.escape(repr(pattern))} is not"):
+        load_codebase(root, ["a.php", pattern])
 
 
 def test_the_walk_does_not_list_the_excluded_output_directory(tmp_path, monkeypatch) -> None:
