@@ -47,13 +47,16 @@ output directory inside it that holds 20 earlier runs, and
 ``test_load_replay_fixtures`` reads 18 fixture files, four of them
 900-line coded replies.  Then ``test_rewrite_a_file`` rewrites a 10 KB and a
 220 KB file in place with ``write_file``, against writing a temporary
-file and moving it over the old one with ``os.replace``.  The last times
+file and moving it over the old one with ``os.replace``, and
+``test_create_a_file`` writes the same sizes to a path that does not exist
+yet, as a real run makes its files.  The last times
 a new interpreter importing ``vapu.cli``, the start-up cost every command
 pays, and checks that the HTTP stack stays unloaded.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -439,6 +442,22 @@ def test_rewrite_a_file(benchmark, tmp_path, writer, size) -> None:
     path = write_file(tmp_path / "items_index.php", b"")
     benchmark(writer, path, data)
     assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("size", [10_000, 220_000], ids=["10KB", "220KB"])
+def test_create_a_file(benchmark, tmp_path, size) -> None:
+    data = (CODE.encode("utf-8") * (size // len(CODE) + 1))[:size]
+    names = (tmp_path / f"items_index_{index}.php" for index in itertools.count())
+    made: list[Path] = []
+
+    def fresh_path():  # untimed: the last round's file goes, so the disk holds one
+        if made:
+            made.pop().unlink()
+        made.append(next(names))
+        return (made[0], data), {}
+
+    benchmark.pedantic(write_file, setup=fresh_path, rounds=500)
+    assert made[0].read_bytes() == data
 
 
 def test_cold_import(benchmark) -> None:

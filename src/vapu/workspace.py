@@ -54,6 +54,14 @@ logger = logging.getLogger(__name__)
 
 # Encodes as json.dumps(..., sort_keys=True) does, without making an encoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+# The C encoder that _ENCODER.encode builds on every call, built once, without the
+# circular-reference check: every record is a tree the codec builds.  None on a Python
+# without the C accelerator, where _encode_line falls back to _ENCODER.encode.
+_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
+# Most buffers one os.writev takes; sysconf gives -1 for no limit, and POSIX allows 16.
+_IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)
 
 TRANSCRIPT_FORMAT = "vapu-transcript-v4"
 # Formats whose lists hold literal text (strings) beside table indices.
@@ -180,30 +188,60 @@ def write_file(path: str | Path, data: str | bytes | list[bytes]) -> str | Path:
     making its directory if missing; returns ``path``.
 
     Text is encoded before the file is opened, so text that cannot be
-    encoded leaves no file behind.  Any OSError raises StorageFull.
+    encoded leaves no file behind.  The file is written with ``os.open`` and
+    ``os.writev`` (POSIX), its mode what ``open(path, "wb")`` gives.  Any
+    OSError raises StorageFull; a file that fails part-way is left as it is.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
     chunks = [data] if isinstance(data, bytes) else data
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
         try:
-            handle = open(path, "wb")
+            fd = os.open(path, flags, 0o666)
         except FileNotFoundError:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-            handle = open(path, "wb")
-        with handle:
-            handle.writelines(chunks)
+            fd = os.open(path, flags, 0o666)
+        try:
+            _write_all(fd, chunks)
+        finally:
+            os.close(fd)
     except OSError as exc:
         reason = "the device is full" if exc.errno == errno.ENOSPC else exc.strerror or exc
         raise StorageFull(f"cannot write {path}: {reason}") from exc
     return path
 
 
+def _write_all(fd: int, chunks: list[bytes]) -> None:
+    """Write every byte of ``chunks`` to ``fd`` in order, ``_IOV_MAX`` buffers per
+    ``os.writev`` at most; a short write is resumed where it stopped."""
+    start = 0
+    while start < len(chunks):
+        batch = chunks[start:start + _IOV_MAX]
+        written = os.writev(fd, batch)
+        for chunk in batch:
+            if written < len(chunk):
+                break
+            written -= len(chunk)
+            start += 1
+        if written:  # the write stopped inside chunks[start]: its rest goes first
+            chunks = [memoryview(chunks[start])[written:], *chunks[start + 1:]]
+            start = 0
+
+
+def _encode_line(record: object) -> bytes:
+    """``json.dumps(record, sort_keys=True)`` and a newline, as UTF-8: the newline is
+    joined with the encoder's own pieces, so a long line is copied once."""
+    if _ENCODE is None:
+        return (_ENCODER.encode(record) + "\n").encode("utf-8")
+    return "".join([*_ENCODE(record, 0), "\n"]).encode("utf-8")
+
+
 def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     """Write a transcript as checksummed JSON lines; returns the file path.
 
-    Each line is encoded once and hashed as it is made, and the lines are
-    written as they are, never joined into one body.
+    Each line is encoded once, with its newline, and hashed as it is made,
+    and the lines are written as they are, never joined into one body.
     """
     transcript.validate()
     path = join_path(directory, f"{transcript.run_id}.jsonl")
@@ -225,12 +263,10 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
     digest = hashlib.sha256()
     lines: list[bytes] = []
     for record in records:
-        line = _ENCODER.encode(record).encode("utf-8")
+        line = _encode_line(record)
         digest.update(line)
-        digest.update(b"\n")
-        lines += (line, b"\n")
-    trailer = _ENCODER.encode({"record": "checksum", "sha256": digest.hexdigest()})
-    lines += (trailer.encode("utf-8"), b"\n")
+        lines.append(line)
+    lines.append(_encode_line({"record": "checksum", "sha256": digest.hexdigest()}))
     return Path(write_file(path, lines))
 
 

@@ -831,15 +831,26 @@ def full_disk(monkeypatch):
     """Call with a file name: from then on, opening a file of that name to write fails
     with ENOSPC, however the program opens it."""
     real_open = io.open
+    real_os_open = os.open
 
     def fill(name: str) -> None:
-        def open_(file, mode="r", *args, **kwargs):
-            if "w" in mode and isinstance(file, (str, os.PathLike)) and Path(file).name == name:
+        def refuse(file) -> None:
+            if isinstance(file, (str, os.PathLike)) and Path(file).name == name:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
+
+        def open_(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                refuse(file)
             return real_open(file, mode, *args, **kwargs)
+
+        def os_open(file, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR):
+                refuse(file)
+            return real_os_open(file, flags, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", open_)
         monkeypatch.setattr(io, "open", open_)
+        monkeypatch.setattr(os, "open", os_open)
 
     return fill
 
@@ -885,6 +896,30 @@ def test_an_updated_file_that_cannot_be_written_leaves_its_run_aborted(
     assert "reference_list.php" in transcript.outcome["error"]
     assert "device is full" in transcript.outcome["error"]
     assert not (run / "reference_list.php").exists()
+
+
+# A child that may write no file past 4096 bytes; Python ignores SIGXFSZ, so the kernel
+# cuts the write at the limit, and the next write fails with EFBIG.
+FILE_SIZE_LIMIT = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+from vapu.cli import main
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+def test_a_file_size_limit_cuts_the_transcript_and_exits_15(tmp_path, monkeypatch) -> None:
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # no cache file meets the limit
+    out = tmp_path / "out"
+    child = fresh_python(FILE_SIZE_LIMIT, json.dumps(demo_update_args(DEMO / "legacy", out)))
+    assert child.returncode == 15, child.stderr
+    assert "reference_list-vapu-gpt-4o-t0-r1.jsonl" in child.stderr
+    updated = out / "reference_list-vapu-gpt-4o-t0-r1" / "reference_list.php"
+    whole = run_demo_update(tmp_path) / updated.relative_to(out)
+    assert len(whole.read_bytes()) == 469
+    assert updated.read_bytes() == whole.read_bytes()
+    # The partial transcript is left as the kernel cut it.
+    assert (out / "reference_list-vapu-gpt-4o-t0-r1.jsonl").stat().st_size == 4096
 
 
 def test_a_transcripts_duration_leaves_out_writing_the_updated_file(tmp_path,

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import stat
 import tracemalloc
 from pathlib import Path, PurePosixPath
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import one_gateway, records_of, write_records
 import vapu.pipeline
+import vapu.workspace
 from vapu.cli import demo_root, main
 from vapu.errors import ConfigInvalid, CorruptTranscript, NoFilesMatched
 from vapu.gateway import ChatExchange, Gateway, ReplayGateway, load_replay_fixtures
@@ -442,6 +444,66 @@ def test_write_file_encodes_before_it_opens(tmp_path) -> None:
     with pytest.raises(UnicodeEncodeError):
         write_file(target, "x = '\ud800'")
     assert not target.exists()
+
+
+def test_write_file_writes_more_chunks_than_one_writev_takes(tmp_path) -> None:
+    chunks = [f"line {index}: {'x' * (index % 37)}\n".encode() for index in range(3000)]
+    assert len(chunks) > os.sysconf("SC_IOV_MAX")
+    target = tmp_path / "many.jsonl"
+    write_file(target, chunks)
+    assert target.read_bytes() == b"".join(chunks)
+
+
+def test_write_file_resumes_each_short_write(tmp_path, monkeypatch) -> None:
+    real_writev = os.writev
+    sizes = []
+
+    def short_writev(fd, buffers):  # takes at most 5 bytes, as a file-size limit may
+        sizes.append(len(buffers))
+        return real_writev(fd, [b"".join(bytes(b) for b in buffers)[:5]])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    chunks = [b"", b"abc", b"defghijkl", b"", b"m", b"nopqrstuvwxyz"] * 400
+    target = tmp_path / "short.jsonl"
+    write_file(target, chunks)
+    assert target.read_bytes() == b"".join(chunks)
+    assert max(sizes) <= os.sysconf("SC_IOV_MAX")
+
+
+def test_write_file_gives_a_file_the_mode_open_gives(tmp_path) -> None:
+    previous = os.umask(0o027)
+    try:
+        write_file(tmp_path / "written.php", "<?php")
+        with open(tmp_path / "opened.php", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "written.php").stat().st_mode)
+    assert mode == 0o666 & ~0o027 == stat.S_IMODE((tmp_path / "opened.php").stat().st_mode)
+
+
+json_text = st.text(st.characters() | st.characters(categories=["Cs"]))  # lone surrogates too
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example(["é\x00\x1f\ud800", float("nan"), float("inf"), -float("inf"), 2**70, {"b": 1, "a": True}])
+def test_a_transcript_line_is_what_json_dumps_writes(value) -> None:
+    expected = (json.dumps(value, sort_keys=True) + "\n").encode("utf-8")
+    assert vapu.workspace._encode_line(value) == expected
+
+
+def test_a_transcript_line_without_the_c_encoder_is_the_same(monkeypatch) -> None:
+    value = {"z": ["é\ud800", float("nan"), 1.5, None], "a": {"y": False, "b": 10**20}}
+    expected = vapu.workspace._encode_line(value)
+    monkeypatch.setattr(vapu.workspace, "_ENCODE", None)
+    assert vapu.workspace._encode_line(value) == expected
+    assert expected == (json.dumps(value, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_unordered_exchanges_rejected(tmp_path) -> None:
