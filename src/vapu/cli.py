@@ -8,10 +8,12 @@ run that failed once it had started (9) or a replay mismatch (19).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import json
 import logging
+import os
 import sys
 import tempfile
 from importlib import resources
@@ -51,12 +53,17 @@ def _outputs_under(project: Path, output_dir: Path) -> str | None:
     """The output directory's POSIX path under ``project``, whose files are earlier runs'
     outputs, not sources; None when it lies elsewhere.  Both paths are resolved once, so
     ".." parts and symlinks count.  An output directory that is the project root itself
-    raises ConfigInvalid: every source file would sit among the outputs."""
+    raises ConfigInvalid: every source file would sit among the outputs.  One that is,
+    or lies under, a file raises StorageFull: no output could be written."""
     resolved, output = project.resolve(), output_dir.resolve()
     if output == resolved:
         raise err.ConfigInvalid(f"--output-dir {output_dir} is the project root ({project}), "
                                 f"so its outputs would be read as sources; name a directory "
                                 f"for them")
+    existing = next(path for path in (output, *output.parents) if os.path.exists(path))
+    if not os.path.isdir(existing):
+        raise err.StorageFull(f"cannot write under --output-dir {output_dir}: "
+                              f"{os.strerror(errno.ENOTDIR)}: {existing}")
     return output.relative_to(resolved).as_posix() if output.is_relative_to(resolved) else None
 
 
@@ -74,8 +81,6 @@ def cmd_run(args) -> int:
     project = Path(args.project)
     outputs = _outputs_under(project, config.output_dir)
     context = RunContext.from_config(config)  # every run of the batch shares what it read
-    if config.fixtures_dir is not None and config.backend is not Backend.REPLAY:
-        raise err.ConfigInvalid("--fixtures needs --backend replay (the default backend is live)")
     run = run_update if config.method is Method.VAPU else run_baseline
     documents = load_codebase(project, args.include, exclude=outputs)
     jobs = [(doc, rep, make_run_id(doc.path, config.method, config.model,

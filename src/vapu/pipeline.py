@@ -161,13 +161,15 @@ class RunContext:
     def from_config(cls, config: RunConfig) -> RunContext:
         """Validate ``config``, then read its templates, backend and example once each.
 
-        Only here does the replay backend need its fixtures directory: a
-        transcript replays from the replies it recorded.  Live credentials are checked
-        here, once, so a missing key stops the command before its first run.
+        Only here, before anything is read, must a replay backend have fixtures and fixtures
+        a replay backend: a transcript replays from the replies it recorded.  Live credentials
+        are checked here, once, so a missing key stops the command before its first run.
         """
         config.validate()
         if config.backend is Backend.REPLAY and config.fixtures_dir is None:
             raise ConfigInvalid("replay backend requires a fixtures directory")
+        if config.backend is not Backend.REPLAY and config.fixtures_dir is not None:
+            raise ConfigInvalid("--fixtures needs --backend replay (the default backend is live)")
         templates = load_templates(config.templates_dir)
         example = load_example(config.example_path) if config.method is Method.OSL else None
         if config.backend is Backend.REPLAY:

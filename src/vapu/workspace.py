@@ -25,7 +25,8 @@ document's line count, the outcome's copy of the run id, and an
 exchange's ``flags`` and ``retries`` while they hold their defaults.
 Format v3 files (template literals and reply wrappers as strings in the
 lists), v2 files (only prompts as lists) and v1 files (all strings)
-still load.
+still load, each list as one part per piece, as a v4 list loads.  The
+reader takes each line once, in order, and keeps no line it has read.
 
 Each distinct text is held once in memory too: an exchange holds its
 prompt and reply as the parts it is stored as, a loaded one over one
@@ -332,23 +333,16 @@ def _text(reference: object, table: list[str], path: Path, where: str) -> str:
 def _parts(stored: object, table: list[str], path: Path, where: str,
            literals: bool) -> list[str]:
     """The parts a stored prompt or reply stands for: a string is one part, and a list
-    the texts it references.  A v2 or v3 list (``literals``) also holds literal text,
-    merged into the parts between its texts, empty literals restored.  A v4 list of one
-    reference gets an empty part after it, so it is written back as a list."""
+    one part per piece, a reference the table text it names and a string piece, which
+    only a v2 or v3 list (``literals``) may hold, itself.  A list of one reference gets
+    an empty part after it, so it is written back as a list."""
     if isinstance(stored, str):
         return [stored]
     if not isinstance(stored, list):
         raise CorruptTranscript(f"{path}: exchange {where} must be text or a list of pieces")
-    if not literals:
-        parts = [_text(piece, table, path, where) for piece in stored]
-        return parts if len(parts) != 1 else [*parts, ""]
-    parts = [""]
-    for piece in stored:
-        if isinstance(piece, str):
-            parts[-1] += piece
-        else:
-            parts += (_text(piece, table, path, where), "")
-    return parts
+    parts = [piece if literals and isinstance(piece, str) else _text(piece, table, path, where)
+             for piece in stored]
+    return [*parts, ""] if len(stored) == 1 and not isinstance(stored[0], str) else parts
 
 
 def _exchange_from_record(record: dict, table: list[str], path: Path,
@@ -392,47 +386,48 @@ def load_transcript(path: Path) -> RunTranscript:
 
 
 def _transcript_from_lines(lines: Iterable[bytes], path: Path) -> RunTranscript:
-    """The transcript whose lines ``lines`` yields, each hashed and parsed as it is read.
-
-    A record is built into its exchange as soon as two records follow it,
-    so no more than the kept texts and about one line are held at once;
-    the checksum is checked once the trailer is read.
+    """The transcript whose lines ``lines`` yields, each parsed, checked and hashed as
+    it is read: the header first, then exchanges, one outcome and the checksum record
+    last, which is checked against the hash of every line before it.  Only the kept
+    texts and one line are held at once.
     """
-    body = hashlib.sha256()  # each line is hashed when the next arrives: all but the last
-    last = b""
+    body = hashlib.sha256()
     header: dict | None = None
+    outcome: dict | None = None
+    trailer: dict | None = None
     table: list[str] = []
     exchanges: list[ChatExchange] = []
-    window: list[dict] = []  # the last two records read: at the end, outcome and trailer
     for line in lines:
-        body.update(last)
-        last = line
-        window.append(json.loads(line.decode("utf-8")))
-        if len(window) < 3:
-            continue
-        record = window.pop(0)
+        if trailer is not None:
+            raise CorruptTranscript(f"{path}: a record follows the checksum record")
+        record = json.loads(line.decode("utf-8"))
+        kind = record.get("record")
         if header is None:
-            header = record
-            if header.get("record") != "header" or header.get("format") not in READABLE_FORMATS:
+            if kind != "header" or record.get("format") not in READABLE_FORMATS:
                 raise CorruptTranscript(f"{path}: bad header record")
+            header = record
             inputs = header.setdefault("inputs", {})  # absent from partial headers
             if not isinstance(inputs, dict):
                 raise CorruptTranscript(f"{path}: header inputs is not an object")
             table = _input_texts(inputs)
             literals = header["format"] in LITERAL_FORMATS
-        elif record.get("record") != "exchange":
-            raise CorruptTranscript(f"{path}: unexpected record type {record.get('record')!r}")
-        else:
+        elif kind == "exchange" and outcome is None:
             exchanges.append(_exchange_from_record(record, table, path, literals))
-    if header is None:
-        raise CorruptTranscript(f"{path}: too short to be a transcript")
-    outcome, trailer = window
-    if trailer.get("record") != "checksum":
+        elif kind == "outcome" and outcome is None:
+            if not isinstance(record.get("outcome"), dict):
+                raise CorruptTranscript(f"{path}: bad outcome record")
+            outcome = record
+        elif kind == "checksum" and outcome is not None:
+            trailer = record
+            continue
+        else:
+            where = "before" if outcome is None else "after"
+            raise CorruptTranscript(f"{path}: unexpected {kind!r} record {where} the outcome")
+        body.update(line)
+    if trailer is None:
         raise CorruptTranscript(f"{path}: missing checksum record (truncated?)")
     if body.hexdigest() != trailer.get("sha256"):
         raise CorruptTranscript(f"{path}: checksum mismatch")
-    if outcome.get("record") != "outcome" or not isinstance(outcome.get("outcome"), dict):
-        raise CorruptTranscript(f"{path}: bad outcome record")
     return RunTranscript(
         run_id=header["run_id"],
         config=header["config"],

@@ -771,8 +771,7 @@ def test_update_baseline_and_replay_start_without_the_scoring_stack(tmp_path) ->
 
 
 def test_live_backend_without_requests_exits_2_before_any_run(tmp_path) -> None:
-    args = demo_update_args(DEMO / "legacy", tmp_path / "out")
-    args[args.index("replay")] = "live"
+    args = live_update_args(tmp_path / "out", "gpt-4o")
     child = fresh_python('import sys; sys.modules["requests"] = None\n'
                          'from vapu.cli import main; sys.exit(main(sys.argv[1:]))', *args)
     assert child.returncode == 2, child.stderr
@@ -807,13 +806,17 @@ def test_live_run_without_credentials_exits_2_before_any_run(tmp_path, capsys, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("backend", [None, "live"])
+@pytest.mark.parametrize("backend, key", [(None, "dummy"), ("live", "dummy"), (None, None)],
+                         ids=["None", "live", "None-no-key"])
 def test_fixtures_without_the_replay_backend_exit_2_before_any_call(
-        tmp_path, capsys, monkeypatch, backend) -> None:
+        tmp_path, capsys, monkeypatch, backend, key) -> None:
     def no_live_gateway(*args, **kwargs):
         raise AssertionError("a live gateway was built")
 
-    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "dummy")
+    if key is None:  # the refusal names --backend replay, not the missing key
+        monkeypatch.delenv("VAPU_API_KEY_OPENAI", raising=False)
+    else:
+        monkeypatch.setenv("VAPU_API_KEY_OPENAI", key)
     monkeypatch.setattr(vapu.pipeline, "LiveGateway", no_live_gateway)
     out = tmp_path / "out"
     args = demo_update_args(DEMO / "legacy", out)
@@ -1451,8 +1454,7 @@ def test_unreadable_run_input_is_a_config_error_naming_it(tmp_path, capsys, flag
         bad.write_bytes(b"Update the view \xff to the current version.\n")
         args[args.index(str(DEMO / "requirements.txt"))] = str(bad)
     elif flag == "--registry":  # missing; only a live backend reads it, before any call
-        args[args.index("replay")] = "live"
-        args += ["--registry", str(bad)]
+        args = [*live_update_args(out, "gpt-4o"), "--registry", str(bad)]
     elif flag.startswith("--templates"):  # an undocumented or unbound placeholder, or not UTF-8
         templates = shutil.copytree(DEMO.parent / "templates", tmp_path / "templates")
         name, tail = {"--templates placeholder": ("verifier.txt", b"x {{bogus}}\n"),
@@ -1574,6 +1576,26 @@ def test_an_output_that_cannot_be_written_exits_15_naming_it(tmp_path, capsys,
     assert main(args) == 15
     err = capsys.readouterr().err
     assert str(afile) in err and os.strerror(errno.ENOTDIR) in err
+
+
+@pytest.mark.parametrize("under", ["", "out", "out/deeper"], ids=["file", "under", "deeper"])
+def test_an_output_dir_at_or_under_a_file_exits_15_before_any_call(tmp_path, capsys,
+                                                                   monkeypatch, under) -> None:
+    calls = []
+
+    def no_call(self, role, prompt, params):
+        calls.append(role)
+        raise AssertionError("a model call was made")
+
+    monkeypatch.setattr(ReplayGateway, "_send", no_call)
+    afile = tmp_path / "afile"  # a regular file where a directory belongs
+    afile.write_bytes(b"kept")
+    capsys.readouterr()
+    assert main(demo_update_args(DEMO / "legacy", afile / under if under else afile)) == 15
+    err = capsys.readouterr().err
+    assert str(afile) in err and os.strerror(errno.ENOTDIR) in err
+    assert calls == []
+    assert afile.read_bytes() == b"kept"
 
 
 def test_every_exit_code_is_in_the_readme_table() -> None:

@@ -10,12 +10,14 @@ test ids they had before the others joined them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from conftest import records_of, write_records
 from vapu.cli import demo_root, main
 from vapu.gateway import ChatExchange
 from vapu.models import AgentRole, from_json, to_json
@@ -158,6 +160,48 @@ def test_a_fresh_run_writes_the_pinned_v4_records(tmp_path, monkeypatch, name) -
 @pytest.mark.parametrize("path, method", pinned(("v4",)))
 def test_a_loaded_v4_transcript_persists_byte_identically(tmp_path, path, method) -> None:
     assert persist_transcript(load_transcript(path), tmp_path).read_bytes() == path.read_bytes()
+
+
+# A v3 list of one piece: the zsl prompt stored as one literal, or as one reference
+# (to text 0, the input file).
+LONE_PIECES = {"lone-literal": "Update the view.", "lone-reference": 0}
+# The sha256 of persist_transcript(load_transcript(f)) for each pinned v1-v3 file and
+# each lone-piece v3 file, so a change to how old lists load cannot change what is
+# written back.
+REWRITTEN = {
+    "v1/" + VAPU_NAME: "da62d627fe0efb5f31675ba965de630e98256b8e5ee83fc705cd72a8e4222dee",
+    "v1/" + ZSL_NAME: "4409861e7be862a5dff240d577df95c4e5304b50f17461e9364bfdce7988fea0",
+    "v2/" + VAPU_NAME: "8db742b1427d326feb2f66988a4581284b445fea257861dcd071364f686e1891",
+    "v2/" + ZSL_NAME: "f0996d4f3ad009758cd4909454fbe0eb2f2daa22a15fadc220033fe28a680044",
+    "v3/" + OSL_NAME: "23ace28a6c9c271afbb9ed445027dffcf470d1cd972fc6a420a4f5f926d3c429",
+    "v3/" + VAPU_NAME: "bfc91689902cf6518e5b2028414ee44254d3cb62fbebfc0815e5136cfc5f80b0",
+    "v3/" + ZSL_NAME: "22e8915cc9c3c47f4246c1d58c3502e98e16ae7217db34cc56d841e10b00a04a",
+    "lone-literal": "ff33a7db829505158e8f39be5f913e54753591534b1f5b3fd9ccdc98a698c73b",
+    "lone-reference": "15054b877f4b3725cd4c6751d30ea10844bf88dcb3892626ecabe7ec189d52de",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITTEN))
+def test_an_old_transcript_persists_again_to_the_pinned_bytes(tmp_path, name) -> None:
+    path = DATA / name
+    if name in LONE_PIECES:
+        records = records_of(DATA / "v3" / ZSL_NAME)
+        records[1]["prompt"] = [LONE_PIECES[name]]
+        path = tmp_path / ZSL_NAME
+        write_records(path, records)
+    again = persist_transcript(load_transcript(path), tmp_path / "again").read_bytes()
+    assert hashlib.sha256(again).hexdigest() == REWRITTEN[name]
+
+
+@pytest.mark.parametrize("name", [VAPU_NAME, ZSL_NAME, OSL_NAME])
+def test_v3_loads_into_the_parts_of_v4_and_v2_into_its_prompt_parts(name) -> None:
+    v4 = load_transcript(DATA / "v4" / name).exchanges
+    v3 = load_transcript(DATA / "v3" / name).exchanges
+    assert [(e.prompt_parts, e.response_parts) for e in v3] == \
+        [(e.prompt_parts, e.response_parts) for e in v4]
+    if name != OSL_NAME:  # v2 has no one-shot run, and stores replies in full
+        v2 = load_transcript(DATA / "v2" / name).exchanges
+        assert [e.prompt_parts for e in v2] == [e.prompt_parts for e in v4]
 
 
 @pytest.mark.parametrize("path, method", pinned(("v4",)))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -419,6 +420,43 @@ def test_garbage_file_detected(tmp_path) -> None:
     path.write_text("not json\nat all\nreally\n", encoding="utf-8")
     with pytest.raises(CorruptTranscript):
         load_transcript(path)
+
+
+def checksummed(lines: list[bytes]) -> list[bytes]:
+    """``lines`` and a checksum record that holds for them, as persist_transcript ends."""
+    trailer = {"record": "checksum", "sha256": hashlib.sha256(b"".join(lines)).hexdigest()}
+    return [*lines, (json.dumps(trailer, sort_keys=True) + "\n").encode("utf-8")]
+
+
+# Each takes a sample transcript's lines (header, two exchanges, outcome, checksum) and
+# makes them out of order; a checksum that holds leaves the order as the only fault.
+@pytest.mark.parametrize("reorder", [
+    lambda h, e1, e2, o, c: [h],
+    lambda h, e1, e2, o, c: checksummed([h]),
+    lambda h, e1, e2, o, c: [h, e1, e2, o, c, e1],
+    lambda h, e1, e2, o, c: checksummed([h, e1, o, e2]),
+    lambda h, e1, e2, o, c: checksummed([h, e1, e2, o, o]),
+    lambda h, e1, e2, o, c: checksummed([h, e1, e2, o])[-1:] + [h, e1, e2, o],
+    lambda h, e1, e2, o, c: [h, e1, e2, o, c[:len(c) // 2]],
+], ids=["header-only", "no-outcome", "record-after-checksum", "exchange-after-outcome",
+        "two-outcomes", "checksum-first", "torn-last-line"])
+def test_records_out_of_order_are_corrupt(tmp_path, reorder) -> None:
+    path = persist_transcript(sample_transcript(), tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 5
+    path.write_bytes(b"".join(reorder(*lines)))
+    with pytest.raises(CorruptTranscript, match=re.escape(str(path))):
+        load_transcript(path)
+
+
+def test_no_cut_transcript_loads(tmp_path) -> None:
+    """Every prefix of a transcript short of its final newline is refused."""
+    data = persist_transcript(sample_transcript(), tmp_path).read_bytes()
+    path = tmp_path / "cut.jsonl"
+    for end in range(len(data) - 1):
+        path.write_bytes(data[:end])
+        with pytest.raises(CorruptTranscript, match=re.escape(str(path))):
+            load_transcript(path)
 
 
 def test_write_file_makes_a_missing_directory_only(tmp_path, monkeypatch) -> None:
