@@ -18,8 +18,10 @@ template literal on every line, and Markdown prose with inline code on
 every line before a short fenced block.  The prompt benches render the
 executor, verifier and baseline templates around that file, and the
 verdict bench parses a rejection with eight change bullets.
-Two benches time ``models.to_json``, the writer of a transcript's
-records, on one rendered exchange and on a run config.
+Two benches time ``models.to_json``, the writer of a transcript's header
+and outcome, on one rendered exchange and on a run config, and one times
+``workspace._exchange_record``, the writer of the exchange records, on
+that exchange.
 
 Three benches run whole layers on the bundled demo instead: one
 ``run_update`` through a replay gateway (planning, two tasks, the
@@ -68,6 +70,7 @@ from pathlib import Path
 import pytest
 
 import vapu.cli
+import vapu.workspace
 from vapu.cli import demo_root, main
 from vapu.evaluation import (
     build_comparison_report,
@@ -226,25 +229,25 @@ def test_build_baseline_prompt(benchmark, example) -> None:
 
 
 def test_persist_transcript(benchmark, transcript, tmp_path) -> None:
-    path = benchmark(persist_transcript, transcript, tmp_path)
+    path = Path(benchmark(persist_transcript, transcript, tmp_path))
     assert path.stat().st_size > 10 * 2 * len(CODE)
 
 
 def test_persist_rendered_transcript(benchmark, rendered_transcript, tmp_path) -> None:
-    path = benchmark(persist_transcript, rendered_transcript, tmp_path)
+    path = Path(benchmark(persist_transcript, rendered_transcript, tmp_path))
     # Ten replies fence the file; the header, the outcome and the one changed
     # binding (code_after) add a copy each, however many prompts embed them.
     assert path.stat().st_size < (10 + 4) * len(CODE)
 
 
 def test_load_rendered_transcript(benchmark, rendered_transcript, tmp_path) -> None:
-    path = persist_transcript(rendered_transcript, tmp_path)
+    path = Path(persist_transcript(rendered_transcript, tmp_path))
     loaded = benchmark(load_transcript, path)
     assert loaded == rendered_transcript
 
 
 def test_persist_referenced_transcript(benchmark, referenced_transcript, tmp_path) -> None:
-    path = benchmark(persist_transcript, referenced_transcript, tmp_path)
+    path = Path(benchmark(persist_transcript, referenced_transcript, tmp_path))
     # One copy each: the header's input, code_after, the seven other
     # replies, and the code the three code replies share.  The rest is
     # JSON escaping and the prompts' template text.
@@ -252,7 +255,7 @@ def test_persist_referenced_transcript(benchmark, referenced_transcript, tmp_pat
 
 
 def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) -> None:
-    path = persist_transcript(referenced_transcript, tmp_path)
+    path = Path(persist_transcript(referenced_transcript, tmp_path))
     loaded = benchmark(load_transcript, path)
     assert loaded == referenced_transcript
     assert loaded.exchanges[3].response_parts == referenced_transcript.exchanges[3].response_parts
@@ -262,6 +265,12 @@ def test_to_json_exchange(benchmark, rendered_transcript) -> None:
     exchange = rendered_transcript.exchanges[4]  # a verifier call rendered from its template
     record = benchmark(to_json, exchange)
     assert record["role"] == "verifier" and "parts" not in record
+
+
+def test_exchange_record(benchmark, rendered_transcript) -> None:
+    exchange = rendered_transcript.exchanges[4]  # the exchange test_to_json_exchange writes
+    record = benchmark(vapu.workspace._exchange_record, exchange, {})
+    assert record["role"] == "verifier" and isinstance(record["prompt"], list)
 
 
 def test_to_json_config(benchmark, tmp_path) -> None:

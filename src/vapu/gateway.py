@@ -185,15 +185,21 @@ def load_replay_fixtures(directory: Path) -> dict[tuple[str, int], str]:
 
 
 class TransientBackendError(Exception):
-    """Internal marker for endpoint failures worth retrying."""
+    """Internal marker for endpoint failures worth retrying; ``retry_after`` is the wait
+    in seconds the endpoint asked for before the next attempt, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class Gateway:
     """Base backend: shared pre-checks, retry loop and exchange assembly.
 
     Subclasses implement ``_send``; transient failures raised as
-    :class:`TransientBackendError` are retried with exponential backoff
-    up to ``params.max_retries`` times.
+    :class:`TransientBackendError` are retried up to ``params.max_retries``
+    times, after the wait the failure carries or, with none, exponential
+    backoff.
     """
 
     # Doubling delay per attempt; test doubles set 0 to skip sleeping.
@@ -226,7 +232,8 @@ class Gateway:
                     raise TransientExhausted(
                         f"{self.model_id}: gave up after {attempts} attempts: {exc}"
                     ) from exc
-                time.sleep(self.backoff_base * 2 ** (attempts - 1))
+                wait = exc.retry_after
+                time.sleep(self.backoff_base * 2 ** (attempts - 1) if wait is None else wait)
         return ChatExchange(
             role=role,
             prompt=prompt,
@@ -271,6 +278,33 @@ class ReplayGateway(Gateway):
 DEFAULT_API_BASES = {"OPENAI": "https://api.openai.com/v1"}  # VAPU_API_BASE_<PROVIDER> if unset
 
 RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
+# The statuses whose Retry-After header sets the wait before the next attempt.
+RETRY_AFTER_STATUS = {429, 503}
+# The longest Retry-After wait honoured, in seconds; a longer one is cut to this.
+RETRY_AFTER_CAP = 60.0
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """The wait a ``Retry-After`` header value asks for (RFC 9110 §10.2.3), at most
+    ``RETRY_AFTER_CAP``: a count of seconds, or an HTTP date (a past one waits 0).
+    None for no value or one that is neither."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+    else:
+        import email.utils  # live path only: offline commands never load it
+        from datetime import timezone
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # the asctime form, or -0000: both UTC
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max(0.0, when.timestamp() - time.time())
+    return min(seconds, RETRY_AFTER_CAP)
 
 
 def provider_credentials(profile: ModelProfile) -> tuple[str, str]:
@@ -321,7 +355,9 @@ class LiveGateway(Gateway):
         except requests.RequestException as exc:
             raise TransientBackendError(str(exc)) from exc
         if response.status_code in RETRYABLE_STATUS:
-            raise TransientBackendError(f"HTTP {response.status_code}")
+            wait = (_retry_after_seconds(response.headers.get("Retry-After"))
+                    if response.status_code in RETRY_AFTER_STATUS else None)
+            raise TransientBackendError(f"HTTP {response.status_code}", retry_after=wait)
         if response.status_code != 200:
             raise BackendRefused(f"HTTP {response.status_code}: {response.text[:200]}")
         try:

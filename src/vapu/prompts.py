@@ -45,19 +45,26 @@ _LIST_ITEM_RE = re.compile(r"^\s*(?:\d+[.)]\s*|[-*]\s+)(.*\S)\s*$")
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A template body with ``{{placeholder}}`` slots from the documented set."""
+    """A template body with ``{{placeholder}}`` slots from the documented set.
+
+    The body is split once, when the template is built, into ``pieces`` and
+    the sorted placeholder ``names``, so rendering neither splits nor sorts.
+    """
 
     template_id: str
     role: AgentRole
     body: str
     # The body split once: literal text at the even indices, placeholder names at the odd.
     pieces: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # Each placeholder name once, sorted: the order render_template checks bindings in.
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.body.strip():
             raise ValueError(f"template {self.template_id!r} has an empty body")
         object.__setattr__(self, "pieces", tuple(_PLACEHOLDER_RE.split(self.body)))
-        unknown = self.placeholders() - PLACEHOLDERS
+        object.__setattr__(self, "names", tuple(sorted(self.placeholders())))
+        unknown = set(self.names) - PLACEHOLDERS
         if unknown:
             raise UnknownPlaceholder(
                 f"template {self.template_id!r} uses undocumented placeholders: {sorted(unknown)}"
@@ -92,8 +99,7 @@ def render_template(tpl: PromptTemplate, bindings: Mapping[str, str]) -> PromptT
     for name in bindings:
         if name not in PLACEHOLDERS:
             raise UnknownPlaceholder(f"binding {name!r} is not a documented placeholder")
-    needed = tpl.placeholders()
-    for name in sorted(needed):
+    for name in tpl.names:
         if name not in bindings:
             raise MissingBinding(f"template {tpl.template_id!r} needs a binding for {name!r}")
     parts = list(tpl.pieces)

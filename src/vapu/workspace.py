@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument, RequirementSpec, from_json, join_path, to_json
+from .models import CodeDocument, RequirementSpec, from_json, join_path
 
 logger = logging.getLogger(__name__)
 
@@ -238,8 +238,8 @@ def _encode_line(record: object) -> bytes:
     return "".join([*_ENCODE(record, 0), "\n"]).encode("utf-8")
 
 
-def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
-    """Write a transcript as checksummed JSON lines; returns the file path.
+def persist_transcript(transcript: RunTranscript, directory: str | Path) -> str:
+    """Write a transcript as checksummed JSON lines; returns the path written, a ``str``.
 
     Each line is encoded once, with its newline, and hashed as it is made,
     and the lines are written as they are, never joined into one body.
@@ -268,7 +268,7 @@ def persist_transcript(transcript: RunTranscript, directory: Path) -> Path:
         digest.update(line)
         lines.append(line)
     lines.append(_encode_line({"record": "checksum", "sha256": digest.hexdigest()}))
-    return Path(write_file(path, lines))
+    return write_file(path, lines)
 
 
 def _input_texts(inputs: dict) -> list[str]:
@@ -279,14 +279,18 @@ def _input_texts(inputs: dict) -> list[str]:
 
 
 def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
-    """An exchange's record, written from its parts without joining them: a prompt or
-    reply of one part is that string, and one of several parts the references of its
-    non-empty parts into ``table``.  ``flags`` and ``retries`` are left out while they
-    hold their defaults, which ``from_json`` restores."""
-    record = {"record": "exchange", **to_json(exchange, omit=("prompt", "response"))}
-    for key in ("flags", "retries"):
-        if not record[key]:
-            del record[key]
+    """The pinned v4 exchange record, written from the exchange's fields rather than
+    through ``to_json`` (as ``ComparisonReport.to_dict`` writes the pinned report): a
+    prompt or reply of one part is that string, and one of several parts the references
+    of its non-empty parts into ``table``.  ``flags`` and ``retries`` are left out while
+    they hold their defaults, which ``from_json`` restores."""
+    record = {"record": "exchange", "role": exchange.role._value_,
+              "duration": exchange.duration, "started_at": exchange.started_at,
+              "model": exchange.model, "temperature": exchange.temperature}
+    if exchange.flags:
+        record["flags"] = exchange.flags
+    if exchange.retries:
+        record["retries"] = exchange.retries
     texts: list[str] = []
     for key, parts in (("prompt", exchange.prompt_parts),
                        ("response", exchange.response_parts)):

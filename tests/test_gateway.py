@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import email.utils
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from vapu.gateway import (
     ChatExchange,
     Gateway,
     GenerationParams,
+    RETRY_AFTER_CAP,
     LiveGateway,
     ReplayGateway,
     SizeClass,
@@ -312,9 +315,10 @@ def test_exchange_from_transcript_record_without_optional_keys() -> None:
 # --- live gateway against a scripted endpoint ---
 
 class FakeResponse:
-    def __init__(self, payload, status_code: int = 200):
+    def __init__(self, payload, status_code: int = 200, headers: dict | None = None):
         self.payload = payload
         self.status_code = status_code
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
         self.text = str(payload)
 
     def json(self):
@@ -324,7 +328,9 @@ class FakeResponse:
 class FakeSession:
     """Stands in for requests.Session; answers every post from a script.
 
-    A scripted exception is raised, as a failed connection would be."""
+    A scripted exception is raised, as a failed connection would be; a
+    scripted FakeResponse is returned as it is, with its status code and
+    headers; any other payload is a 200 reply's JSON body."""
 
     def __init__(self, payloads: list):
         self.payloads = list(payloads)
@@ -335,7 +341,7 @@ class FakeSession:
         payload = self.payloads.pop(0)
         if isinstance(payload, Exception):
             raise payload
-        return FakeResponse(payload)
+        return payload if isinstance(payload, FakeResponse) else FakeResponse(payload)
 
 
 def _reply(content) -> dict:
@@ -424,6 +430,80 @@ def test_connection_errors_are_retried_until_the_budget_runs_out(monkeypatch) ->
     gateway, session = live_gateway(monkeypatch, [refused, refused])
     with pytest.raises(TransientExhausted):
         gateway.complete(AgentRole.MANAGER, "p", params)
+    assert len(session.posts) == 2
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list[float]:
+    """Every wait the gateway asks time.sleep for, in order, none of them slept."""
+    waits: list[float] = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    return waits
+
+
+def _refused(status: int, retry_after: str | None = None) -> FakeResponse:
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    return FakeResponse({"error": "busy"}, status_code=status, headers=headers)
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("retry_after, wait", [("3", 3.0), ("0", 0.0), (" 7 ", 7.0)])
+def test_a_rate_limit_waits_the_seconds_retry_after_names(monkeypatch, sleeps, status,
+                                                          retry_after, wait) -> None:
+    gateway, session = live_gateway(monkeypatch, [_refused(status, retry_after), _reply("ok")])
+    exchange = gateway.complete(AgentRole.MANAGER, "p", PARAMS)
+    assert (exchange.response, exchange.retries) == ("ok", 1)
+    assert sleeps == [wait]
+    assert len(session.posts) == 2
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_retry_after_as_an_http_date_waits_until_that_time(monkeypatch, sleeps, status) -> None:
+    when = email.utils.formatdate(time.time() + 30, usegmt=True)
+    gateway, _ = live_gateway(monkeypatch, [_refused(status, when), _reply("ok")])
+    gateway.complete(AgentRole.MANAGER, "p", PARAMS)
+    [wait] = sleeps
+    assert 28.0 < wait <= 30.0
+
+
+# RFC 9110's preferred form and the two obsolete ones it asks recipients to read.
+@pytest.mark.parametrize("when", [
+    "Sun, 06 Nov 1994 08:49:37 GMT", "Sunday, 06-Nov-94 08:49:37 GMT", "Sun Nov  6 08:49:37 1994"])
+def test_retry_after_as_a_past_http_date_retries_at_once(monkeypatch, sleeps, when) -> None:
+    gateway, _ = live_gateway(monkeypatch, [_refused(429, when), _reply("ok")])
+    gateway.complete(AgentRole.MANAGER, "p", PARAMS)
+    assert sleeps == [0.0]
+
+
+@pytest.mark.parametrize("retry_after", [
+    "86400", email.utils.formatdate(time.time() + 86400, usegmt=True)])
+def test_a_retry_after_wait_is_capped(monkeypatch, sleeps, retry_after) -> None:
+    gateway, _ = live_gateway(monkeypatch, [_refused(429, retry_after), _reply("ok")])
+    gateway.complete(AgentRole.MANAGER, "p", PARAMS)
+    assert sleeps == [RETRY_AFTER_CAP]
+
+
+@pytest.mark.parametrize("status, retry_after", [
+    (429, None), (503, None), (429, ""), (429, "soon"), (429, "-1"), (429, "1.5"),
+    (503, "Sun, 32 Nov 1994 08:49:37 GMT"), (429, "\u00b2"),
+    # Only 429 and 503 carry a wait the gateway honours.
+    (500, "3"), (502, "3"),
+])
+def test_without_a_readable_retry_after_the_backoff_doubles(monkeypatch, sleeps, status,
+                                                            retry_after) -> None:
+    params = GenerationParams(temperature=0.0, max_retries=2)
+    refused = [_refused(status, retry_after), _refused(status, retry_after)]
+    gateway, _ = live_gateway(monkeypatch, [*refused, _reply("ok")])
+    assert gateway.complete(AgentRole.MANAGER, "p", params).retries == 2
+    assert sleeps == [0.5, 1.0]
+
+
+def test_retry_after_leaves_the_retry_budget_as_it_is(monkeypatch, sleeps) -> None:
+    params = GenerationParams(temperature=0.0, max_retries=1)
+    gateway, session = live_gateway(monkeypatch, [_refused(429, "0"), _refused(503, "2")])
+    with pytest.raises(TransientExhausted, match="gave up after 2 attempts: HTTP 503"):
+        gateway.complete(AgentRole.MANAGER, "p", params)
+    assert sleeps == [0.0]
     assert len(session.posts) == 2
 
 

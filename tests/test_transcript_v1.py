@@ -159,7 +159,7 @@ def test_a_fresh_run_writes_the_pinned_v4_records(tmp_path, monkeypatch, name) -
 
 @pytest.mark.parametrize("path, method", pinned(("v4",)))
 def test_a_loaded_v4_transcript_persists_byte_identically(tmp_path, path, method) -> None:
-    assert persist_transcript(load_transcript(path), tmp_path).read_bytes() == path.read_bytes()
+    assert Path(persist_transcript(load_transcript(path), tmp_path)).read_bytes() == path.read_bytes()
 
 
 # A v3 list of one piece: the zsl prompt stored as one literal, or as one reference
@@ -189,7 +189,7 @@ def test_an_old_transcript_persists_again_to_the_pinned_bytes(tmp_path, name) ->
         records[1]["prompt"] = [LONE_PIECES[name]]
         path = tmp_path / ZSL_NAME
         write_records(path, records)
-    again = persist_transcript(load_transcript(path), tmp_path / "again").read_bytes()
+    again = Path(persist_transcript(load_transcript(path), tmp_path / "again")).read_bytes()
     assert hashlib.sha256(again).hexdigest() == REWRITTEN[name]
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -395,13 +396,45 @@ def sample_transcript() -> RunTranscript:
 
 def test_transcript_round_trip(tmp_path) -> None:
     original = sample_transcript()
-    path = persist_transcript(original, tmp_path)
+    path = Path(persist_transcript(original, tmp_path))
     loaded = load_transcript(path)
     assert loaded == original
 
 
+def test_the_exchange_record_writes_every_field_that_eq_compares() -> None:
+    # One value per compared field, none its default: a field ChatExchange gains fails
+    # here until it has a value below and _exchange_record writes it.
+    values = {"role": AgentRole.VERIFIER, "prompt": "p", "response": "r", "duration": 0.25,
+              "started_at": 3.5, "model": "m", "temperature": 0.7, "retries": 2,
+              "flags": ["truncated", "no_fence"]}
+    assert {f.name for f in fields(ChatExchange) if f.compare} == set(values)
+    exchange = ChatExchange(**values)
+    record = vapu.workspace._exchange_record(exchange, {})
+    assert record == {"record": "exchange", **to_json(exchange)}
+    assert from_json(ChatExchange, record) == exchange
+
+
+@settings(max_examples=50, deadline=None)
+@given(calls=st.lists(st.tuples(
+    st.sampled_from(AgentRole), st.integers(0, 5), st.lists(st.text(max_size=10), max_size=3),
+    st.floats(0.0, 1.0), st.floats(0.0, 1e4), st.text(max_size=8)), min_size=1, max_size=6))
+def test_exchanges_with_any_role_flags_and_retries_round_trip(tmp_path_factory,
+                                                              calls) -> None:
+    exchanges = [ChatExchange(role=role, prompt=f"p{i}", response=f"r{i}", duration=duration,
+                              started_at=float(i), model=model, temperature=temperature,
+                              retries=retries, flags=flags)
+                 for i, (role, retries, flags, temperature, duration, model)
+                 in enumerate(calls)]
+    original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges)
+    directory = tmp_path_factory.mktemp("transcripts")
+    path = Path(persist_transcript(original, directory))
+    loaded = load_transcript(path)
+    assert loaded == original
+    assert Path(persist_transcript(loaded, directory / "again")).read_bytes() == path.read_bytes()
+
+
 def test_truncated_transcript_detected(tmp_path) -> None:
-    path = persist_transcript(sample_transcript(), tmp_path)
+    path = Path(persist_transcript(sample_transcript(), tmp_path))
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[:-1]), encoding="utf-8")  # drop the checksum
     with pytest.raises(CorruptTranscript):
@@ -409,7 +442,7 @@ def test_truncated_transcript_detected(tmp_path) -> None:
 
 
 def test_tampered_transcript_detected(tmp_path) -> None:
-    path = persist_transcript(sample_transcript(), tmp_path)
+    path = Path(persist_transcript(sample_transcript(), tmp_path))
     path.write_text(path.read_text(encoding="utf-8").replace('"x"', '"y"'), encoding="utf-8")
     with pytest.raises(CorruptTranscript):
         load_transcript(path)
@@ -441,7 +474,7 @@ def checksummed(lines: list[bytes]) -> list[bytes]:
 ], ids=["header-only", "no-outcome", "record-after-checksum", "exchange-after-outcome",
         "two-outcomes", "checksum-first", "torn-last-line"])
 def test_records_out_of_order_are_corrupt(tmp_path, reorder) -> None:
-    path = persist_transcript(sample_transcript(), tmp_path)
+    path = Path(persist_transcript(sample_transcript(), tmp_path))
     lines = path.read_bytes().splitlines(keepends=True)
     assert len(lines) == 5
     path.write_bytes(b"".join(reorder(*lines)))
@@ -451,7 +484,7 @@ def test_records_out_of_order_are_corrupt(tmp_path, reorder) -> None:
 
 def test_no_cut_transcript_loads(tmp_path) -> None:
     """Every prefix of a transcript short of its final newline is refused."""
-    data = persist_transcript(sample_transcript(), tmp_path).read_bytes()
+    data = Path(persist_transcript(sample_transcript(), tmp_path)).read_bytes()
     path = tmp_path / "cut.jsonl"
     for end in range(len(data) - 1):
         path.write_bytes(data[:end])
@@ -574,7 +607,7 @@ def test_round_trip_for_generated_transcripts(tmp_path_factory, run_id, prompts,
         inputs={"code": {"content": "x"}}, status=status,
     )
     directory = tmp_path_factory.mktemp("transcripts")
-    loaded = load_transcript(persist_transcript(original, directory))
+    loaded = load_transcript(Path(persist_transcript(original, directory)))
     assert loaded == original
 
 
@@ -755,12 +788,12 @@ def test_round_trip_for_generated_prompt_parts(tmp_path_factory, parts_per_promp
                              outcome={"final_code": {"content": final_code}},
                              inputs={"code": {"content": INPUT_CODE}})
     directory = tmp_path_factory.mktemp("transcripts")
-    path = persist_transcript(original, directory)
+    path = Path(persist_transcript(original, directory))
     loaded = load_transcript(path)
     assert [e.prompt for e in loaded.exchanges] == ["".join(p) for p in parts_per_prompt]
     assert loaded == original
     # The parts survive the load, so persisting again writes the same file.
-    assert persist_transcript(loaded, directory / "again").read_bytes() == path.read_bytes()
+    assert Path(persist_transcript(loaded, directory / "again")).read_bytes() == path.read_bytes()
 
 
 def test_a_loaded_transcripts_exchanges_share_one_str_per_table_text(tmp_path) -> None:
@@ -796,7 +829,7 @@ def test_a_loaded_transcript_holds_each_text_once(tmp_path) -> None:
     original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
                              outcome={"final_code": {"content": after}},
                              inputs={"code": {"content": before}})
-    path = persist_transcript(original, tmp_path)
+    path = Path(persist_transcript(original, tmp_path))
     load_transcript(path)  # made once untraced, so first-use caches are not counted
     tracemalloc.start()
     try:
@@ -824,7 +857,7 @@ def test_loading_a_large_transcript_peaks_below_2_2_times_its_file(tmp_path) -> 
     original = RunTranscript(run_id="f", config={"model": "m"}, exchanges=exchanges,
                              outcome={"final_code": {"content": versions[-1]}},
                              inputs={"code": {"content": versions[0]}})
-    path = persist_transcript(original, tmp_path)
+    path = Path(persist_transcript(original, tmp_path))
     assert path.stat().st_size > 200_000
     load_transcript(path)  # made once untraced, so first-use caches are not counted
     tracemalloc.start()
@@ -871,7 +904,7 @@ def test_demo_transcript_loads_as_run_and_persists_again_unchanged(tmp_path, mon
 
     def keeping(transcript, directory):
         path = real_persist(transcript, directory)
-        persisted.append((transcript, path))
+        persisted.append((transcript, Path(path)))
         return path
 
     monkeypatch.setattr(vapu.pipeline, "persist_transcript", keeping)
@@ -883,7 +916,7 @@ def test_demo_transcript_loads_as_run_and_persists_again_unchanged(tmp_path, mon
     assert kind == "aborted" or isinstance(final_code["content"], int)
     loaded = load_transcript(path)
     assert loaded == transcript
-    again = persist_transcript(loaded, tmp_path / "again")
+    again = Path(persist_transcript(loaded, tmp_path / "again"))
     assert again.read_bytes() == path.read_bytes()
 
 
