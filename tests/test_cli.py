@@ -1114,6 +1114,22 @@ def test_report_bytes_match_the_golden_files(tmp_path) -> None:
         assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
 
 
+GOLDEN_EVALUATE = Path(__file__).parent / "data" / "evaluate"
+
+
+def test_evaluate_bytes_match_the_golden_file(tmp_path) -> None:
+    # Hand-built v4 runs with fixed timings: one valid Python final file over r1-r3 (an
+    # exchange of each role, flags, retries and an int duration), an invalid one, a PHP
+    # one and an aborted run; the annotations hold findings, requirements, check marks
+    # and features.  Each group's durations have a standard deviation that every Python
+    # from 3.10 on rounds alike.
+    scored = tmp_path / "scored.json"
+    assert main(["evaluate", "--runs-dir", str(GOLDEN_EVALUATE / "runs"),
+                 "--annotations", str(GOLDEN_EVALUATE / "annotations.json"),
+                 "--output", str(scored)]) == 0
+    assert scored.read_bytes() == (GOLDEN_EVALUATE / "scored.json").read_bytes()
+
+
 @pytest.mark.parametrize("field, value", [("loc", 200), ("cc_letter", "E"), ("task_count", 4)])
 def test_report_refuses_a_file_whose_features_put_it_in_other_buckets_on_one_side(
         tmp_path, capsys, field, value) -> None:
