@@ -19,9 +19,10 @@ every line before a short fenced block.  The prompt benches render the
 executor, verifier and baseline templates around that file, and the
 verdict bench parses a rejection with eight change bullets.
 Two benches time ``models.to_json``, the writer of a transcript's header
-and outcome, on one rendered exchange and on a run config, and one times
+and outcome, on one rendered exchange and on a run config, one times
 ``workspace._exchange_record``, the writer of the exchange records, on
-that exchange.
+that exchange, and one ``workspace._exchange_from_record``, their reader,
+on the record it writes.
 
 Three benches run whole layers on the bundled demo instead: one
 ``run_update`` through a replay gateway (planning, two tasks, the
@@ -31,7 +32,9 @@ verifier loop, and the updated-file and transcript writes),
 report ``tests/test_cli.py`` checks against the golden files.  One more
 runs the whole ``vapu evaluate`` command over ``REPETITIONS`` replayed
 runs of one Python file that all end in the same 600-LOC module, as
-repeated runs at temperature 0 do.
+repeated runs at temperature 0 do, and ``test_evaluate_runs_dir`` runs it
+over the hand-built runs whose scored file ``tests/test_cli.py`` checks
+against its golden bytes.
 ``test_cli_report_call`` times a whole in-process ``vapu report`` call on
 those synthetic records: the fixed cost each ``main`` call pays (argument
 parsing included) on top of the report itself.  The batch benches run the
@@ -47,7 +50,10 @@ updated-file path.  ``test_load_codebase`` reads a project of three
 controller directories of five 28-line views and a hidden file, past an
 output directory inside it that holds 20 earlier runs, and
 ``test_load_replay_fixtures`` reads 18 fixture files, four of them
-900-line coded replies.  Then ``test_rewrite_a_file`` rewrites a 10 KB and a
+900-line coded replies.  ``test_read_input`` reads a 28-line and a
+900-line view, with "\\n" and with "\\r\\n" line ends, through
+``read_input``, against one text-mode read of the same file.  Then
+``test_rewrite_a_file`` rewrites a 10 KB and a
 220 KB file in place with ``write_file``, against writing a temporary
 file and moving it over the old one with ``os.replace``, and
 ``test_create_a_file`` writes the same sizes to a path that does not exist
@@ -80,7 +86,7 @@ from vapu.evaluation import (
     score_transcript,
 )
 from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
-from vapu.models import AgentRole, CodeDocument, RequirementSpec, to_json
+from vapu.models import AgentRole, CodeDocument, RequirementSpec, read_input, to_json
 from vapu.pipeline import RunContext, run_update, updated_file_path
 from vapu.prompts import (
     build_baseline_prompt,
@@ -273,6 +279,15 @@ def test_exchange_record(benchmark, rendered_transcript) -> None:
     assert record["role"] == "verifier" and isinstance(record["prompt"], list)
 
 
+def test_exchange_from_record(benchmark, rendered_transcript) -> None:
+    exchange = rendered_transcript.exchanges[4]  # the exchange test_exchange_record writes
+    record = vapu.workspace._exchange_record(exchange, {})
+    path = Path("t.jsonl")
+    # Each call reads the record after an empty table, as the first exchange of a file.
+    loaded = benchmark(lambda: vapu.workspace._exchange_from_record(record, [], path, False))
+    assert loaded == exchange and loaded.prompt_parts == [p for p in exchange.prompt_parts if p]
+
+
 def test_to_json_config(benchmark, tmp_path) -> None:
     config = RunConfig(model="gpt-4o", output_dir=tmp_path, repetitions=1,
                        backend=Backend.REPLAY, fixtures_dir=DEMO / "fixtures")
@@ -348,6 +363,15 @@ def test_evaluate_repeated_python_runs(benchmark, python_runs, tmp_path) -> None
     records = json.loads(scored.read_text(encoding="utf-8"))["records"]
     assert len(records) == REPETITIONS
     assert all(r["loc_final"] == 600 and r["error_count"] == 0 for r in records)
+
+
+def test_evaluate_runs_dir(benchmark, tmp_path) -> None:
+    golden = TESTS / "data" / "evaluate"
+    scored = tmp_path / "scored.json"
+    assert benchmark(main, ["evaluate", "--runs-dir", str(golden / "runs"),
+                            "--annotations", str(golden / "annotations.json"),
+                            "--output", str(scored)]) == 0
+    assert scored.read_bytes() == (golden / "scored.json").read_bytes()
 
 
 def test_cli_report_call(benchmark, tmp_path) -> None:
@@ -434,6 +458,21 @@ def test_load_replay_fixtures(benchmark, tmp_path) -> None:
             write_file(tmp_path / f"{role}-{index}.txt", text)
     fixtures = benchmark(load_replay_fixtures, tmp_path)
     assert len(fixtures) == 18 and fixtures[("executor", 3)] == REPLY
+
+
+def read_in_text_mode(path: Path, what: str) -> str:
+    """How input files were read before ``read_input`` read bytes: one text-mode open."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("size", ["28-lines", "900-lines"])
+@pytest.mark.parametrize("reader", [read_in_text_mode, read_input], ids=["text-mode", "bytes"])
+def test_read_input(benchmark, tmp_path, reader, size, line_end) -> None:
+    text = SMALL_VIEW if size == "28-lines" else CODE
+    path = write_file(tmp_path / "index.ctp", text.replace("\n", line_end))
+    assert benchmark(reader, path, "input file") == text
 
 
 def replace_file(path: Path, data: bytes) -> None:

@@ -139,7 +139,7 @@ def cmd_evaluate(args) -> int:
     if not paths:
         raise err.NoFilesMatched(f"no transcripts (*.jsonl) under {runs_dir}")
     annotations = evaluation.load_annotations(Path(args.annotations))
-    checkers = evaluation.default_checkers()  # one memo: an identical final file is checked once
+    checkers = evaluation.default_checkers()  # one memo: each distinct final file analysed once
     records = [evaluation.score_transcript(*_load_run(path), annotations, checkers)
                for path in paths]
     aggregates = evaluation.aggregate_records(records)

@@ -82,32 +82,40 @@ def python_syntax_checker(content: str) -> list[str]:
     return []
 
 
-def _once_per_content(hook: SyntaxCheckerHook) -> SyntaxCheckerHook:
-    """``hook``, run once per distinct content; later calls get a copy of its messages.
+class Checkers(dict):
+    """Syntax checkers by language tag, with the memo of the one command they serve.
 
-    Repeated runs often end in the same file.  The memo is keyed by a
-    SHA-256 digest of the exact content, so it stays small however
-    large the files are, and it lives as long as the returned hook.
+    :meth:`final_file` works out a final file's fatal findings and its LOC
+    on the first call for its content and checker; repeated runs often end
+    in the same file.  The memo is keyed by a SHA-256 digest of the exact
+    content, so it stays small however large the files are, and it lives
+    as long as this mapping.  A plain mapping of checkers works wherever
+    this one does, without the memo.
     """
-    messages: dict[bytes, list[str]] = {}
 
-    def check(content: str) -> list[str]:
-        key = hashlib.sha256(content.encode("utf-8", "surrogatepass")).digest()
-        if key not in messages:
-            messages[key] = hook(content)
-        return list(messages[key])
+    def __init__(self, hooks: Mapping[str, SyntaxCheckerHook]) -> None:
+        super().__init__(hooks)
+        self._final_files: dict[tuple[object, bytes], tuple[list[Finding], int]] = {}
 
-    return check
+    def final_file(self, code: CodeDocument) -> tuple[list[Finding], int]:
+        """``code``'s fatal findings (see :func:`check_fatal`) and LOC, from the memo.
+        The findings are the memo's own list: copy it before changing it."""
+        hook = self.get(code.language_tag.lower())  # "py" and "python" share theirs
+        key = (hook, hashlib.sha256(code.content.encode("utf-8", "surrogatepass")).digest())
+        facts = self._final_files.get(key)
+        if facts is None:  # checked as a plain mapping, so check_fatal does the work
+            facts = self._final_files[key] = (check_fatal(code, dict(self)), code.loc)
+        return facts
 
 
-def default_checkers() -> dict[str, SyntaxCheckerHook]:
-    """The bundled checkers by language tag, sharing one memo (see ``_once_per_content``).
+def default_checkers() -> Checkers:
+    """The bundled checkers by language tag, with one memo (see :class:`Checkers`).
 
-    Call it once per command and pass the result to every
-    ``score_transcript`` call of that command.
+    Call it once per command and pass the result to every ``score_transcript``
+    call of that command: each distinct final file is then checked and its
+    lines counted once, and the memo goes with the command.
     """
-    python = _once_per_content(python_syntax_checker)
-    return {"py": python, "python": python}
+    return Checkers({"py": python_syntax_checker, "python": python_syntax_checker})
 
 
 def check_fatal(code: CodeDocument,
@@ -116,7 +124,10 @@ def check_fatal(code: CodeDocument,
 
     Only fatal errors are automatable; the other categories come from
     annotations.  A language no hook covers has no automated findings.
+    :class:`Checkers` check each distinct content once.
     """
+    if isinstance(checkers, Checkers):
+        return list(checkers.final_file(code)[0])
     hook = checkers.get(code.language_tag.lower())
     if hook is None:
         return []
@@ -215,15 +226,17 @@ def aggregate_runs(values: Sequence[float]) -> RunStats:
     return RunStats(n=len(values), mean=mean, sd=sd)
 
 
-def normalize_durations(durations: Sequence[float]) -> list[float]:
-    """Z-score each duration; a constant series normalizes to all zeros."""
+def normalize_durations(durations: Sequence[float],
+                        stats: RunStats | None = None) -> list[float]:
+    """Z-score each duration by ``stats``, the series' :func:`aggregate_runs` (worked out
+    here when not given); a constant series normalizes to all zeros."""
     if not durations:
         raise ValueError("cannot normalize an empty duration list")
-    mean = statistics.fmean(durations)
-    sd = statistics.pstdev(durations)
-    if sd == 0:
+    if stats is None:
+        stats = aggregate_runs(durations)
+    if stats.sd == 0:
         return [0.0 for _ in durations]
-    return [(value - mean) / sd for value in durations]
+    return [(value - stats.mean) / stats.sd for value in durations]
 
 
 @dataclass(frozen=True)
@@ -543,10 +556,17 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
     Errors are annotated findings plus the automated fatal check on the final code (by
     ``checkers``, see ``default_checkers``), one per cause key, the first setting its
     category; an automated key that an annotated key normalizes to is that cause's.
+    The findings and ``loc_final`` come from the memo of ``checkers`` when they are
+    :class:`Checkers`.
     """
     config, final_code = header.config, header.final_code
     file_id = split_suffix(header.code.path)[0]
-    automated = check_fatal(final_code, checkers) if final_code is not None else []
+    if final_code is None:
+        automated, loc_final = [], None
+    else:
+        if not isinstance(checkers, Checkers):
+            checkers = Checkers(checkers)
+        automated, loc_final = checkers.final_file(final_code)
     annotated = annotations.findings.get(transcript.run_id, [])
     known = {normalize_cause_key(f.cause_key) for f in annotated}  # automated keys are normalized
     causes: dict[str, ErrorCategory] = {}
@@ -572,7 +592,7 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
         "requirement_total": len(requirement_entries) or None,
         "checkmarks": {**to_json(marks), "score": sum(marks.flags())} if marks else None,
         "features": to_json(features) if features else None,
-        "loc_final": final_code.loc if final_code else None,
+        "loc_final": loc_final,
         "unverified": transcript.outcome.get("unverified"),
         "truncated": transcript.outcome.get("truncated"),
     }
@@ -581,8 +601,9 @@ def score_transcript(transcript: RunTranscript, header: RunHeader, annotations: 
 def aggregate_records(records: Sequence[dict]) -> list[dict]:
     """Mean/SD summaries per (file, method, model, temperature) group.
 
-    Durations are z-scored within each group so long runs can be
-    compared against their error and requirement outcomes.
+    Durations are z-scored within each group, by the duration mean and SD
+    the summary records, so long runs can be compared against their error
+    and requirement outcomes.
     """
     fields = ("file_id", "method", "model", "temperature")
     groups: dict[tuple, list[dict]] = {}
@@ -602,7 +623,8 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
                 stats = aggregate_runs(values)
                 summary[f"{name}_mean"] = stats.mean
                 summary[f"{name}_sd"] = stats.sd
-        summary["normalized_durations"] = normalize_durations(durations)
+        # stats is the loop's last, the durations'
+        summary["normalized_durations"] = normalize_durations(durations, stats)
         summaries.append(summary)
     return summaries
 

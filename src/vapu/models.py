@@ -8,6 +8,7 @@ it holds one.
 from __future__ import annotations
 
 import functools
+import io
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -92,7 +93,7 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
                 and all(type(item) is str for item in value))
         try:
             values[name] = value if isinstance(value, kind) or not readable else kind(value)
-        except (TypeError, ValueError):
+        except (OverflowError, TypeError, ValueError):  # OverflowError: an int float cannot hold
             readable = False
         if not readable:
             raise TypeError(f"{where}.{name} must be {type_name}, got {value!r}")
@@ -149,12 +150,50 @@ def join_path(directory: str | os.PathLike, *names: str) -> str:
     return os.path.join(top, *names) if top != "." else os.path.join(*names)
 
 
-def read_input(path: str | Path, what: str, parse: Callable[[str], object] | None = None):
-    """The UTF-8 text of input file ``path``, or what ``parse`` makes of it.  Any failure,
-    from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming both."""
+# Bytes per os.read once a file is read on past the size it had when opened.
+_READ_CHUNK = 1 << 16
+
+
+def read_bytes(path: str | os.PathLike) -> bytes:
+    """The bytes of file ``path``, by ``os.open`` and one ``os.read`` of the file's size
+    and a byte more, which a file that keeps its size answers with all of it.  A file that
+    answers otherwise (it changed size, or it is a pipe, of size 0) is read to its end.
+    An OSError names ``path`` as ``open``'s does, even ``os.read``'s for a directory."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            data = os.read(fd, size + 1)
+            if len(data) != size:
+                chunks = [data]
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+    return data
+
+
+def decode_text(data: bytes, errors: str = "strict") -> str:
+    """``data`` as UTF-8 text with the newlines text mode reads: "\\r\\n" and "\\r" as
+    "\\n", by text mode's own newline decoder, run only when there is a "\\r"."""
+    text = data.decode("utf-8", errors)
+    if "\r" not in text:
+        return text
+    return io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+
+
+def read_input(path: str | Path, what: str, parse: Callable[[str], object] | None = None):
+    """The UTF-8 text of input file ``path``, read as bytes (:func:`read_bytes`) with the
+    newlines text mode reads (:func:`decode_text`), or what ``parse`` makes of it.  Any
+    failure, from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming
+    both."""
+    try:
+        text = decode_text(read_bytes(path))
         return text if parse is None else parse(text)
     except (AttributeError, LookupError, OSError, TypeError, ValueError, VapuError) as exc:
         raise ConfigInvalid(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from None

@@ -150,7 +150,8 @@ class RunContext:
     """What every run of one command shares, read once before its first run.
 
     ``new_gateway`` makes a run's own gateway from the backend set up once
-    (replay gateways share the fixtures); only an osl run shows ``example``.
+    (replay gateways share the fixtures, live ones one HTTP session); only an
+    osl run shows ``example``.
     """
 
     templates: TemplateSet
@@ -181,11 +182,18 @@ class RunContext:
             raise UnknownModel(f"unknown model {config.model!r}; "
                                f"registry has: {', '.join(sorted(profiles))}")
         try:
-            import requests  # noqa: F401  (each LiveGateway imports it again, from the cache)
+            import requests
+            from requests.adapters import HTTPAdapter
         except ImportError as exc:
             raise ConfigInvalid(f"the live backend needs the requests package: {exc}") from None
         credentials = provider_credentials(profile)
-        return cls(templates, lambda: LiveGateway(profile, credentials), example)
+        # One session for every run, so runs reuse its connections: a pool per host as
+        # large as the batch's workers keeps each --parallel worker's connection open.
+        session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=max(10, config.parallel))
+        session.mount("https://", adapter)
+        session.mount("http://", adapter)
+        return cls(templates, lambda: LiveGateway(profile, credentials, session), example)
 
 
 def _code_reply(run: Run, role: AgentRole, prompt: PromptText,

@@ -49,7 +49,15 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigInvalid, CorruptTranscript, EmptyRequirements, NoFilesMatched, StorageFull
 from .gateway import ChatExchange
-from .models import CodeDocument, RequirementSpec, from_json, join_path
+from .models import (
+    AgentRole,
+    CodeDocument,
+    RequirementSpec,
+    decode_text,
+    from_json,
+    join_path,
+    read_bytes,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +79,8 @@ LITERAL_FORMATS = frozenset({"vapu-transcript-v2", "vapu-transcript-v3"})
 READABLE_FORMATS = frozenset({"vapu-transcript-v1", *LITERAL_FORMATS, TRANSCRIPT_FORMAT})
 # Config fields a transcript header leaves out: machine paths no reader needs.
 UNRECORDED_CONFIG = ("output_dir", "fixtures_dir")
+# The roles by the value an exchange record stores.
+_ROLES = {role._value_: role for role in AgentRole}
 # Path parts that name no file under a project: see is_project_relative.
 _NON_NAMES = frozenset({"", ".", ".."})
 
@@ -351,18 +361,56 @@ def _parts(stored: object, table: list[str], path: Path, where: str,
 
 def _exchange_from_record(record: dict, table: list[str], path: Path,
                           literals: bool) -> ChatExchange:
-    """Rebuild an exchange over the table's texts, appending its ``"texts"`` to ``table``
-    first; its prompt and reply stay parts, joined only when read."""
+    """The exchange a record holds, read straight from its pinned fields, as
+    :func:`_exchange_record` writes them; ``"texts"`` is appended to ``table`` first, and
+    the prompt and reply stay parts over the table's texts, joined only when read.
+
+    It checks and converts as ``from_json(ChatExchange, record)`` does: ``role``,
+    ``duration``, ``started_at``, ``model`` and ``temperature`` present; the role one of
+    AgentRole's values; a number an int or float, read as float; the model a str, the
+    retries an int (not a bool) and the flags a list of str, each 0 and empty when
+    absent; other keys ignored.  A field it cannot read raises TypeError naming
+    ``ChatExchange.<field>``, which :func:`load_transcript` reports as CorruptTranscript
+    naming the file."""
     texts = record.get("texts", [])
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
     table.extend(texts)
     prompt_parts = _parts(record.get("prompt"), table, path, "prompt", literals)
     response_parts = _parts(record.get("response"), table, path, "response", literals)
-    # from_json checks every other field; the texts are set as parts, never joined.
-    exchange = from_json(ChatExchange, {**record, "prompt": "", "response": ""})
+    try:  # in field order, so the first missing field is named
+        role, duration, started_at = record["role"], record["duration"], record["started_at"]
+        model, temperature = record["model"], record["temperature"]
+    except KeyError as exc:
+        raise TypeError(f"ChatExchange.{exc.args[0]} is missing") from None
+    retries = record.get("retries", 0)
+    flags = record["flags"] if "flags" in record else []
+    if type(role) is not str or role not in _ROLES:
+        raise TypeError(f"ChatExchange.role must be AgentRole, got {role!r}")
+    if type(model) is not str:
+        raise TypeError(f"ChatExchange.model must be str, got {model!r}")
+    if type(retries) is not int:  # exact: bool is an int subclass, and no count
+        raise TypeError(f"ChatExchange.retries must be int, got {retries!r}")
+    if type(flags) is not list or not all(type(flag) is str for flag in flags):
+        raise TypeError(f"ChatExchange.flags must be list[str], got {flags!r}")
+    exchange = ChatExchange(_ROLES[role], "", "", _float(duration, "duration"),
+                            _float(started_at, "started_at"), model,
+                            _float(temperature, "temperature"), retries, flags)
     exchange.prompt_parts, exchange.response_parts = prompt_parts, response_parts
     return exchange
+
+
+def _float(value: object, name: str) -> float:
+    """An exchange's number field as float: a float as it is, an int that float can hold
+    converted."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise TypeError(f"ChatExchange.{name} must be float, got {value!r}")
 
 
 def _outcome_from_record(outcome: dict, table: list[str], path: Path) -> dict:
@@ -533,8 +581,11 @@ def load_codebase(root: Path, include_globs: Sequence[str] | None = None,
                   exclude: str | None = None) -> list[CodeDocument]:
     """Read every file under root, or those an ``include_globs`` pattern :func:`_matches`, as
     documents in path order, but those under ``exclude``, a directory's POSIX path relative
-    to root; a file that is not UTF-8 is logged and read with U+FFFD for its bad bytes.  A
-    pattern that :func:`is_project_relative` refuses raises ConfigInvalid naming it."""
+    to root.  Each file is read once, as bytes (:func:`~vapu.models.read_bytes`), and
+    decoded as UTF-8 with the newlines text mode reads (:func:`~vapu.models.decode_text`);
+    a file that is not UTF-8 is logged and its bytes decoded again with U+FFFD for its bad
+    bytes.  A pattern that :func:`is_project_relative` refuses raises ConfigInvalid naming
+    it."""
     for pattern in include_globs or ():
         if not is_project_relative(pattern):
             raise ConfigInvalid(f"--include pattern {pattern!r} is not a path inside a project")
@@ -552,12 +603,11 @@ def load_codebase(root: Path, include_globs: Sequence[str] | None = None,
     documents = []
     for rel in sorted(files):
         path = join_path(root, rel)
+        data = read_bytes(path)
         try:
-            with open(path, encoding="utf-8") as handle:  # newlines as Path.read_text reads them
-                content = handle.read()
+            content = decode_text(data)
         except UnicodeDecodeError as exc:
             logger.warning("%s is not UTF-8 (%s); its bad bytes read as U+FFFD", path, exc)
-            with open(path, encoding="utf-8", errors="replace") as handle:
-                content = handle.read()
+            content = decode_text(data, errors="replace")
         documents.append(CodeDocument(rel, language_tag_for(rel), content))
     return documents

@@ -665,14 +665,20 @@ def test_example_asset_is_read_once_per_command(tmp_path, monkeypatch) -> None:
     example = tmp_path / "example.json"
     example.write_text(json.dumps({"input": "old()", "output": "new()"}), encoding="utf-8")
     reads = []
-    real_open = builtins.open
+    real_open, real_os_open = builtins.open, os.open
 
     def counting_open(file, *args, **kwargs):
         if not isinstance(file, int) and os.fspath(file) == str(example):
             reads.append(file)
         return real_open(file, *args, **kwargs)
 
+    def counting_os_open(file, *args, **kwargs):
+        if os.fspath(file) == str(example):
+            reads.append(file)
+        return real_os_open(file, *args, **kwargs)
+
     monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
     out = tmp_path / "osl-runs"
     assert main(demo_osl_args(example, out, runs=3)) == 0
     assert len(reads) == 1

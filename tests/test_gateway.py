@@ -362,6 +362,24 @@ def test_live_gateway_returns_message_content(monkeypatch) -> None:
     assert session.posts[0]["headers"] == {"Authorization": "Bearer test-key"}
 
 
+@pytest.mark.parametrize("parallel, pool", [(1, 10), (32, 32)])
+def test_every_run_of_a_live_command_shares_one_session(monkeypatch, tmp_path, parallel,
+                                                        pool) -> None:
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "test-key")
+    config = RunConfig(model="gpt-4o", output_dir=tmp_path, parallel=parallel)
+    context = RunContext.from_config(config)
+    gateways = [context.new_gateway() for _ in range(3)]
+    assert len({id(gateway) for gateway in gateways}) == 3  # each run still owns its gateway
+    session = gateways[0].session
+    assert isinstance(session, requests.Session)
+    assert all(gateway.session is session for gateway in gateways)
+    # Its pool keeps a connection per worker open, so --parallel 32 drops none.
+    for scheme in ("https://", "http://"):
+        assert session.get_adapter(scheme + "api.openai.com")._pool_maxsize == pool
+    # Another command gets its own session.
+    assert RunContext.from_config(config).new_gateway().session is not session
+
+
 def test_live_gateway_opens_its_own_session_by_default(monkeypatch) -> None:
     monkeypatch.setenv("VAPU_API_KEY_OPENAI", "test-key")
     profile = load_registry()["gpt-4o"]

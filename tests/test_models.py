@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vapu.errors import ConfigInvalid, EmptyRequirements
 from vapu.evaluation import CheckMarks, FileFeatures
@@ -260,3 +263,69 @@ def test_read_input_turns_every_failure_into_a_config_error_naming_the_file(
         path.write_bytes(content)
     with pytest.raises(ConfigInvalid, match=f"cannot read test input {re.escape(str(path))}: "):
         read_input(path, "test input", parse)
+
+
+def text_mode_failure(path: Path, what: str) -> str:
+    """The ConfigInvalid message read_input gave when it read ``path`` in text mode."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            handle.read()
+    except (OSError, ValueError) as exc:
+        return f"cannot read {what} {path}: {type(exc).__name__}: {exc}"
+    raise AssertionError(f"{path} reads in text mode")
+
+
+@pytest.mark.parametrize("content", [None, "directory", b"caf\xe9", b"x" * 9000 + b"\xff"],
+                         ids=["missing", "directory", "bytes", "bytes-past-a-buffer"])
+def test_read_input_fails_with_the_message_text_mode_gave(tmp_path, content) -> None:
+    # A directory's os.read error names no file; read_input's still names it twice.
+    path = tmp_path / "input.txt"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigInvalid) as excinfo:
+        read_input(path, "test input")
+    assert str(excinfo.value) == text_mode_failure(path, "test input")
+
+
+# Line ends of every kind, a character of each UTF-8 length, and runs long enough to cross
+# the 8 KiB buffer of a text-mode read, so a "\r\n" can fall across its edge.
+newline_text = st.lists(st.sampled_from(["\r\n", "\r", "\n", "\r\r\n", "a", "é", "€",
+                                         "\U0001f600", "x" * 8190, ""]), max_size=12).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=newline_text)
+def test_read_input_reads_what_text_mode_reads(tmp_path_factory, text) -> None:
+    path = tmp_path_factory.mktemp("inputs") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        assert read_input(path, "input") == handle.read()
+
+
+@pytest.mark.parametrize("reported", [10, 400], ids=["grew", "shrank"])
+def test_a_file_whose_size_changed_since_it_was_opened_is_read_to_its_end(
+        tmp_path, monkeypatch, reported) -> None:
+    path = tmp_path / "input.txt"
+    path.write_text("line\n" * 40, encoding="utf-8")
+    real_fstat = os.fstat
+
+    def fstat(fd):  # the size the file had when it was opened
+        info = real_fstat(fd)
+        return os.stat_result((*info[:6], reported, *info[7:]))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    assert read_input(path, "input") == "line\n" * 40
+
+
+def test_a_pipe_is_read_to_its_end(tmp_path) -> None:
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    text = "requirement\r\n" * 20000  # past a pipe's buffer, so the writer blocks until read
+    writer = threading.Thread(target=path.write_bytes, args=(text.encode("utf-8"),), daemon=True)
+    writer.start()
+    try:
+        assert read_input(path, "input") == text.replace("\r\n", "\n")
+    finally:
+        writer.join(timeout=10)

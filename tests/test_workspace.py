@@ -9,6 +9,7 @@ import stat
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path, PurePosixPath
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -431,6 +432,124 @@ def test_exchanges_with_any_role_flags_and_retries_round_trip(tmp_path_factory,
     loaded = load_transcript(path)
     assert loaded == original
     assert Path(persist_transcript(loaded, directory / "again")).read_bytes() == path.read_bytes()
+
+
+def test_the_exchange_reader_reads_every_field_that_eq_compares() -> None:
+    # The reader's counterpart of the writer test above: a field ChatExchange gains
+    # fails here until it has a value below and _exchange_from_record reads it.
+    values = {"role": AgentRole.VERIFIER, "prompt": "p", "response": "r", "duration": 0.25,
+              "started_at": 3.5, "model": "m", "temperature": 0.7, "retries": 2,
+              "flags": ["truncated", "no_fence"]}
+    assert {f.name for f in fields(ChatExchange) if f.compare} == set(values)
+    record = {"record": "exchange", **to_json(ChatExchange(**values))}
+    exchange = vapu.workspace._exchange_from_record(record, [], Path("t.jsonl"), False)
+    assert exchange == ChatExchange(**values)
+
+
+def exchange_through_from_json(record: dict, table: list[str], path: Path,
+                               literals: bool) -> ChatExchange:
+    """The exchange reader as it was before it read the record's fields itself: every
+    field but the prompt and reply through ``from_json``, on a copy of the record."""
+    texts = record.get("texts", [])
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
+    table.extend(texts)
+    prompt_parts = vapu.workspace._parts(record.get("prompt"), table, path, "prompt", literals)
+    response_parts = vapu.workspace._parts(record.get("response"), table, path, "response",
+                                           literals)
+    exchange = from_json(ChatExchange, {**record, "prompt": "", "response": ""})
+    exchange.prompt_parts, exchange.response_parts = prompt_parts, response_parts
+    return exchange
+
+
+# A value of a JSON type that no exchange field takes, ints aside (a number field's).
+WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.lists(st.integers(-1, 3), min_size=1, max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False))
+REQUIRED = ("role", "prompt", "response", "duration", "started_at", "model", "temperature")
+
+
+@st.composite
+def exchange_records(draw) -> dict:
+    """A v4 exchange record after a one-text header (so text 0 exists): valid, or with
+    one fault, from a field of the wrong type to a reference past the text table."""
+    record = {"record": "exchange", "role": draw(st.sampled_from([r.value for r in AgentRole])),
+              "duration": draw(NUMBER), "started_at": draw(NUMBER),
+              "model": draw(st.text(max_size=5)), "temperature": draw(NUMBER)}
+    texts = draw(st.lists(st.text(max_size=5), max_size=3))
+    if texts or draw(st.booleans()):
+        record["texts"] = texts
+    size = 1 + len(texts)
+    for key in ("prompt", "response"):
+        record[key] = draw(st.one_of(st.text(max_size=5),
+                                     st.lists(st.integers(0, size - 1), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        record["flags"] = draw(st.lists(st.text(max_size=5), max_size=3))
+    if draw(st.booleans()):
+        record["retries"] = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        record["unknown"] = draw(WRONG_TYPE)  # ignored
+    fault = draw(st.sampled_from([None, "type", "bool-retries", "role", "missing", "reference"]))
+    if fault == "type":
+        name = draw(st.sampled_from([*REQUIRED, "retries", "flags", "texts"]))
+        record[name] = draw(WRONG_TYPE)
+    elif fault == "bool-retries":
+        record["retries"] = draw(st.booleans())
+    elif fault == "role":
+        record["role"] = draw(st.sampled_from(["reflection", "Manager", "", "manager "]))
+    elif fault == "missing":
+        del record[draw(st.sampled_from(REQUIRED))]
+    elif fault == "reference":
+        record[draw(st.sampled_from(["prompt", "response"]))] = [
+            draw(st.integers(0, size - 1)), draw(st.sampled_from([size, size + 5, -1]))]
+    return record
+
+
+def loaded_exchanges(path: Path):
+    """Each exchange ``path`` loads to, with its parts and number types, or the message
+    of the CorruptTranscript it raises."""
+    try:
+        transcript = load_transcript(path)
+    except CorruptTranscript as exc:
+        return str(exc)
+    return [(e, e.prompt_parts, e.response_parts, type(e.role),
+             type(e.duration), type(e.started_at), type(e.temperature))
+            for e in transcript.exchanges]
+
+
+VALID_RECORD = {"record": "exchange", "role": "executor", "prompt": "p", "response": [0],
+                "duration": 1, "started_at": 2.5, "model": "m", "temperature": 0.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=exchange_records())
+@example(record=VALID_RECORD)
+@example(record={**VALID_RECORD, "flags": None})
+@example(record={**VALID_RECORD, "flags": ""})
+@example(record={**VALID_RECORD, "retries": True})
+@example(record={**VALID_RECORD, "retries": None})
+@example(record={**VALID_RECORD, "role": "reflection"})
+@example(record={**VALID_RECORD, "duration": False})
+@example(record={**VALID_RECORD, "temperature": 10 ** 400})  # an int past float's range
+@example(record={**VALID_RECORD, "response": [1]})
+@example(record={k: v for k, v in VALID_RECORD.items() if k != "model"})
+def test_the_exchange_reader_agrees_with_from_json(tmp_path_factory, record) -> None:
+    path = tmp_path_factory.mktemp("records") / "t.jsonl"
+    write_records(path, [
+        {"record": "header", "format": "vapu-transcript-v4", "run_id": "t", "config": {},
+         "inputs": {"code": {"content": "input file"}}},
+        record,
+        {"record": "outcome", "status": "completed", "outcome": {}, "duration": 0.5},
+    ])
+    with mock.patch.object(vapu.workspace, "_exchange_from_record", exchange_through_from_json):
+        expected = loaded_exchanges(path)
+    actual = loaded_exchanges(path)
+    if isinstance(expected, str):  # both refuse it, naming the file and any field
+        assert isinstance(actual, str) and str(path) in actual
+        assert ("ChatExchange" in expected) <= ("ChatExchange." in actual)
+    else:
+        assert actual == expected
 
 
 def test_truncated_transcript_detected(tmp_path) -> None:
