@@ -37,7 +37,12 @@ over the hand-built runs whose scored file ``tests/test_cli.py`` checks
 against its golden bytes.
 ``test_cli_report_call`` times a whole in-process ``vapu report`` call on
 those synthetic records: the fixed cost each ``main`` call pays (argument
-parsing included) on top of the report itself.  The batch benches run the
+parsing included) on top of the report itself.  ``test_indented_json``
+writes that golden scored file's data as ``evaluate`` writes it, through
+``evaluation.to_indented_json`` and through ``json.dumps(indent=2)``, and
+``test_aggregate_records`` summarises the records of one perfbench
+evaluate-report ``evaluate`` call: four files of two repetitions each.
+The batch benches run the
 demo update ``BATCH_RUNS`` times through one command at ``--parallel`` 1,
 8 and 32, through a replay gateway that waits ``CALL_LATENCY_S`` before
 each reply as an endpoint would, so they measure how far the worker pool
@@ -60,6 +65,11 @@ file and moving it over the old one with ``os.replace``, and
 yet, as a real run makes its files.  The last times
 a new interpreter importing ``vapu.cli``, the start-up cost every command
 pays, and checks that the HTTP stack stays unloaded.
+
+To time another tree's code with these benches (a before/after
+comparison), pass ``-o pythonpath=<tree>/src``: ``pyproject.toml`` puts
+this checkout's ``src/`` ahead of ``PYTHONPATH``, so without it both
+sides silently measure this checkout.
 """
 
 from __future__ import annotations
@@ -79,11 +89,13 @@ import vapu.cli
 import vapu.workspace
 from vapu.cli import demo_root, main
 from vapu.evaluation import (
+    aggregate_records,
     build_comparison_report,
     default_checkers,
     load_annotations,
     records_for_report,
     score_transcript,
+    to_indented_json,
 )
 from vapu.gateway import ChatExchange, ReplayGateway, load_replay_fixtures
 from vapu.models import AgentRole, CodeDocument, RequirementSpec, read_input, to_json
@@ -381,6 +393,26 @@ def test_cli_report_call(benchmark, tmp_path) -> None:
                             "--output-dir", str(out)]) == 0
     golden = TESTS / "data" / "report" / "report.txt"
     assert (out / "report.txt").read_bytes() == golden.read_bytes()
+
+
+def dumps_indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("writer", [to_indented_json, dumps_indented], ids=["evaluation", "json"])
+def test_indented_json(benchmark, writer) -> None:
+    golden = (TESTS / "data" / "evaluate" / "scored.json").read_text(encoding="utf-8")
+    assert benchmark(writer, json.loads(golden)) == golden
+
+
+def test_aggregate_records(benchmark) -> None:
+    records = [{"file_id": f"file{i}", "method": "vapu", "model": "replay", "temperature": 0.0,
+                "error_count": (i + rep) % 3, "requirement_score": (i * rep) % 3 or None,
+                "duration": 0.0131 + 0.0007 * i - 0.0002 * rep}
+               for i in range(4) for rep in (1, 2)]
+    summaries = benchmark(aggregate_records, records)
+    assert [summary["n"] for summary in summaries] == [2] * 4
+    assert all(summary["duration_sd"] > 0 for summary in summaries)
 
 
 BATCH_RUNS = 32

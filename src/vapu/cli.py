@@ -143,8 +143,8 @@ def cmd_evaluate(args) -> int:
     records = [evaluation.score_transcript(*_load_run(path), annotations, checkers)
                for path in paths]
     aggregates = evaluation.aggregate_records(records)
-    output = write_file(Path(args.output), json.dumps(
-        {"records": records, "aggregates": aggregates}, indent=2, sort_keys=True))
+    output = write_file(Path(args.output), evaluation.to_indented_json(
+        {"records": records, "aggregates": aggregates}))
     print(f"scored {len(records)} run(s) into {output} "
           f"({len(aggregates)} aggregate group(s))")
     return 0
@@ -178,8 +178,7 @@ def cmd_report(args) -> int:
     except ValueError as exc:
         raise err.ConfigInvalid(str(exc)) from exc
     output_dir = Path(args.output_dir)
-    write_file(output_dir / "report.json",
-               json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    write_file(output_dir / "report.json", evaluation.to_indented_json(report.to_dict()))
     rows = io.StringIO()
     csv.writer(rows, delimiter="\t").writerows(report.to_rows())
     write_file(output_dir / "report.tsv", rows.getvalue())

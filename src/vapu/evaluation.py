@@ -5,18 +5,20 @@ A run is scored from plain data: its errors counted once per cause
 as the count of 0/1 results, and its three check marks as the count of
 true flags.  Also here: difficulty scoring from LOC/complexity/task
 count, duration normalization, mean/SD statistics, temperature
-selection, and the side-by-side comparison report.
+selection, and the side-by-side comparison report and its JSON text.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import re
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -219,11 +221,27 @@ class RunStats:
 
 
 def aggregate_runs(values: Sequence[float]) -> RunStats:
+    """The mean as ``statistics.fmean`` gives it, and the population SD correctly rounded,
+    as 3.11+'s ``statistics.pstdev`` gives it.  Over one power-of-two denominator ``d``, ints
+    and finite floats have the variance ``(n*sum(x*x) - sum(x)**2) / (n*d)**2``, and
+    ``math.isqrt`` its root, rounded to odd at 2*53+3 bits as pstdev rounds it."""
     if not values:
         raise ValueError("cannot aggregate an empty value list")
-    mean = statistics.fmean(values)
-    sd = statistics.pstdev(values) if len(values) > 1 else 0.0
-    return RunStats(n=len(values), mean=mean, sd=sd)
+    count, total = len(values), math.fsum(values)
+    if not math.isfinite(total) or not set(map(type, values)) <= {int, float}:
+        import statistics  # for other number types, infinities and NaN
+
+        return RunStats(count, total / count, statistics.pstdev(values) if count > 1 else 0.0)
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)  # a multiple of every other
+    scaled = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    top, bottom = count * sum(x * x for x in scaled) - sum(scaled) ** 2, (count * scale) ** 2
+    shift = (top.bit_length() - bottom.bit_length() - 109) // 2
+    top, bottom = (top, bottom << 2 * shift) if shift >= 0 else (top << -2 * shift, bottom)
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top  # round to odd
+    return RunStats(count, total / count,
+                    float(root << shift) if shift >= 0 else root / (1 << -shift))
 
 
 def normalize_durations(durations: Sequence[float],
@@ -283,7 +301,7 @@ class FileFeatures:
         # A file score_difficulty refuses would drop out of the LOC or grade table.
         score_difficulty(self.loc, self.cc_letter, self.task_count)
 
-    @property
+    @functools.cached_property
     def buckets(self) -> tuple[str, str, str]:
         """The file's LOC band, grade group and task count: its bucket in each report table."""
         grade = _cc_grade(self.cc_letter)
@@ -645,3 +663,46 @@ def records_for_report(records: Sequence[dict]) -> tuple[list[CheckMarkRecord], 
             if features.setdefault(file_id, read).buckets != read.buckets:
                 raise ValueError(f"file {file_id!r} falls in two report buckets by its features")
     return marks, features
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false",
+                   math.inf: "Infinity", -math.inf: "-Infinity"}  # NaN: not found
+
+
+def to_indented_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` without json's pure-Python encoder
+    for dicts with str keys, lists, str, int, float, bool and None of exactly those types."""
+    parts: list[str] = []
+    try:
+        _write_indented(value, "\n", parts)
+    except (TypeError, RecursionError):  # json writes it, or raises its own error
+        return json.dumps(value, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
+def _write_indented(value, newline: str, parts: list[str]) -> None:
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        parts.append(float.__repr__(value))
+    elif kind is float or kind is bool or value is None:
+        parts.append(_JSON_CONSTANTS.get(value, "NaN"))
+    elif kind is dict:
+        inner, separator = newline + "  ", "{"
+        for key in sorted(value):  # the escaper raises TypeError on a key that is not str
+            parts.append(f"{separator}{inner}{encode_basestring_ascii(key)}: ")
+            _write_indented(value[key], inner, parts)
+            separator = ","
+        parts.append(newline + "}" if value else "{}")
+    elif kind is list:
+        inner, separator = newline + "  ", "["
+        for item in value:
+            parts.append(separator + inner)
+            _write_indented(item, inner, parts)
+            separator = ","
+        parts.append(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"{kind.__name__} is written by json.dumps")

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import statistics
+import struct
+import sys
 from collections import Counter
 from collections.abc import Sequence
+from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,7 @@ from vapu.evaluation import (
     FileFeatures,
     Finding,
     RequirementResult,
+    RunStats,
     TemperatureScore,
     aggregate_runs,
     build_comparison_report,
@@ -30,6 +37,7 @@ from vapu.evaluation import (
     score_difficulty,
     score_transcript,
     select_temperature,
+    to_indented_json,
 )
 from vapu.models import CodeDocument, RequirementSpec, count_loc
 from vapu.workspace import RunConfig, RunHeader, RunTranscript
@@ -357,6 +365,81 @@ def test_population_sd_matches_two_pass_oracle() -> None:
         sd = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
         assert abs(stats.mean - mean) < 1e-9
         assert abs(stats.sd - sd) < 1e-9
+
+
+def test_population_sd_is_the_same_float_on_every_python() -> None:
+    # Python 3.10's statistics.pstdev gave ...367 and overflowed on the second.
+    assert aggregate_runs([1.25, 2.5, 4.0]).sd == 1.1242281302693369
+    assert aggregate_runs([1e300, -1e300]) == RunStats(n=2, mean=0.0, sd=1e300)
+
+
+def is_correctly_rounded_sqrt(root: float, square: Fraction) -> bool:
+    """Whether ``root`` is ``sqrt(square)`` rounded to nearest, ties to even: the exact
+    root lies between the midpoints to ``root``'s neighbouring floats."""
+    low = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2 if root else Fraction(0)
+    high = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    if not low * low <= square <= high * high:
+        return False
+    even = struct.unpack("<q", struct.pack("<d", root))[0] % 2 == 0
+    return even or square not in (low * low, high * high)
+
+
+finite_values = st.lists(st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                                   st.integers(min_value=-2**80, max_value=2**80)),
+                         min_size=2, max_size=30)
+
+
+@given(finite_values)
+def test_population_sd_is_the_exact_sd_correctly_rounded(values: list[float]) -> None:
+    exact = [Fraction(value) for value in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((value - mean) ** 2 for value in exact) / len(exact)
+    sd = aggregate_runs(values).sd
+    assert is_correctly_rounded_sqrt(sd, variance)
+    if sys.version_info >= (3, 11):  # 3.10's pstdev rounded twice
+        assert sd == statistics.pstdev(values)
+
+
+def test_other_number_types_take_the_sd_of_statistics() -> None:
+    values = [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)]
+    assert aggregate_runs(values) == RunStats(3, statistics.fmean(values),
+                                              statistics.pstdev(values))
+
+
+class Shade(str, Enum):
+    DARK = "dark\u00e9"
+
+
+json_texts = st.one_of(st.text(), st.text(st.characters(exclude_categories=())),
+                       st.sampled_from(["\ud800", "a\udfff", "\x00\x1f\x7f\n\t", "\"\\/",
+                                        "\u00e9\u20ac\U0001d11e"]))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.just(2**70), st.floats(),
+                        st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), json_texts)
+json_trees = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(json_texts, children, max_size=4)),
+    max_leaves=30)
+# Values only json.dumps writes: a tuple, an int key, a str subclass.
+fallback_trees = st.recursive(
+    st.one_of(json_leaves, st.just(Shade.DARK)),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(json_texts, children, max_size=3),
+                               st.dictionaries(st.integers(), children, max_size=3)),
+    max_leaves=20)
+
+
+@given(st.one_of(json_trees, fallback_trees, st.just({}), st.just([])))
+def test_indented_json_is_the_text_of_json_dumps(value) -> None:
+    assert to_indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_indented_json_raises_as_json_dumps_does() -> None:
+    circular: list = []
+    circular.append(circular)
+    with pytest.raises(ValueError, match="Circular reference"):
+        to_indented_json({"a": circular})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        to_indented_json([{1, 2}])
 
 
 # --- temperature selection ---
