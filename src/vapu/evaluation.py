@@ -670,13 +670,11 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false",
 
 
 def to_indented_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` without json's pure-Python encoder
-    for dicts with str keys, lists, str, int, float, bool and None of exactly those types."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` without json's pure-Python encoder,
+    for dicts with str keys, lists, str, int, float, bool and None of exactly those types;
+    any other type raises TypeError."""
     parts: list[str] = []
-    try:
-        _write_indented(value, "\n", parts)
-    except (TypeError, RecursionError):  # json writes it, or raises its own error
-        return json.dumps(value, indent=2, sort_keys=True)
+    _write_indented(value, "\n", parts)
     return "".join(parts)
 
 
@@ -705,4 +703,4 @@ def _write_indented(value, newline: str, parts: list[str]) -> None:
             separator = ","
         parts.append(newline + "]" if value else "[]")
     else:
-        raise TypeError(f"{kind.__name__} is written by json.dumps")
+        raise TypeError(f"{kind.__name__} is not written as indented JSON")

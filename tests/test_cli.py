@@ -738,14 +738,16 @@ def test_offline_commands_never_import_requests(tmp_path) -> None:
     assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
 
 
-# After the import and then after each command: its exit status and which of
-# the modules named by the second argument are loaded.
-LOADED_AFTER_EACH = """
+# After the import and then after each command: its exit status and which
+# modules of the scoring and report stack are loaded.
+SCORING_STACK = """
 import contextlib, io, json, sys
 from vapu.cli import main
 
 def loaded():
-    return [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+    return [name for name in ("vapu.evaluation", "statistics", "fractions", "decimal", "csv",
+                              "concurrent.futures")
+            if name in sys.modules]
 
 print(json.dumps([None, loaded()]))
 for argv in json.loads(sys.argv[1]):
@@ -759,6 +761,9 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_update_baseline_and_replay_start_without_the_scoring_stack(tmp_path) -> None:
+    """Scoring and reporting take their SDs in plain integers, so they load none of
+    statistics, fractions or decimal either."""
+    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
     commands = [
         ["--help"],
         demo_update_args(DEMO / "legacy", tmp_path / "vapu"),
@@ -767,33 +772,15 @@ def test_update_baseline_and_replay_start_without_the_scoring_stack(tmp_path) ->
          str(tmp_path / "vapu" / "reference_list-vapu-gpt-4o-t0-r1.jsonl")],
         ["evaluate", "--runs-dir", str(tmp_path / "vapu"), "--annotations",
          str(DEMO / "annotations.json"), "--output", str(tmp_path / "scored.json")],
-    ]
-    child = fresh_python(LOADED_AFTER_EACH, json.dumps(commands), json.dumps(
-        ["vapu.evaluation", "statistics", "csv", "concurrent.futures"]))
-    assert child.returncode == 0, child.stderr
-    *short, (status, after_evaluate) = map(json.loads, child.stdout.splitlines())
-    assert short == [[None, []], *[[0, []]] * 4]
-    assert status == 0 and "vapu.evaluation" in after_evaluate
-
-
-def test_evaluate_and_report_start_without_exact_number_types(tmp_path) -> None:
-    """Scoring and reporting take their SDs in plain integers, so none of the modules
-    of exact fractions and decimals is imported."""
-    vapu_scored, zsl_scored = write_synthetic_report_inputs(tmp_path / "scored")
-    commands = [
-        demo_update_args(DEMO / "legacy", tmp_path / "vapu", runs=3),
-        ["evaluate", "--runs-dir", str(tmp_path / "vapu"), "--annotations",
-         str(DEMO / "annotations.json"), "--output", str(tmp_path / "scored.json")],
         ["report", "--compare", str(vapu_scored), str(zsl_scored),
          "--output-dir", str(tmp_path / "report")],
     ]
-    child = fresh_python(LOADED_AFTER_EACH, json.dumps(commands),
-                         json.dumps(["statistics", "fractions", "decimal", "vapu.evaluation"]))
+    child = fresh_python(SCORING_STACK, json.dumps(commands))
     assert child.returncode == 0, child.stderr
-    assert list(map(json.loads, child.stdout.splitlines())) == [
-        [None, []], [0, []], [0, ["vapu.evaluation"]], [0, ["vapu.evaluation"]]]
-    aggregates = json.loads((tmp_path / "scored.json").read_text(encoding="utf-8"))["aggregates"]
-    assert [group["n"] for group in aggregates] == [3]  # the SDs were taken
+    *short, (status, after_evaluate), after_report = map(json.loads, child.stdout.splitlines())
+    assert short == [[None, []], *[[0, []]] * 4]
+    assert status == 0 and after_evaluate == ["vapu.evaluation"]
+    assert after_report == [0, ["vapu.evaluation", "csv"]]
 
 
 def test_live_backend_without_requests_exits_2_before_any_run(tmp_path) -> None:

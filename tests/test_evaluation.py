@@ -8,7 +8,6 @@ import struct
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -406,10 +405,6 @@ def test_other_number_types_take_the_sd_of_statistics() -> None:
                                               statistics.pstdev(values))
 
 
-class Shade(str, Enum):
-    DARK = "dark\u00e9"
-
-
 json_texts = st.one_of(st.text(), st.text(st.characters(exclude_categories=())),
                        st.sampled_from(["\ud800", "a\udfff", "\x00\x1f\x7f\n\t", "\"\\/",
                                         "\u00e9\u20ac\U0001d11e"]))
@@ -418,28 +413,17 @@ json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.just(2**70),
 json_trees = st.recursive(json_leaves, lambda children: st.one_of(
     st.lists(children, max_size=4), st.dictionaries(json_texts, children, max_size=4)),
     max_leaves=30)
-# Values only json.dumps writes: a tuple, an int key, a str subclass.
-fallback_trees = st.recursive(
-    st.one_of(json_leaves, st.just(Shade.DARK)),
-    lambda children: st.one_of(st.lists(children, max_size=3),
-                               st.lists(children, max_size=3).map(tuple),
-                               st.dictionaries(json_texts, children, max_size=3),
-                               st.dictionaries(st.integers(), children, max_size=3)),
-    max_leaves=20)
 
 
-@given(st.one_of(json_trees, fallback_trees, st.just({}), st.just([])))
+@given(st.one_of(json_trees, st.just({}), st.just([])))
 def test_indented_json_is_the_text_of_json_dumps(value) -> None:
     assert to_indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-def test_indented_json_raises_as_json_dumps_does() -> None:
-    circular: list = []
-    circular.append(circular)
-    with pytest.raises(ValueError, match="Circular reference"):
-        to_indented_json({"a": circular})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        to_indented_json([{1, 2}])
+def test_indented_json_raises_on_any_other_type() -> None:
+    for value in ([1, (2, 3)], {1: "a"}, {"a": ErrorCategory.FATAL}, [{1, 2}]):
+        with pytest.raises(TypeError):
+            to_indented_json(value)
 
 
 # --- temperature selection ---
