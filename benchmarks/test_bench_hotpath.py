@@ -22,7 +22,10 @@ Two benches time ``models.to_json``, the writer of a transcript's header
 and outcome, on one rendered exchange and on a run config, one times
 ``workspace._exchange_record``, the writer of the exchange records, on
 that exchange, and one ``workspace._exchange_from_record``, their reader,
-on the record it writes.
+on the record it writes.  ``test_json_text`` escapes the first 1 K and
+40 K characters of the view as a transcript's text, on the bytes path of
+``workspace._json_text`` (``kernel``) and by json's C escaper (``c``):
+where the two cross sets ``workspace.LONG_TEXT``.
 
 Three benches run whole layers on the bundled demo instead: one
 ``run_update`` through a replay gateway (planning, two tasks, the
@@ -283,6 +286,30 @@ def test_to_json_exchange(benchmark, rendered_transcript) -> None:
     exchange = rendered_transcript.exchanges[4]  # a verifier call rendered from its template
     record = benchmark(to_json, exchange)
     assert record["role"] == "verifier" and "parts" not in record
+
+
+JSON_TEXTS = {"1K": CODE[:1024], "40K": CODE[:40960]}
+
+
+@pytest.mark.parametrize("size", JSON_TEXTS)
+@pytest.mark.parametrize("escaper", ["kernel", "c"])
+def test_json_text(benchmark, monkeypatch, escaper, size) -> None:
+    text = JSON_TEXTS[size]
+    expected = json.encoder.encode_basestring_ascii(text).encode("ascii")
+    if escaper == "c":
+        assert benchmark(lambda: json.encoder.encode_basestring_ascii(text).encode("ascii")) \
+            == expected
+        return
+    # Every length on the bytes path, so the sizes show where it starts to win.
+    monkeypatch.setattr(vapu.workspace, "LONG_TEXT", 0)
+
+    def escape() -> list[bytes]:
+        pieces: list[bytes] = []
+        vapu.workspace._json_text(text, pieces)
+        return pieces
+
+    pieces = benchmark(escape)
+    assert len(pieces) == 3 and b"".join(pieces) == expected
 
 
 def test_exchange_record(benchmark, rendered_transcript) -> None:

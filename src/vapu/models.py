@@ -190,12 +190,13 @@ def decode_text(data: bytes, errors: str = "strict") -> str:
 def read_input(path: str | Path, what: str, parse: Callable[[str], object] | None = None):
     """The UTF-8 text of input file ``path``, read as bytes (:func:`read_bytes`) with the
     newlines text mode reads (:func:`decode_text`), or what ``parse`` makes of it.  Any
-    failure, from a missing file to a value ``parse`` refuses, raises ConfigInvalid naming
-    both."""
+    failure, from a missing file to a value ``parse`` refuses or JSON nested deeper than
+    json's parser recurses, raises ConfigInvalid naming both."""
     try:
         text = decode_text(read_bytes(path))
         return text if parse is None else parse(text)
-    except (AttributeError, LookupError, OSError, TypeError, ValueError, VapuError) as exc:
+    except (AttributeError, LookupError, OSError, RecursionError, TypeError, ValueError,
+            VapuError) as exc:
         raise ConfigInvalid(f"cannot read {what} {path}: {type(exc).__name__}: {exc}") from None
 
 

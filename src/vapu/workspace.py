@@ -71,6 +71,14 @@ _ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
     _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
 # Most buffers one os.writev takes; sysconf gives -1 for no limit, and POSIX allows 16.
 _IOV_MAX = max(os.sysconf("SC_IOV_MAX"), 16)
+# From this length on, bytes operations escape an ASCII text faster than json's C escaper.
+LONG_TEXT = 2048
+# The bytes json writes as they are, and those it writes as a backslash and one character,
+# each with its escape, the backslash first, so that no escape is escaped again.
+_PLAIN = bytes(byte for byte in range(0x20, 0x7F) if byte not in b'"\\')
+_ESCAPES = ((b"\\", b"\\\\"), (b'"', b'\\"'), (b"\n", b"\\n"), (b"\r", b"\\r"),
+            (b"\t", b"\\t"), (b"\b", b"\\b"), (b"\f", b"\\f"))
+_SHORT_ESCAPED = b"".join(byte for byte, _ in _ESCAPES)
 
 TRANSCRIPT_FORMAT = "vapu-transcript-v4"
 # Formats whose lists hold literal text (strings) beside table indices.
@@ -242,7 +250,7 @@ def _write_all(fd: int, chunks: list[bytes]) -> None:
 
 def _encode_line(record: object) -> bytes:
     """``json.dumps(record, sort_keys=True)`` and a newline, as UTF-8: the newline is
-    joined with the encoder's own pieces, so a long line is copied once."""
+    joined with the encoder's own pieces, so a line is copied twice: joined, then encoded."""
     if _ENCODE is None:
         return (_ENCODER.encode(record) + "\n").encode("utf-8")
     return "".join([*_ENCODE(record, 0), "\n"]).encode("utf-8")
@@ -252,7 +260,9 @@ def persist_transcript(transcript: RunTranscript, directory: str | Path) -> str:
     """Write a transcript as checksummed JSON lines; returns the path written, a ``str``.
 
     Each line is encoded once, with its newline, and hashed as it is made,
-    and the lines are written as they are, never joined into one body.
+    and the lines are written as they are, never joined into one body.  A record with a
+    text of ``LONG_TEXT`` characters or more is written in pieces, with the same bytes: its
+    other keys, then its ``"texts"`` (the last key sorted), each by :func:`_json_text`.
     """
     transcript.validate()
     path = join_path(directory, f"{transcript.run_id}.jsonl")
@@ -274,11 +284,39 @@ def persist_transcript(transcript: RunTranscript, directory: str | Path) -> str:
     digest = hashlib.sha256()
     lines: list[bytes] = []
     for record in records:
-        line = _encode_line(record)
-        digest.update(line)
-        lines.append(line)
+        texts = record.get("texts")
+        if not texts or max(map(len, texts)) < LONG_TEXT:
+            line = _encode_line(record)
+            digest.update(line)
+            lines.append(line)
+            continue
+        del record["texts"]
+        pieces = [_encode_line(record)[:-2], b', "texts": [']
+        for text in texts:
+            _json_text(text, pieces)
+            pieces.append(b", ")
+        pieces[-1] = b"]}\n"
+        for piece in pieces:
+            digest.update(piece)
+        lines += pieces
     lines.append(_encode_line({"record": "checksum", "sha256": digest.hexdigest()}))
     return write_file(path, lines)
+
+
+def _json_text(text: str, pieces: list[bytes]) -> None:
+    """Append ``encode_basestring_ascii(text)`` as bytes to ``pieces``: by ``bytes.replace``,
+    its quotes pieces of their own, for an ASCII text of ``LONG_TEXT`` characters or more
+    whose escapes are all two characters long, else (``\\u00XX`` too) by json's C escaper."""
+    if len(text) >= LONG_TEXT and text.isascii():
+        raw = text.encode("ascii")
+        odd = raw.translate(None, _PLAIN)
+        if not odd.translate(None, _SHORT_ESCAPED):
+            for byte, escape in _ESCAPES:
+                if byte in odd:
+                    raw = raw.replace(byte, escape)
+            pieces += (b'"', raw, b'"')
+            return
+    pieces.append(json.encoder.encode_basestring_ascii(text).encode("ascii"))
 
 
 def _input_texts(inputs: dict) -> list[str]:
@@ -433,7 +471,8 @@ def load_transcript(path: Path) -> RunTranscript:
             return _transcript_from_lines(handle, path)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read transcript {path}: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # RecursionError: JSON nested deeper than json's parser recurses.
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise CorruptTranscript(f"{path}: malformed transcript: {exc!r}") from None
 
 

@@ -276,6 +276,51 @@ def test_replay_detects_mismatch(tmp_path, capsys) -> None:
                                        f"final code differs from the recorded output\n")
 
 
+# JSON nested deeper than json's parser recurses: it raises RecursionError on 3.10-3.13.
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("command", ["replay", "evaluate"])
+def test_a_transcript_nested_too_deep_for_json_exits_14_naming_it(tmp_path, capsys,
+                                                                  command) -> None:
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    path = runs / "deep.jsonl"
+    path.write_text(DEEP_JSON + "\n", encoding="utf-8")
+    scored = tmp_path / "scored.json"
+    args = (["replay", "--transcript", str(path)] if command == "replay" else
+            ["evaluate", "--runs-dir", str(runs), "--annotations",
+             str(DEMO / "annotations.json"), "--output", str(scored)])
+    assert main(args) == 14
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not scored.exists()
+
+
+def test_annotations_nested_too_deep_for_json_exit_2_naming_the_file(tmp_path, capsys) -> None:
+    out = run_demo_update(tmp_path)
+    annotations = tmp_path / "annotations.json"
+    annotations.write_text(DEEP_JSON, encoding="utf-8")
+    scored = tmp_path / "scored.json"
+    capsys.readouterr()
+    assert main(["evaluate", "--runs-dir", str(out), "--annotations", str(annotations),
+                 "--output", str(scored)]) == 2
+    err = capsys.readouterr().err
+    assert f"annotations file {annotations}" in err and "Traceback" not in err
+    assert not scored.exists()
+
+
+def test_a_scored_file_nested_too_deep_for_json_exits_2_naming_it(tmp_path, capsys) -> None:
+    marked, deep = write_synthetic_report_inputs(tmp_path)
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    report = tmp_path / "report"
+    assert main(["report", "--compare", str(marked), str(deep),
+                 "--output-dir", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"scored file {deep}" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_report_with_mismatched_files(tmp_path) -> None:
     def scored(file_id: str) -> str:
         payload = {"records": [{

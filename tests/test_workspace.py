@@ -696,6 +696,93 @@ def test_a_transcript_line_without_the_c_encoder_is_the_same(monkeypatch) -> Non
     assert expected == (json.dumps(value, sort_keys=True) + "\n").encode("utf-8")
 
 
+# Alphabets weighted toward what json escapes: '"', '\\' and the other two-character
+# escapes only (the bytes path), all 128 ASCII code points with control characters and
+# DEL, and those with non-ASCII text and lone surrogates.
+short_escaped = st.sampled_from('"\\\n\r\t\b\f') | st.characters(min_codepoint=0x20,
+                                                                 max_codepoint=0x7E)
+any_ascii = st.sampled_from('"\\\n\x00\x1f\x7f') | st.characters(max_codepoint=0x7F)
+any_text = any_ascii | st.sampled_from("é€\U0001f600") | st.characters(categories=["Cs"])
+LONG_TEXT = vapu.workspace.LONG_TEXT
+
+
+@st.composite
+def around_long_text(draw) -> str:
+    """A text as long as ``LONG_TEXT``, one character shorter or longer, or of any
+    length up to three times it: a drawn core repeated."""
+    core = draw(st.text(draw(st.sampled_from([short_escaped, any_ascii, any_text])),
+                        min_size=1, max_size=40))
+    length = draw(st.sampled_from([LONG_TEXT - 1, LONG_TEXT, LONG_TEXT + 1])
+                  | st.integers(0, 3 * LONG_TEXT))
+    return (core * (length // len(core) + 1))[:length]
+
+
+@settings(deadline=None)
+@given(around_long_text())
+@example("\"\\\n\r\t\b\f<?php echo $a['b']; ?>" * (LONG_TEXT // 20))
+@example("\\" * LONG_TEXT)
+@example("x" * (LONG_TEXT - 1) + "\x7f")
+@example("x" * LONG_TEXT + "\ud800")
+def test_a_text_is_escaped_as_json_escapes_it(text) -> None:
+    pieces: list[bytes] = []
+    vapu.workspace._json_text(text, pieces)
+    assert b"".join(pieces) == json.encoder.encode_basestring_ascii(text).encode("ascii")
+
+
+@pytest.mark.parametrize("text, bytes_path", [
+    ("x" * LONG_TEXT, True), ("a\"b\\c\n\r\t\b\f" * LONG_TEXT, True),
+    ("x" * (LONG_TEXT - 1), False), ("x" * LONG_TEXT + "\x00", False),
+    ("x" * LONG_TEXT + "\x7f", False), ("x" * LONG_TEXT + "é", False)])
+def test_only_long_ascii_texts_with_two_character_escapes_take_the_bytes_path(
+        text, bytes_path) -> None:
+    pieces: list[bytes] = []
+    vapu.workspace._json_text(text, pieces)
+    # The bytes path writes the quotes as pieces of their own; json's escaper one piece.
+    assert (len(pieces) == 3 and pieces[0] == pieces[2] == b'"') is bytes_path
+
+
+def persisted_line_by_line(transcript: RunTranscript) -> bytes:
+    """The transcript persist_transcript writes, made as the writer without a bytes path
+    for long texts made it: every record one ``_encode_line`` call."""
+    table = {text: index for index, text in
+             enumerate(vapu.workspace._input_texts(transcript.inputs))}
+    records = [{"record": "header", "format": vapu.workspace.TRANSCRIPT_FORMAT,
+                "run_id": transcript.run_id, "config": transcript.config,
+                "inputs": transcript.inputs},
+               *(vapu.workspace._exchange_record(e, table) for e in transcript.exchanges),
+               {"record": "outcome", "status": transcript.status,
+                "outcome": vapu.workspace._outcome_record(transcript.outcome, table),
+                "duration": transcript.duration}]
+    body = b"".join(map(vapu.workspace._encode_line, records))
+    checksum = {"record": "checksum", "sha256": hashlib.sha256(body).hexdigest()}
+    return body + vapu.workspace._encode_line(checksum)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pool=st.lists(around_long_text(), min_size=1, max_size=5),
+       calls=st.lists(st.tuples(st.lists(st.integers(0, 4), min_size=1, max_size=4),
+                                st.lists(st.integers(0, 4), min_size=1, max_size=3),
+                                st.sampled_from(AgentRole), st.integers(0, 2)),
+                      min_size=1, max_size=4),
+       code=st.integers(0, 4))
+def test_persist_transcript_writes_each_record_as_encode_line_does(
+        tmp_path_factory, pool, calls, code) -> None:
+    exchanges = []
+    for started_at, (prompt, response, role, retries) in enumerate(calls):
+        exchange = ChatExchange(role, "", "", 0.25, float(started_at), "m", 1.0, retries,
+                                ["truncated"] if retries else [])
+        exchange.prompt_parts = [pool[i % len(pool)] for i in prompt]
+        exchange.response_parts = [pool[i % len(pool)] for i in response]
+        exchanges.append(exchange)
+    content = pool[code % len(pool)]
+    transcript = RunTranscript(
+        run_id="r", config={"model": "m"}, exchanges=exchanges,
+        outcome={"final_code": {"path": "a.py", "content": content}}, duration=1.5,
+        inputs={"code": {"path": "a.py", "content": content}})
+    path = Path(persist_transcript(transcript, tmp_path_factory.mktemp("persisted")))
+    assert path.read_bytes() == persisted_line_by_line(transcript)
+
+
 def test_unordered_exchanges_rejected(tmp_path) -> None:
     transcript = sample_transcript()
     transcript.exchanges = [exchange(2.0), exchange(1.0)]
