@@ -18,12 +18,18 @@ template literal on every line, and Markdown prose with inline code on
 every line before a short fenced block.  The prompt benches render the
 executor, verifier and baseline templates around that file, and the
 verdict bench parses a rejection with eight change bullets.
+``test_persist_large_file_transcript`` writes a three-task run shaped
+like a perfbench large-files one: a long header input, six versions of
+the file as table texts (79% of its bytes; 76% in large-files) and one
+truncated reply stored as one long string.
 Two benches time ``models.to_json``, the writer of a transcript's header
 and outcome, on one rendered exchange and on a run config, one times
 ``workspace._exchange_record``, the writer of the exchange records, on
 that exchange, and one ``workspace._exchange_from_record``, their reader,
-on the record it writes.  ``test_json_text`` escapes the first 1 K and
-40 K characters of the view as a transcript's text, on the bytes path of
+on the record it writes; their ``_with_optional_fields`` twins do the
+same with ``retries`` and ``flags`` set, the optional-field table's
+path.  ``test_json_text`` escapes the first 1 K and 40 K characters of
+the view as a transcript's text, on the bytes path of
 ``workspace._json_text`` (``kernel``) and by json's C escaper (``c``):
 where the two cross sets ``workspace.LONG_TEXT``.
 
@@ -72,7 +78,8 @@ pays, and checks that the HTTP stack stays unloaded.
 To time another tree's code with these benches (a before/after
 comparison), pass ``-o pythonpath=<tree>/src``: ``pyproject.toml`` puts
 this checkout's ``src/`` ahead of ``PYTHONPATH``, so without it both
-sides silently measure this checkout.
+sides silently measure this checkout.  The ``vapu:`` line of the report
+header (``conftest.py``) names the package a session imported.
 """
 
 from __future__ import annotations
@@ -127,6 +134,9 @@ from vapu.workspace import (
 # The golden-report records live with the test that checks their report.
 TESTS = Path(__file__).parents[1] / "tests"
 sys.path.insert(0, str(TESTS))
+# test_cli imports the tests' conftest module by name, which is this directory's as pytest
+# loaded it: drop that name so the import finds the tests' one (pytest keeps its own copy).
+sys.modules.pop("conftest", None)
 from test_cli import (  # noqa: E402
     demo_update_args,
     demo_zsl_args,
@@ -206,6 +216,49 @@ def referenced_transcript(rendered_transcript) -> RunTranscript:
     return rendered_transcript
 
 
+# The code as each of six updates leaves it, as a large-files run's replies carry it.
+VERSIONS = [CODE.replace("field_", f"field{v}_") for v in range(1, 7)]
+
+
+@pytest.fixture
+def large_file_transcript() -> RunTranscript:
+    """A three-task run shaped like a large-files one: the header's input is the original
+    file; each executor and finalizer reply carries a new version of it, split around the
+    code as the pipeline splits it, so the six versions are table texts; and one executor
+    reply, cut short, is one part, flagged truncated."""
+    exchanges: list[ChatExchange] = []
+
+    def call(role, template, bindings, reply_parts, flags=()):
+        tpl = default_templates()[template]
+        prompt = render_template(tpl, {k: bindings[k] for k in tpl.placeholders()})
+        exchange = ChatExchange(role=role, prompt=prompt.text, response="".join(reply_parts),
+                                duration=0.01, started_at=1000.0 + len(exchanges),
+                                model="replay", temperature=0.0, flags=list(flags))
+        exchange.prompt_parts, exchange.response_parts = prompt.parts, reply_parts
+        exchanges.append(exchange)
+
+    plan = "1. Use entity getters\n2. Use the Html helper\n3. Escape every field\n"
+    call(AgentRole.MANAGER, "manager", BINDINGS, [plan])
+    call(AgentRole.MANAGER, "reflection", BINDINGS, [plan])
+    code = CODE
+    for task in range(3):
+        executed, finalized = VERSIONS[2 * task], VERSIONS[2 * task + 1]
+        bindings = {**BINDINGS, "code": code, "code_before": code, "code_after": executed}
+        call(AgentRole.PROMPT_MAKER, "prompt_maker", bindings, [f"instruction {task + 1}"])
+        if task == 1:  # cut off mid-code, then asked again
+            call(AgentRole.EXECUTOR, "executor", bindings,
+                 [REPLY.replace(CODE, executed)[:len(CODE) // 2]], flags=["truncated"])
+        call(AgentRole.EXECUTOR, "executor", bindings,
+             ["Here is the updated view:\n```php\n", executed, "```\nAll tasks applied.\n"])
+        call(AgentRole.VERIFIER, "verifier", bindings, [VERDICT])
+        call(AgentRole.FINALIZER, "finalizer", {**bindings, "code": executed},
+             ["```php\n", finalized, "```\n"])
+        code = finalized
+    transcript = _transcript(exchanges)
+    transcript.outcome = {"final_code": {"path": "app/View/items_index.php", "content": code}}
+    return transcript
+
+
 def _transcript(exchanges: list[ChatExchange]) -> RunTranscript:
     return RunTranscript(
         run_id="app__View__items_index-vapu-replay-t0-r1",
@@ -275,6 +328,17 @@ def test_persist_referenced_transcript(benchmark, referenced_transcript, tmp_pat
     assert path.stat().st_size < (10 + 1) * len(CODE)
 
 
+def test_persist_large_file_transcript(benchmark, large_file_transcript, tmp_path) -> None:
+    path = Path(benchmark(persist_transcript, large_file_transcript, tmp_path))
+    texts = [text for line in path.read_text(encoding="utf-8").splitlines()
+             for text in json.loads(line).get("texts", [])]
+    assert set(VERSIONS) <= set(texts) and len(texts) == len(set(texts))
+    assert min(map(len, [CODE, *VERSIONS])) >= vapu.workspace.LONG_TEXT
+    # One copy of each version, the input, the cut reply and the text the prompts share.
+    assert path.stat().st_size < (1 + 6 + 1 + 1) * len(CODE)
+    assert load_transcript(path) == large_file_transcript
+
+
 def test_load_referenced_transcript(benchmark, referenced_transcript, tmp_path) -> None:
     path = Path(persist_transcript(referenced_transcript, tmp_path))
     loaded = benchmark(load_transcript, path)
@@ -318,6 +382,18 @@ def test_exchange_record(benchmark, rendered_transcript) -> None:
     assert record["role"] == "verifier" and isinstance(record["prompt"], list)
 
 
+def with_optional_fields(exchange: ChatExchange) -> ChatExchange:
+    """``exchange`` with its optional fields set, as a retried, truncated call records them."""
+    exchange.retries, exchange.flags = 2, ["truncated", "no_fence"]
+    return exchange
+
+
+def test_exchange_record_with_optional_fields(benchmark, rendered_transcript) -> None:
+    exchange = with_optional_fields(rendered_transcript.exchanges[4])
+    record = benchmark(vapu.workspace._exchange_record, exchange, {})
+    assert record["retries"] == 2 and record["flags"] == exchange.flags
+
+
 def test_exchange_from_record(benchmark, rendered_transcript) -> None:
     exchange = rendered_transcript.exchanges[4]  # the exchange test_exchange_record writes
     record = vapu.workspace._exchange_record(exchange, {})
@@ -325,6 +401,14 @@ def test_exchange_from_record(benchmark, rendered_transcript) -> None:
     # Each call reads the record after an empty table, as the first exchange of a file.
     loaded = benchmark(lambda: vapu.workspace._exchange_from_record(record, [], path, False))
     assert loaded == exchange and loaded.prompt_parts == [p for p in exchange.prompt_parts if p]
+
+
+def test_exchange_from_record_with_optional_fields(benchmark, rendered_transcript) -> None:
+    exchange = with_optional_fields(rendered_transcript.exchanges[4])
+    record = vapu.workspace._exchange_record(exchange, {})
+    path = Path("t.jsonl")
+    loaded = benchmark(lambda: vapu.workspace._exchange_from_record(record, [], path, False))
+    assert loaded == exchange and loaded.retries == 2
 
 
 def test_to_json_config(benchmark, tmp_path) -> None:

@@ -44,10 +44,10 @@ def count_loc(code: str) -> int:
 
 
 @functools.cache
-def _read_plan(cls) -> tuple[tuple[str, type, bool, object, str], ...]:
-    """Each field's name, the type its value is read as (``list[str]`` as ``list``),
-    whether it may be None, its item count if it holds text (``...``: any) and its
-    type's name; worked out once per class, as get_type_hints costs ~150 us a call."""
+def read_plan(cls) -> tuple[tuple[str, type, bool, object, str], ...]:
+    """Each field's rule for :func:`read_fields`: its name, the type its value is read as
+    (``list[str]`` as ``list``), whether it may be None, its item count if it holds text
+    (``...``: any) and its type's name; once per class: get_type_hints costs ~150 us."""
     plan = []
     for name, kind in get_type_hints(cls).items():
         args = get_args(kind)
@@ -61,6 +61,35 @@ def _read_plan(cls) -> tuple[tuple[str, type, bool, object, str], ...]:
     return tuple(plan)
 
 
+def read_fields(data: Mapping, plan: Iterable[tuple[str, type, bool, object, str]],
+                where: str, complete: bool = False) -> dict:
+    """The values ``data`` holds for the fields of ``plan`` (:func:`read_plan`'s rules, or
+    some of them) by name, each read by :func:`from_json`'s rules; see there."""
+    values = {}
+    for name, kind, optional, count, type_name in plan:
+        if name not in data:
+            if complete and not optional:
+                raise TypeError(f"{where}.{name} is missing")
+            continue
+        value = data[name]
+        if optional and (value is None or value == ""):
+            value = None
+        elif type(value) is not kind or count is not None:  # else as every rule takes it
+            if count is not None:  # a container of text
+                readable = (type(value) in (list, tuple) and (count is ... or len(value) == count)
+                            and {*map(type, value)} <= {str})
+            else:  # a flag, count or text as its exact type (bool is an int subclass)
+                readable = kind is float and type(value) is int or kind not in _AS_IS
+            try:
+                value = value if isinstance(value, kind) or not readable else kind(value)
+            except (OverflowError, TypeError, ValueError):  # OverflowError: an int past float's
+                readable = False
+            if not readable:
+                raise TypeError(f"{where}.{name} must be {type_name}, got {value!r}")
+        values[name] = value
+    return values
+
+
 def from_json(cls, data: Mapping, where: str | None = None, complete: bool = False):
     """``cls`` built from a JSON object, each value checked or converted to its field's type.
 
@@ -72,32 +101,7 @@ def from_json(cls, data: Mapping, where: str | None = None, complete: bool = Fal
     through the field's type.  A value it cannot read raises TypeError naming
     ``where.field``; ``where`` defaults to the class name.
     """
-    where = where or cls.__name__
-    values = {}
-    for name, kind, optional, count, type_name in _read_plan(cls):
-        if name not in data:
-            if complete and not optional:
-                raise TypeError(f"{where}.{name} is missing")
-            continue
-        value = data[name]
-        if optional and (value is None or value == ""):
-            values[name] = None
-            continue
-        if kind in (bool, int, str):
-            readable = type(value) is kind  # exact: bool is an int subclass, and no count
-        elif kind is float:
-            readable = type(value) in (int, float)
-        else:
-            readable = count is None or (
-                type(value) in (list, tuple) and (count is ... or len(value) == count)
-                and all(type(item) is str for item in value))
-        try:
-            values[name] = value if isinstance(value, kind) or not readable else kind(value)
-        except (OverflowError, TypeError, ValueError):  # OverflowError: an int float cannot hold
-            readable = False
-        if not readable:
-            raise TypeError(f"{where}.{name} must be {type_name}, got {value!r}")
-    return cls(**values)
+    return cls(**read_fields(data, read_plan(cls), where or cls.__name__, complete))
 
 
 # Each dataclass's write plan, by class: to_json looks a value's type up here first.
@@ -111,7 +115,7 @@ def _write_plan(cls) -> tuple[tuple[str, bool], ...]:
     first write and kept in ``_WRITE_PLANS``."""
     compared = {f.name for f in fields(cls) if f.compare}  # fields() refuses a non-dataclass
     plan = _WRITE_PLANS[cls] = tuple(
-        (name, kind in (bool, int, float, str)) for name, kind, *_ in _read_plan(cls)
+        (name, kind in (bool, int, float, str)) for name, kind, *_ in read_plan(cls)
         if name in compared)
     return plan
 

@@ -21,8 +21,11 @@ The header records no machine path: its config leaves out the output
 directory, which is the transcript's own (see :func:`read_header`), and
 the fixture directory, since a replay sends the recorded replies.
 Fields that hold nothing a reader needs are left out too: a code
-document's line count, the outcome's copy of the run id, and an
-exchange's ``flags`` and ``retries`` while they hold their defaults.
+document's line count and the outcome's copy of the run id.  An optional
+exchange field is a ``ChatExchange`` field with a default: a record holds
+it only when its value differs from that default, and it is read by
+``from_json``'s rule (:func:`~vapu.models.read_fields`), so a new one
+joins v4 records with no format bump while v1-v4 files still load.
 Format v3 files (template literals and reply wrappers as strings in the
 lists), v2 files (only prompts as lists) and v1 files (all strings)
 still load, each list as one part per piece, as a v4 list loads.  The
@@ -41,7 +44,7 @@ import json
 import logging
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -57,6 +60,9 @@ from .models import (
     from_json,
     join_path,
     read_bytes,
+    read_fields,
+    read_plan,
+    to_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,6 +95,17 @@ READABLE_FORMATS = frozenset({"vapu-transcript-v1", *LITERAL_FORMATS, TRANSCRIPT
 UNRECORDED_CONFIG = ("output_dir", "fixtures_dir")
 # The roles by the value an exchange record stores.
 _ROLES = {role._value_: role for role in AgentRole}
+# ChatExchange's read_plan rules by field, and those of its required numbers.  Its optional
+# fields are those ``==`` compares that have a default: each one's name, default and whether
+# its value is JSON as it is (a number, flag, text or container of text) or takes to_json.
+_RULES = {rule[0]: rule for rule in read_plan(ChatExchange)}
+_NUMBERS = tuple(_RULES[name] for name in ("duration", "started_at", "temperature"))
+_OPTIONAL_FIELDS = tuple(
+    (f.name, f.default if f.default_factory is MISSING else f.default_factory(),
+     _RULES[f.name][1] in (bool, int, float, str) or _RULES[f.name][3] is not None)
+    for f in fields(ChatExchange)
+    if f.compare and (f.default is not MISSING or f.default_factory is not MISSING))
+_OPTIONAL_RULES = tuple(_RULES[name] for name, _, _ in _OPTIONAL_FIELDS)
 # Path parts that name no file under a project: see is_project_relative.
 _NON_NAMES = frozenset({"", ".", ".."})
 
@@ -330,15 +347,15 @@ def _exchange_record(exchange: ChatExchange, table: dict[str, int]) -> dict:
     """The pinned v4 exchange record, written from the exchange's fields rather than
     through ``to_json`` (as ``ComparisonReport.to_dict`` writes the pinned report): a
     prompt or reply of one part is that string, and one of several parts the references
-    of its non-empty parts into ``table``.  ``flags`` and ``retries`` are left out while
-    they hold their defaults, which ``from_json`` restores."""
+    of its non-empty parts into ``table``.  An optional field is written only when it
+    differs from its default, which the reader restores."""
     record = {"record": "exchange", "role": exchange.role._value_,
               "duration": exchange.duration, "started_at": exchange.started_at,
               "model": exchange.model, "temperature": exchange.temperature}
-    if exchange.flags:
-        record["flags"] = exchange.flags
-    if exchange.retries:
-        record["retries"] = exchange.retries
+    for name, default, as_is in _OPTIONAL_FIELDS:
+        value = getattr(exchange, name)
+        if value != default:
+            record[name] = value if as_is else to_json(value)
     texts: list[str] = []
     for key, parts in (("prompt", exchange.prompt_parts),
                        ("response", exchange.response_parts)):
@@ -403,13 +420,10 @@ def _exchange_from_record(record: dict, table: list[str], path: Path,
     :func:`_exchange_record` writes them; ``"texts"`` is appended to ``table`` first, and
     the prompt and reply stay parts over the table's texts, joined only when read.
 
-    It checks and converts as ``from_json(ChatExchange, record)`` does: ``role``,
-    ``duration``, ``started_at``, ``model`` and ``temperature`` present; the role one of
-    AgentRole's values; a number an int or float, read as float; the model a str, the
-    retries an int (not a bool) and the flags a list of str, each 0 and empty when
-    absent; other keys ignored.  A field it cannot read raises TypeError naming
-    ``ChatExchange.<field>``, which :func:`load_transcript` reports as CorruptTranscript
-    naming the file."""
+    It reads as ``from_json(ChatExchange, record)`` does, by its rules (``read_fields``) where
+    a value is not of its field's type: the fields with no default present, others their
+    default when absent, other keys ignored.  A field it cannot read raises TypeError naming
+    ``ChatExchange.<field>``, which :func:`load_transcript` reports as CorruptTranscript."""
     texts = record.get("texts", [])
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise CorruptTranscript(f"{path}: exchange texts must be a list of strings")
@@ -421,34 +435,16 @@ def _exchange_from_record(record: dict, table: list[str], path: Path,
         model, temperature = record["model"], record["temperature"]
     except KeyError as exc:
         raise TypeError(f"ChatExchange.{exc.args[0]} is missing") from None
-    retries = record.get("retries", 0)
-    flags = record["flags"] if "flags" in record else []
     if type(role) is not str or role not in _ROLES:
         raise TypeError(f"ChatExchange.role must be AgentRole, got {role!r}")
     if type(model) is not str:
         raise TypeError(f"ChatExchange.model must be str, got {model!r}")
-    if type(retries) is not int:  # exact: bool is an int subclass, and no count
-        raise TypeError(f"ChatExchange.retries must be int, got {retries!r}")
-    if type(flags) is not list or not all(type(flag) is str for flag in flags):
-        raise TypeError(f"ChatExchange.flags must be list[str], got {flags!r}")
-    exchange = ChatExchange(_ROLES[role], "", "", _float(duration, "duration"),
-                            _float(started_at, "started_at"), model,
-                            _float(temperature, "temperature"), retries, flags)
+    if not type(duration) is type(started_at) is type(temperature) is float:  # an int, or worse
+        duration, started_at, temperature = read_fields(record, _NUMBERS, "ChatExchange").values()
+    exchange = ChatExchange(_ROLES[role], "", "", duration, started_at, model, temperature,
+                            **read_fields(record, _OPTIONAL_RULES, "ChatExchange"))
     exchange.prompt_parts, exchange.response_parts = prompt_parts, response_parts
     return exchange
-
-
-def _float(value: object, name: str) -> float:
-    """An exchange's number field as float: a float as it is, an int that float can hold
-    converted."""
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise TypeError(f"ChatExchange.{name} must be float, got {value!r}")
 
 
 def _outcome_from_record(outcome: dict, table: list[str], path: Path) -> dict:

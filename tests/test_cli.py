@@ -845,6 +845,47 @@ def live_update_args(out: Path, model: str) -> list[str]:
     return args
 
 
+@pytest.fixture
+def stub_endpoint():
+    """Call with a transcript: a started StubEndpoint that replays it; each one started is
+    stopped after the test, its handler threads with it."""
+    from stub_endpoint import StubEndpoint
+
+    started = []
+
+    def start(transcript: Path) -> StubEndpoint:
+        server = StubEndpoint.from_transcript(transcript)
+        started.append((server, server.start()))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_a_live_update_over_http_writes_what_the_replay_run_wrote(tmp_path, monkeypatch,
+                                                                  stub_endpoint) -> None:
+    pytest.importorskip("requests")
+    replay = run_demo_update(tmp_path)
+    transcript = next(replay.glob("*.jsonl"))
+    server = stub_endpoint(transcript)
+    monkeypatch.setenv("VAPU_API_KEY_OPENAI", "dummy")
+    monkeypatch.setenv("VAPU_API_BASE_OPENAI", server.url)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")  # a proxy set in the environment is skipped
+    live = tmp_path / "live"
+    args = live_update_args(live, "gpt-4o")
+    args[args.index("--runs") + 1] = "1"
+    assert main(args) == 0
+    updated = Path("reference_list-vapu-gpt-4o-t0-r1", "reference_list.php")
+    assert (live / updated).read_bytes() == (replay / updated).read_bytes()
+    # One request per recorded exchange, every reply sent, all over one kept-alive connection.
+    assert server.requests == len(load_transcript(transcript).exchanges)
+    assert not any(server.replies.values())
+    assert server.connections == 1
+
+
 @pytest.mark.parametrize("model, present, missing", [
     ("gpt-4o", {}, ["VAPU_API_KEY_OPENAI", "VAPU_API_BASE_OPENAI"]),
     # only OpenAI has a default base URL

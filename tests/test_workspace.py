@@ -7,8 +7,10 @@ import os
 import re
 import stat
 import tracemalloc
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from enum import Enum
 from pathlib import Path, PurePosixPath
+from typing import get_args, get_origin, get_type_hints
 from unittest import mock
 
 import pytest
@@ -402,17 +404,42 @@ def test_transcript_round_trip(tmp_path) -> None:
     assert loaded == original
 
 
+def off_default_values(cls) -> dict:
+    """A value for each field of ``cls`` that ``==`` compares, made from the field's type:
+    the first of its type's samples that is not the field's default.  An ``X | None``
+    field takes X's samples, so an optional count is 0 and an optional flag False."""
+    samples = {str: ("text", "other"), int: (0, 2), float: (0.0, 0.25), bool: (False, True)}
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if not f.compare:
+            continue
+        kind = hints[f.name]
+        if type(None) in get_args(kind):  # X | None: X's samples
+            kind = next(arg for arg in get_args(kind) if arg is not type(None))
+        origin = get_origin(kind) or kind
+        if origin in (list, tuple):  # a container of text
+            options = (origin(), origin(["truncated", "no_fence"]))
+        else:
+            options = tuple(origin) if issubclass(origin, Enum) else samples[origin]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        values[f.name] = next(option for option in options if option != default)
+    return values
+
+
 def test_the_exchange_record_writes_every_field_that_eq_compares() -> None:
-    # One value per compared field, none its default: a field ChatExchange gains fails
-    # here until it has a value below and _exchange_record writes it.
-    values = {"role": AgentRole.VERIFIER, "prompt": "p", "response": "r", "duration": 0.25,
-              "started_at": 3.5, "model": "m", "temperature": 0.7, "retries": 2,
-              "flags": ["truncated", "no_fence"]}
-    assert {f.name for f in fields(ChatExchange) if f.compare} == set(values)
+    # Each compared field's value comes from its type, so a field ChatExchange gains is
+    # checked here with no edit to this test or to _exchange_record.
+    values = off_default_values(ChatExchange)
     exchange = ChatExchange(**values)
     record = vapu.workspace._exchange_record(exchange, {})
     assert record == {"record": "exchange", **to_json(exchange)}
     assert from_json(ChatExchange, record) == exchange
+    # A field with a default is left out while it holds that default.
+    required = {f.name: values[f.name] for f in fields(ChatExchange)
+                if f.default is MISSING and f.default_factory is MISSING}
+    assert set(vapu.workspace._exchange_record(ChatExchange(**required), {})) == \
+        {"record", *required}
 
 
 @settings(max_examples=50, deadline=None)
@@ -435,12 +462,8 @@ def test_exchanges_with_any_role_flags_and_retries_round_trip(tmp_path_factory,
 
 
 def test_the_exchange_reader_reads_every_field_that_eq_compares() -> None:
-    # The reader's counterpart of the writer test above: a field ChatExchange gains
-    # fails here until it has a value below and _exchange_from_record reads it.
-    values = {"role": AgentRole.VERIFIER, "prompt": "p", "response": "r", "duration": 0.25,
-              "started_at": 3.5, "model": "m", "temperature": 0.7, "retries": 2,
-              "flags": ["truncated", "no_fence"]}
-    assert {f.name for f in fields(ChatExchange) if f.compare} == set(values)
+    # The reader's counterpart of the writer test above, with the same values.
+    values = off_default_values(ChatExchange)
     record = {"record": "exchange", **to_json(ChatExchange(**values))}
     exchange = vapu.workspace._exchange_from_record(record, [], Path("t.jsonl"), False)
     assert exchange == ChatExchange(**values)
